@@ -7,6 +7,7 @@ success, 1 on domain errors (including bad flags), 2 on resource errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -30,35 +31,16 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _phi_from_args(args) -> growth.GrowthFunction:
-    family = getattr(args, "phi_family", None) or args.family
-    raw = getattr(args, "phi_params", None) or args.params
-    params = [float(x) for x in raw.split(",") if x.strip()]
-    if family == "powerlog":
-        return growth.GrowthFunction.power_log(*params)
-    if family == "exp":
-        return growth.GrowthFunction.exponential(*params)
-    if family == "doubleexp":
-        return growth.GrowthFunction.doubly_exponential(*params)
-    if family == "table":
-        return growth.GrowthFunction.table(params)
-    raise DomainError(f"unknown phi family {family!r}")
-
-
 def _add_phi_flags(p):
-    p.add_argument("--phi-family", required=True, choices=["powerlog", "exp", "doubleexp", "table"])
+    p.add_argument("--phi-family", required=True, choices=growth.FAMILIES)
     p.add_argument("--phi-params", required=True, help="comma-separated family parameters")
 
 
 def _emit_csv(header, rows, out=None):
-    stream = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
-    try:
-        stream.write(",".join(header) + "\r\n")
-        for row in rows:
-            stream.write(",".join(mc.format_cell(c) for c in row) + "\r\n")
-    finally:
-        if out:
-            stream.close()
+    if out:
+        mc.write_csv_atomic(out, header, rows)
+    else:
+        mc.write_csv(sys.stdout, header, rows)
 
 
 def cmd_expand(args) -> int:
@@ -71,7 +53,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    phi = _phi_from_args(args)
+    phi = growth.GrowthFunction.from_spec(args.family, args.params)
     gc = phi.growth_constants()
     out = {
         "family": phi.family,
@@ -94,7 +76,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_events(args) -> int:
-    phi = _phi_from_args(args)
+    phi = growth.GrowthFunction.from_spec(args.phi_family, args.phi_params)
     rows = []
     for sid in range(args.samples):
         stream = cf.lebesgue_quotients(mc.sample_rng(args.seed, sid))
@@ -116,11 +98,11 @@ def _parse_params(text: str) -> dict:
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
-            raise DomainError(f"bad --params item {item!r}, expected key=value")
         key, _, value = item.partition("=")
-        num = float(value)
-        out[key.strip()] = int(num) if num.is_integer() and key.strip() != "s" and key.strip() != "t" else num
+        try:
+            out[key.strip()] = float(value)
+        except ValueError:
+            raise DomainError(f"bad --params item {item!r}, expected key=number") from None
     return out
 
 
@@ -129,36 +111,18 @@ def cmd_series(args) -> int:
     if args.M is not None:
         grid = [args.M]
     elif args.M_grid:
-        lo, hi, pts = args.M_grid.split(":")
-        grid = series.geometric_grid(float(lo), float(hi), int(pts))
+        try:
+            lo, hi, pts = args.M_grid.split(":")
+            lo, hi, pts = float(lo), float(hi), int(pts)
+        except ValueError:
+            raise DomainError(f"bad --M-grid {args.M_grid!r}, expected lo:hi:points") from None
+        grid = series.geometric_grid(lo, hi, pts)
     else:
         raise DomainError("provide --M or --M-grid lo:hi:points")
     scan = series.asymptotic_ratio_scan(args.id, params, grid)
-    rows = []
-    for row in scan.rows:
-        err = _series_error_bound(args.id, params, row.M)
-        rows.append([row.M, row.value, err, row.predicted, row.ratio])
+    rows = [[r.M, r.value, r.abs_error_bound, r.predicted, r.ratio] for r in scan.rows]
     _emit_csv(["M", "value", "error_bound", "predicted", "ratio"], rows, args.out)
     return 0
-
-
-def _series_error_bound(series_id, params, M) -> float:
-    if series_id == "S1":
-        return series.series_block_tail(params["ell"], M).abs_error_bound
-    if series_id in ("S2", "E0101", "E0102"):
-        r = params.get("r", 1 if series_id == "E0101" else 2)
-        j = params.get("j", 1)
-        return series.series_overlap(r, j, M).abs_error_bound
-    if series_id == "S3":
-        return series.series_harmonic_box(params["ell"], M).abs_error_bound
-    if series_id == "S4":
-        return series.series_shifted(params["ell"], M).abs_error_bound
-    if series_id == "S5":
-        return series.series_power_box(params["ell"], M, params["s"]).abs_error_bound
-    if series_id in ("S6", "S7"):
-        k = 2 if series_id == "S6" else 3
-        return series.series_power_tail(k, M, params["t"]).abs_error_bound
-    raise DomainError(f"unknown series id {series_id!r}")
 
 
 def cmd_pressure(args) -> int:
@@ -174,7 +138,7 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    phi = _phi_from_args(args)
+    phi = growth.GrowthFunction.from_spec(args.phi_family, args.phi_params)
     params = pressure.PressureSolverParams(bisect_tol=args.tol)
     res = pressure.hausdorff_dim(args.set, phi, params)
     out = {
@@ -193,10 +157,15 @@ def cmd_experiment(args) -> int:
     if args.action == "run":
         with open(args.config, "r", encoding="utf-8") as fh:
             config = mc.config_from_text(fh.read())
-        if args.threads is not None:
-            import dataclasses
-
-            config = dataclasses.replace(config, threads=args.threads)
+        threads = args.threads
+        if threads is None:
+            env = os.environ.get("CFLAB_THREADS", "0")
+            try:
+                threads = int(env) or None
+            except ValueError:
+                raise DomainError(f"CFLAB_THREADS must be an integer, got {env!r}") from None
+        if threads is not None:
+            config = dataclasses.replace(config, threads=threads)
         manifest = mc.run_experiment(config, args.out)
         print(json.dumps({"config_hash": manifest.config_hash, "out": args.out}, indent=2))
         return 0
@@ -232,7 +201,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("phi", help="growth constants and series classification")
-    p.add_argument("--family", required=True, choices=["powerlog", "exp", "doubleexp", "table"])
+    p.add_argument("--family", required=True, choices=growth.FAMILIES)
     p.add_argument("--params", required=True, help="comma-separated family parameters")
     p.set_defaults(fn=cmd_phi)
 
@@ -246,7 +215,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_events)
 
     p = sub.add_parser("series", help="evaluate a registered series on M or an M grid")
-    p.add_argument("--id", required=True, choices=sorted(series.DEFAULT_BANDS))
+    p.add_argument("--id", required=True, choices=series.SERIES_IDS)
     p.add_argument("--params", default="", help="e.g. ell=2 or r=2,j=1 or t=1.5")
     p.add_argument("--M", type=float)
     p.add_argument("--M-grid", dest="M_grid", help="lo:hi:points geometric grid")
@@ -272,11 +241,7 @@ def build_parser() -> _Parser:
     run = act.add_parser("run")
     run.add_argument("--config", required=True)
     run.add_argument("--out", required=True)
-    run.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("CFLAB_THREADS", "0")) or None,
-    )
+    run.add_argument("--threads", type=int, help="worker processes (default: CFLAB_THREADS)")
     rep = act.add_parser("report")
     rep.add_argument("--dir", required=True)
     p.set_defaults(fn=cmd_experiment)

@@ -21,6 +21,7 @@ POWERLOG = "powerlog"
 EXPONENTIAL = "exp"
 DOUBLY_EXPONENTIAL = "doubleexp"
 TABLE = "table"
+FAMILIES = (POWERLOG, EXPONENTIAL, DOUBLY_EXPONENTIAL, TABLE)
 
 THEOREMS = ("HWX", "TTW", "TZ", "MAIN3")
 
@@ -91,6 +92,33 @@ class GrowthFunction:
             raise DomainError("table values must be non-decreasing")
         return cls(TABLE, (), vals)
 
+    @classmethod
+    def from_spec(cls, family: str, params: str) -> "GrowthFunction":
+        """The growth function named by a family and its comma-separated parameters.
+
+        The one map from family names to constructors; a wrong parameter
+        count or a parameter that is not a finite number is a DomainError.
+        """
+        try:
+            values = [float(x) for x in params.split(",") if x.strip()]
+        except ValueError:
+            raise DomainError(f"phi parameters must be numbers, got {params!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError(f"phi parameters must be finite, got {params!r}")
+        if family == TABLE:
+            return cls.table(values)
+        constructors = {
+            POWERLOG: (cls.power_log, 2),
+            EXPONENTIAL: (cls.exponential, 1),
+            DOUBLY_EXPONENTIAL: (cls.doubly_exponential, 2),
+        }
+        if family not in constructors:
+            raise DomainError(f"unknown phi family {family!r}")
+        make, arity = constructors[family]
+        if len(values) != arity:
+            raise DomainError(f"phi family {family!r} takes {arity} parameter(s), got {len(values)}")
+        return make(*values)
+
     # -- evaluation ---------------------------------------------------------
     def phi(self, n: int) -> float:
         """phi(n) as a float; overflows saturate to +inf."""
@@ -140,7 +168,11 @@ class GrowthFunction:
         raise DomainError(f"unknown family {self.family!r}")
 
     def phi_array(self, n_max: int) -> np.ndarray:
-        """[phi(1), ..., phi(n_max)] as float64, +inf on overflow."""
+        """[phi(1), ..., phi(n_max)] as float64, +inf on overflow.
+
+        Where phi_exact(n) exists the entry is its correctly rounded value, so
+        float comparisons against integer block products see exact ties.
+        """
         n = np.arange(1, n_max + 1, dtype=float)
         with np.errstate(over="ignore"):
             if self.family == POWERLOG:
@@ -150,6 +182,14 @@ class GrowthFunction:
             elif self.family == EXPONENTIAL:
                 (base,) = self.params
                 v = np.exp(n * math.log(base))
+                if base.is_integer():
+                    power = 1
+                    for i in range(n_max):
+                        power *= int(base)
+                        try:
+                            v[i] = float(power)  # int -> float rounds correctly
+                        except OverflowError:  # past float64; exp() already gave inf
+                            break
             elif self.family == DOUBLY_EXPONENTIAL:
                 base, rate = self.params
                 v = np.exp(np.minimum(rate ** n, 1e308) * math.log(base))

@@ -6,9 +6,9 @@ independent of chunking and thread scheduling and results are byte-identical
 for identical (config, seed, version). Samples are reduced in sample order.
 
 Comparisons "block product >= phi(n)" run in value space: block products are
-exact in float64 below 2^53, thresholds are the defining float values of phi,
-and int-vs-float comparison in the rare giant-product entries is re-resolved
-exactly.
+exact in float64 below 2^53, thresholds are the float values of phi (correctly
+rounded where phi is exact, so ties count), and int-vs-float comparison in the
+rare giant-product entries is re-resolved exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from typing import Callable, Optional, Sequence
 
@@ -175,25 +175,47 @@ def _qualify_counts(prod_row: np.ndarray, phi_arr: np.ndarray, qa_row, ell, phi)
     return m
 
 
-def _first_hits(m: np.ndarray, N: int) -> tuple[int, int]:
-    """(tau_F, tau_E) from qualification counts; N+1 encodes no event.
+def _event_masks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, F) masks over levels 1..N from qualification counts m.
 
-    Block i qualifies at level n iff i <= n <= m[i]; the E event is the first
-    i with m[i] >= i, and the F event is the first k with m[k] >= k and some
-    earlier block still qualifying at level k (prefix max of m reaches k).
+    Block i qualifies at level n iff i <= n <= m[i]; E holds at level n when
+    block n qualifies, and F when besides block n some earlier block still
+    qualifies at level n (the prefix max of m reaches n).
     """
-    idx = np.arange(1, N + 1)
-    ok = m >= idx
-    tau_e = int(idx[ok][0]) if ok.any() else N + 1
-    okf = ok.copy()
-    okf[0] = False
-    prefmax = np.maximum.accumulate(m)
-    okf[1:] &= prefmax[:-1] >= idx[1:]
-    tau_f = int(idx[okf][0]) if okf.any() else N + 1
+    idx = np.arange(1, len(m) + 1)
+    e = m >= idx
+    f = e.copy()
+    f[0] = False
+    f[1:] &= np.maximum.accumulate(m)[:-1] >= idx[1:]
+    return e, f
+
+
+def _first_hits(m: np.ndarray) -> tuple[int, int]:
+    """(tau_F, tau_E) from qualification counts; N+1 encodes no event."""
+    e, f = _event_masks(m)
+    none = len(m) + 1
+    tau_f = int(np.argmax(f)) + 1 if f.any() else none
+    tau_e = int(np.argmax(e)) + 1 if e.any() else none
     return tau_f, tau_e
 
 
 StreamFn = Callable[[int, int], np.ndarray]
+
+
+def _qualification_counts(cfg, stream_fn: Optional[StreamFn], lo: int, hi: int):
+    """Per sample of lo..hi-1, the counts m of its consecutive ell-blocks.
+
+    Quotient rows come from the sampler, or from stream_fn when given.
+    """
+    N, ell = cfg.horizon, cfg.ell
+    if stream_fn is None:
+        qa = sample_quotient_block(cfg.seed, range(lo, hi), N + ell - 1)
+    else:
+        qa = np.vstack([stream_fn(sid, N + ell - 1) for sid in range(lo, hi)])
+    phi_arr = cfg.phi.phi_array(N)
+    prod = _block_prods(qa, ell, 1, N)
+    for row in range(hi - lo):
+        yield _qualify_counts(prod[row], phi_arr, qa[row], ell, cfg.phi)
 
 
 def _chunk_ranges(samples: int, per_row_bytes: int) -> list[tuple[int, int]]:
@@ -203,9 +225,10 @@ def _chunk_ranges(samples: int, per_row_bytes: int) -> list[tuple[int, int]]:
 
 def _run_chunks(config: ExperimentConfig, worker, ranges):
     """Map worker over sample ranges, inline or in a process pool, in order."""
-    if config.threads <= 1 or len(ranges) <= 1:
+    workers = min(config.threads, os.cpu_count() or 1, len(ranges))
+    if workers <= 1:
         return [worker(r) for r in ranges]
-    with ProcessPoolExecutor(max_workers=config.threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, ranges))
 
 
@@ -219,22 +242,18 @@ class _DichotomyChunk:
     stream_fn: Optional[StreamFn] = None
 
     def __call__(self, rng_range: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.config
         lo, hi = rng_range
-        N, ell = cfg.horizon, cfg.ell
-        length = N + ell - 1
-        if self.stream_fn is None:
-            qa = sample_quotient_block(cfg.seed, range(lo, hi), length)
-        else:
-            qa = np.vstack([self.stream_fn(sid, length) for sid in range(lo, hi)])
-        phi_arr = cfg.phi.phi_array(N)
-        prod = _block_prods(qa, ell, 1, N)
         tf = np.empty(hi - lo, dtype=np.int64)
         te = np.empty(hi - lo, dtype=np.int64)
-        for row in range(hi - lo):
-            m = _qualify_counts(prod[row], phi_arr, qa[row], ell, cfg.phi)
-            tf[row], te[row] = _first_hits(m, N)
+        for row, m in enumerate(_qualification_counts(self.config, self.stream_fn, lo, hi)):
+            tf[row], te[row] = _first_hits(m)
         return tf, te
+
+
+def _hitting_times(cfg: ExperimentConfig, stream_fn: Optional[StreamFn]):
+    per_row = 8 * (cfg.horizon + cfg.ell)
+    parts = _run_chunks(cfg, _DichotomyChunk(cfg, stream_fn), _chunk_ranges(cfg.samples, per_row))
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def run_dichotomy(
@@ -244,10 +263,7 @@ def run_dichotomy(
     cfg = config.validated()
     if cfg.kind != "dichotomy":
         raise DomainError("config.kind must be 'dichotomy'")
-    per_row = 8 * (cfg.horizon + cfg.ell)
-    parts = _run_chunks(cfg, _DichotomyChunk(cfg, stream_fn), _chunk_ranges(cfg.samples, per_row))
-    tau_f = np.concatenate([p[0] for p in parts])
-    tau_e = np.concatenate([p[1] for p in parts])
+    tau_f, tau_e = _hitting_times(cfg, stream_fn)
     return [
         {
             "n": n,
@@ -260,10 +276,7 @@ def run_dichotomy(
 
 def hitting_times(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (tau_F, tau_E) arrays; horizon+1 encodes no event."""
-    cfg = config.validated()
-    per_row = 8 * (cfg.horizon + cfg.ell)
-    parts = _run_chunks(cfg, _DichotomyChunk(cfg), _chunk_ranges(cfg.samples, per_row))
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    return _hitting_times(config.validated(), None)
 
 
 # ---------------------------------------------------------------------------
@@ -399,34 +412,13 @@ class _ChungErdosChunk:
             for i, sid in enumerate(range(lo, hi)):
                 events[i] = sample_rng(cfg.seed, sid).random(N) < cfg.synthetic_p
         else:
-            events = self._cf_events(lo, hi)
+            ms = _qualification_counts(cfg, self.stream_fn, lo, hi)
+            events = np.array([_event_masks(m)[1] for m in ms])
         any_count = int(np.count_nonzero(events.any(axis=1)))
         y = events.astype(np.int64)
         counts = y.sum(axis=0)
         pair_counts = y.T @ y
         return any_count, counts, pair_counts
-
-    def _cf_events(self, lo: int, hi: int) -> np.ndarray:
-        cfg = self.config
-        N, ell, phi = cfg.horizon, cfg.ell, cfg.phi
-        length = N + ell - 1
-        if self.stream_fn is None:
-            qa = sample_quotient_block(cfg.seed, range(lo, hi), length)
-        else:
-            qa = np.vstack([self.stream_fn(sid, length) for sid in range(lo, hi)])
-        phi_arr = phi.phi_array(N)
-        prod = _block_prods(qa, ell, 1, N)
-        events = np.empty((hi - lo, N), dtype=bool)
-        idx = np.arange(1, N + 1)
-        for row in range(hi - lo):
-            m = _qualify_counts(prod[row], phi_arr, qa[row], ell, phi)
-            ok = m >= idx  # block n beats phi(n)
-            prefmax = np.maximum.accumulate(m)
-            ev = ok.copy()
-            ev[0] = False
-            ev[1:] &= prefmax[:-1] >= idx[1:]  # some k < n also beats phi(n)
-            events[row] = ev
-        return events
 
 
 @dataclass(frozen=True)
@@ -522,18 +514,7 @@ def config_from_text(text: str) -> ExperimentConfig:
         raise DomainError("config must set kind")
     phi = None
     if "phi_family" in pairs:
-        family = pairs["phi_family"]
-        params = [float(x) for x in pairs.get("phi_params", "").split(",") if x]
-        if family == "powerlog":
-            phi = GrowthFunction.power_log(*params)
-        elif family == "exp":
-            phi = GrowthFunction.exponential(*params)
-        elif family == "doubleexp":
-            phi = GrowthFunction.doubly_exponential(*params)
-        elif family == "table":
-            phi = GrowthFunction.table(params)
-        else:
-            raise DomainError(f"unknown phi family {family!r}")
+        phi = GrowthFunction.from_spec(pairs["phi_family"], pairs.get("phi_params", ""))
     checkpoints = tuple(
         int(x) for x in pairs.get("checkpoints", "").split(",") if x.strip()
     )
@@ -563,15 +544,22 @@ def format_cell(x) -> str:
     return str(x)
 
 
+def write_csv(fh, header: Sequence[str], rows) -> None:
+    """RFC-4180-style CSV with a fixed column order and CRLF line ends."""
+    fh.write(",".join(header) + "\r\n")
+    for row in rows:
+        fh.write(",".join(format_cell(c) for c in row) + "\r\n")
+
+
 def write_csv_atomic(path: str, header: Sequence[str], rows) -> None:
-    """RFC-4180-style CSV with a fixed column order, written via temp + rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """write_csv to a temp file beside path, then rename it over path.
+
+    The temp file is opened like any new file, so it gets umask permissions.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for row in rows:
-                fh.write(",".join(format_cell(c) for c in row) + "\r\n")
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            write_csv(fh, header, rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -584,22 +572,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> RunManifest:
     cfg = config.validated()
     os.makedirs(out_dir, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
-    if cfg.kind == "dichotomy":
-        rows = run_dichotomy(cfg)
-        header = ["n", "fraction_hit_F", "fraction_hit_E"]
-        data = [[r["n"], r["fraction_hit_F"], r["fraction_hit_E"]] for r in rows]
-    elif cfg.kind == "trimmed":
-        rows = run_trimmed(cfg)
-        header = ["n", "mean_norm", "median_norm", "q10", "q90"]
-        data = [[r["n"], r["mean_norm"], r["median_norm"], r["q10"], r["q90"]] for r in rows]
-    elif cfg.kind == "khinchin":
-        rows = run_khinchin(cfg)
-        header = ["n"] + [f"outside_{eps}" for eps in KHINCHIN_EPS]
-        data = [[r["n"]] + [r[f"outside_{eps}"] for eps in KHINCHIN_EPS] for r in rows]
-    else:
-        res = chung_erdos_check(cfg)
-        header = ["lhs", "rhs", "stderr", "holds", "degenerate"]
-        data = [[res.lhs, res.rhs, res.stderr, res.holds, res.degenerate]]
+    run = {
+        "dichotomy": run_dichotomy,
+        "trimmed": run_trimmed,
+        "khinchin": run_khinchin,
+        "chung_erdos": lambda c: [asdict(chung_erdos_check(c))],
+    }[cfg.kind]
+    rows = run(cfg)  # dicts whose keys are the CSV columns in order
+    header = list(rows[0])
+    data = [list(r.values()) for r in rows]
     csv_name = f"{cfg.kind}.csv"
     write_csv_atomic(os.path.join(out_dir, csv_name), header, data)
     finished = datetime.now(timezone.utc).isoformat()

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResourceLimitError
 from .growth import GrowthFunction
-from .series import zeta
+from .series import hurwitz_tail, zeta
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -187,16 +187,6 @@ def _barycentric_rows(y: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray
     return rows
 
 
-def _hurwitz_tail(t: float, c: np.ndarray) -> np.ndarray:
-    """sum_{k >= 1} (c + k)^{-t} for vector bases c, Euler-Maclaurin."""
-    return (
-        c ** (1.0 - t) / (t - 1.0)
-        - 0.5 * c ** (-t)
-        + t * c ** (-t - 1.0) / 12.0
-        - t * (t + 1.0) * (t + 2.0) * c ** (-t - 3.0) / 720.0
-    )
-
-
 def _transfer_matrix(s: float, N: int, params: PressureSolverParams) -> np.ndarray:
     m = params.grid_points
     x, w = _cheb_nodes_weights(m)
@@ -210,7 +200,7 @@ def _transfer_matrix(s: float, N: int, params: PressureSolverParams) -> np.ndarr
         A += np.einsum("ai,aij->ij", coef, rows)
     if params.tail_correction and s >= params.tail_min_s and N >= 50:
         c = N + x  # tail over a >= N+1: base c + k with k >= 1
-        tail = _hurwitz_tail(2.0 * s, c)
+        tail = hurwitz_tail(2.0 * s, c)
         y_star = 1.0 / (N + 1.0 + x)
         A += tail[:, None] * _barycentric_rows(y_star, x, w)
     return A

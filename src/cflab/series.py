@@ -78,11 +78,14 @@ def zeta(t: float) -> float:
     K = ZETA_TERMS
     v = np.arange(1, K + 1, dtype=float)
     head = float(np.sum(v ** (-t)))
-    return head + _em_tail(t, float(K))
+    return head + hurwitz_tail(t, float(K))
 
 
-def _em_tail(t: float, c: float) -> float:
-    """sum_{k >= 1} (c + k)^{-t} by Euler-Maclaurin with three corrections."""
+def hurwitz_tail(t, c):
+    """sum_{k >= 1} (c + k)^{-t} by Euler-Maclaurin with three corrections.
+
+    `c` may be a float or an array of bases.
+    """
     return (
         c ** (1.0 - t) / (t - 1.0)
         - 0.5 * c ** (-t)
@@ -110,16 +113,7 @@ def series_block_tail(ell: int, M: float) -> SeriesValue:
     """sum over a_1...a_ell >= M of prod a_i^-2, i.e. sum_{v >= ceil(M)} d_ell(v)/v^2."""
     if ell < 1:
         raise DomainError("ell must be >= 1")
-    cut = _ceil_cut(M)
-    z2 = zeta(2.0)
-    total = z2 ** ell
-    head = 0.0
-    if cut > 1:
-        sieve = divisor_table(ell, cut - 1)
-        v = np.arange(1, cut, dtype=float)
-        head = float(np.dot(sieve.table[1:cut].astype(float), v ** -2.0))
-    err = (ell * z2 ** (ell - 1)) * ZETA_ERR + 1e-15 * (total + head) + 1e-300
-    return SeriesValue(total - head, err, HYBRID)
+    return _divisor_tail(ell, M, 2.0)
 
 
 def series_overlap(r: int, j: int, M: float) -> SeriesValue:
@@ -201,6 +195,11 @@ def series_power_tail(k: int, M: float, t: float) -> SeriesValue:
         raise DomainError("k must be in {1, 2, 3}")
     if t <= 1:
         raise DomainError("infinite power sums require t > 1")
+    return _divisor_tail(k, M, t)
+
+
+def _divisor_tail(k: int, M: float, t: float) -> SeriesValue:
+    """sum_{v >= ceil(M)} d_k(v)/v^t = zeta(t)^k minus the sieve head below the cut."""
     cut = _ceil_cut(M)
     zt = zeta(t)
     total = zt ** k
@@ -236,6 +235,7 @@ def series_power_box(ell: int, M: float, s: float) -> SeriesValue:
 class ScanRow:
     M: float
     value: float
+    abs_error_bound: float
     predicted: float
     ratio: float
 
@@ -249,62 +249,73 @@ class ScanResult:
     band: tuple[float, float]
 
 
-def _scan_registry():
-    return {
-        "S1": (
-            lambda M, p: series_block_tail(p["ell"], M).value,
-            lambda M, p: math.log(M) ** (p["ell"] - 1) / M,
-        ),
-        "S2": (
-            lambda M, p: series_overlap(p["r"], p["j"], M).value,
-            lambda M, p: math.log(M) ** (2 * (p["j"] - 1)) / M,
-        ),
-        "S3": (
-            lambda M, p: series_harmonic_box(p["ell"], M).value,
-            lambda M, p: math.log(M) ** p["ell"],
-        ),
-        "S4": (
-            lambda M, p: series_shifted(p["ell"], M).value,
-            lambda M, p: math.log(M) ** (p["ell"] - 1) / M,
-        ),
-        "S5": (
-            lambda M, p: series_power_box(p["ell"], M, p["s"]).value,
-            lambda M, p: math.log(M) ** (p["ell"] - 1)
-            * M ** (1 - p["s"])
-            / math.factorial(p["ell"] - 1),
-        ),
-        "S6": (
-            lambda M, p: series_power_tail(2, M, p["t"]).value,
-            lambda M, p: M ** (1 - p["t"]) * math.log(M) / (p["t"] - 1),
-        ),
-        "S7": (
-            lambda M, p: series_power_tail(3, M, p["t"]).value,
-            lambda M, p: (1 / (p["t"] - 1) + math.log(M)) * M ** (1 - p["t"]),
-        ),
-        "E0101": (
-            lambda M, p: series_overlap(1, p["j"], M).value,
-            lambda M, p: math.log(M) ** (p["j"] - 1) / M,
-        ),
-        "E0102": (
-            lambda M, p: series_overlap(2, 1, M).value,
-            lambda M, p: 1.0 / M,
-        ),
-    }
+_REAL_KEYS = ("s", "t")  # every other params key is an integer
 
-
-# regression bands measured over M in [1e2, 1e6]; upper-bound-only claims
-# (S2, S7) get wide one-sided-ish bands since their ratios drift with log M
-DEFAULT_BANDS = {
-    "S1": (0.5, 2.5),
-    "S2": (0.01, 100.0),
-    "S3": (0.8, 3.0),
-    "S4": (0.5, 5.0),
-    "S5": (0.5, 5.0),
-    "S6": (0.5, 5.0),
-    "S7": (0.1, 20.0),
-    "E0101": (0.5, 8.0),
-    "E0102": (10.0, 25.0),
+# id -> (params keys, all required; default band for the top-decade ratios;
+# SeriesValue at (M, params); predicted shape at (M, params)). The bands were
+# measured over M in [1e2, 1e6]; upper-bound-only claims (S2, S7) get wide
+# one-sided-ish bands since their ratios drift with log M.
+_SCANS = {
+    "S1": (
+        ("ell",), (0.5, 2.5),
+        lambda M, p: series_block_tail(p["ell"], M),
+        lambda M, p: math.log(M) ** (p["ell"] - 1) / M,
+    ),
+    "S2": (
+        ("r", "j"), (0.01, 100.0),
+        lambda M, p: series_overlap(p["r"], p["j"], M),
+        lambda M, p: math.log(M) ** (2 * (p["j"] - 1)) / M,
+    ),
+    "S3": (
+        ("ell",), (0.8, 3.0),
+        lambda M, p: series_harmonic_box(p["ell"], M),
+        lambda M, p: math.log(M) ** p["ell"],
+    ),
+    "S4": (
+        ("ell",), (0.5, 5.0),
+        lambda M, p: series_shifted(p["ell"], M),
+        lambda M, p: math.log(M) ** (p["ell"] - 1) / M,
+    ),
+    "S5": (
+        ("ell", "s"), (0.5, 5.0),
+        lambda M, p: series_power_box(p["ell"], M, p["s"]),
+        lambda M, p: math.log(M) ** (p["ell"] - 1)
+        * M ** (1 - p["s"])
+        / math.factorial(p["ell"] - 1),
+    ),
+    "S6": (
+        ("t",), (0.5, 5.0),
+        lambda M, p: series_power_tail(2, M, p["t"]),
+        lambda M, p: M ** (1 - p["t"]) * math.log(M) / (p["t"] - 1),
+    ),
+    "S7": (
+        ("t",), (0.1, 20.0),
+        lambda M, p: series_power_tail(3, M, p["t"]),
+        lambda M, p: (1 / (p["t"] - 1) + math.log(M)) * M ** (1 - p["t"]),
+    ),
+    "E0101": (
+        ("j",), (0.5, 8.0),
+        lambda M, p: series_overlap(1, p["j"], M),
+        lambda M, p: math.log(M) ** (p["j"] - 1) / M,
+    ),
+    "E0102": (
+        (), (10.0, 25.0),
+        lambda M, p: series_overlap(2, 1, M),
+        lambda M, p: 1.0 / M,
+    ),
 }
+
+SERIES_IDS = tuple(sorted(_SCANS))
+
+
+def _scan_params(series_id: str, keys: tuple[str, ...], params: dict) -> dict:
+    """params checked against the keys the series takes, integer keys as int."""
+    if set(params) != set(keys):
+        raise DomainError(f"series {series_id} takes params {keys}, got {tuple(params)}")
+    for key, value in params.items():
+        if key not in _REAL_KEYS and not float(value).is_integer():
+            raise DomainError(f"series param {key} must be an integer, got {value!r}")
+    return {k: float(v) if k in _REAL_KEYS else int(v) for k, v in params.items()}
 
 
 def asymptotic_ratio_scan(
@@ -312,19 +323,20 @@ def asymptotic_ratio_scan(
 ) -> ScanResult:
     """Evaluate a registered series along an M-grid against its predicted shape.
 
-    The band flag reports whether every ratio over the top decade of the grid
-    stays inside `band` (per-series defaults when not given).
+    `params` must hold exactly the keys the series takes. The band flag
+    reports whether every ratio over the top decade of the grid stays inside
+    `band` (per-series defaults when not given).
     """
-    registry = _scan_registry()
-    if series_id not in registry:
+    if series_id not in _SCANS:
         raise DomainError(f"unknown series id {series_id!r}")
-    evaluate, predict = registry[series_id]
-    band = band or DEFAULT_BANDS[series_id]
+    keys, default_band, evaluate, predict = _SCANS[series_id]
+    params = _scan_params(series_id, keys, params)
+    band = band or default_band
     rows = []
     for M in m_grid:
         val = evaluate(float(M), params)
         pred = predict(float(M), params)
-        rows.append(ScanRow(float(M), val, pred, val / pred))
+        rows.append(ScanRow(float(M), val.value, val.abs_error_bound, pred, val.value / pred))
     top = max(r.M for r in rows)
     top_rows = [r for r in rows if r.M >= top / 10.0]
     ratios = [r.ratio for r in top_rows]

@@ -37,6 +37,14 @@ class TestExpand:
         assert lines[1].strip() == "p,q"
         assert lines[-1].strip() == "113,355"
 
+    def test_csv_file_mode_follows_umask(self, tmp_path, capsys):
+        path = tmp_path / "conv.csv"
+        code, _, _ = run_cli(capsys, "expand", "--num", "2", "--den", "5", "--convergents", str(path))
+        umask = os.umask(0)
+        os.umask(umask)
+        assert code == 0 and path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["conv.csv"]
+
     def test_domain_error_exit(self, capsys):
         code, _, err = run_cli(capsys, "expand", "--num", "5", "--den", "3")
         assert code == 1 and "domain" in err
@@ -161,6 +169,38 @@ class TestExperimentCli:
             "--out", str(tmp_path / "o2"),
         )
         assert code == 0
+
+    def test_env_threads_not_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CFLAB_THREADS", "abc")
+        code, _, _ = run_cli(capsys, "phi", "--family", "powerlog", "--params", "1,2")
+        assert code == 0  # only experiment run reads the variable
+        config = tmp_path / "exp.cfg"
+        config.write_text("kind = khinchin\nhorizon = 100\nsamples = 2\n")
+        code, _, err = run_cli(
+            capsys, "experiment", "run", "--config", str(config), "--out", str(tmp_path / "o")
+        )
+        assert code == 1 and "CFLAB_THREADS" in err
+
+
+BAD_INPUTS = [
+    ["phi", "--family", "exp", "--params", "1,2"],
+    ["phi", "--family", "powerlog", "--params", "x"],
+    ["phi", "--family", "exp", "--params", "nan"],
+    ["dim", "--set", "F3", "--phi-family", "exp", "--phi-params", "2,3"],
+    ["series", "--id", "S1", "--M", "100"],
+    ["series", "--id", "S2", "--M", "100"],
+    ["series", "--id", "E0101", "--params", "j=1,r=2", "--M", "100"],
+    ["series", "--id", "E0102", "--params", "j=3", "--M", "100"],
+    ["series", "--id", "S1", "--params", "ell=2.5", "--M", "100"],
+    ["series", "--id", "S1", "--params", "ell", "--M", "100"],
+    ["series", "--id", "S1", "--params", "ell=2", "--M-grid", "100:x:3"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_exits_domain(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err.startswith("error[domain]") and out == ""
 
 
 class TestErrorsAndHelp:

@@ -46,10 +46,23 @@ class TestLogPhi:
             assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_phi_array_matches_scalar(self):
-        f = GrowthFunction.power_log(1.2, 1)
-        arr = f.phi_array(50)
-        for n in range(1, 51):
-            assert arr[n - 1] == pytest.approx(f.phi(n), rel=1e-15)
+        for f in (
+            GrowthFunction.power_log(1.2, 1),
+            GrowthFunction.power_log(0, 0),
+            GrowthFunction.exponential(1.5),
+            GrowthFunction.exponential(2),
+            GrowthFunction.exponential(3),
+            GrowthFunction.table([2.0 + 0.5 * (n // 3) for n in range(700)]),
+        ):
+            arr = f.phi_array(700)
+            for n in range(1, 701):
+                exact = f.phi_exact(n)
+                if exact is None:
+                    if n <= 50:
+                        assert arr[n - 1] == pytest.approx(f.phi(n), rel=1e-15)
+                else:  # correctly rounded wherever an exact value exists
+                    want = float(exact) if exact < 2**1024 else math.inf
+                    assert arr[n - 1] == want, (f, n)
 
 
 class TestGrowthConstants:

@@ -48,6 +48,13 @@ class TestConfig:
         with pytest.raises(DomainError):
             mc.config_from_text("kind = khinchin\nbogus = 3\n")
 
+    def test_bad_phi_rejected(self):
+        for family, params in (("exp", "1,2"), ("powerlog", "x"), ("cubic", "1")):
+            with pytest.raises(DomainError):
+                mc.config_from_text(
+                    f"kind = dichotomy\nphi_family = {family}\nphi_params = {params}\n"
+                )
+
     def test_validation(self):
         with pytest.raises(DomainError):
             mc.ExperimentConfig(kind="nope").validated()
@@ -81,17 +88,25 @@ class TestSamplingEngine:
         assert np.array_equal(joined, mc.sample_quotient_block(1, [0, 1], 100))
 
     def test_streaming_detectors_agree_with_engine(self):
-        cfg = mc.ExperimentConfig(
-            kind="dichotomy", ell=2, phi=GrowthFunction.power_log(1, 0),
-            horizon=400, samples=6, seed=13, checkpoints=(400,),
-        )
-        tau_f, tau_e = mc.hitting_times(cfg)
-        for sid in range(6):
-            word = cf.take(cf.lebesgue_quotients(mc.sample_rng(13, sid)), 401)
-            hit = blocks.first_F_event(word, 2, cfg.phi, 400)
-            assert (hit[0] if hit else 401) == tau_f[sid]
-            hit_e = blocks.first_E_event(word, 2, cfg.phi, 400)
-            assert (hit_e if hit_e else 401) == tau_e[sid]
+        # integer-base exponentials put exact ties phi(n) = block product in play
+        cases = [(GrowthFunction.power_log(1, 0), 2, 400, 6, 13)] + [
+            (GrowthFunction.exponential(base), ell, 30, 400, 5)
+            for base in (2, 3)
+            for ell in (1, 2)
+        ]
+        for phi, ell, horizon, samples, seed in cases:
+            cfg = mc.ExperimentConfig(
+                kind="dichotomy", ell=ell, phi=phi, horizon=horizon, samples=samples,
+                seed=seed, checkpoints=(horizon,),
+            )
+            tau_f, tau_e = mc.hitting_times(cfg)
+            none = horizon + 1
+            for sid in range(samples):
+                word = cf.take(cf.lebesgue_quotients(mc.sample_rng(seed, sid)), horizon + ell - 1)
+                hit = blocks.first_F_event(word, ell, phi, horizon)
+                assert (hit[0] if hit else none) == tau_f[sid], (phi, ell, sid)
+                hit_e = blocks.first_E_event(word, ell, phi, horizon)
+                assert (hit_e if hit_e else none) == tau_e[sid], (phi, ell, sid)
 
 
 class TestDichotomy:
@@ -217,6 +232,36 @@ class TestPersistence:
         mc.run_experiment(self._config(), str(a))
         mc.run_experiment(self._config(), str(b))
         assert (a / "dichotomy.csv").read_bytes() == (b / "dichotomy.csv").read_bytes()
+
+    def test_pool_bounded_by_cpus_and_chunks(self, monkeypatch):
+        made = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # (threads, chunks, workers): bounded by CPUs, threads, chunks; 1 runs inline
+        for threads, chunks, want in ((10_000, 5, 4), (3, 5, 3), (10_000, 2, 2), (1, 5, None)):
+            made.clear()
+            ranges = [(i, i + 1) for i in range(chunks)]
+            cfg = mc.ExperimentConfig(kind="khinchin", threads=threads)
+            assert mc._run_chunks(cfg, lambda r: r[0], ranges) == list(range(chunks))
+            assert made == ([want] if want else [])
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        made.clear()
+        mc._run_chunks(mc.ExperimentConfig(kind="khinchin", threads=8), lambda r: r, ranges)
+        assert made == []  # unknown CPU count: run inline
 
     def test_thread_count_invariance(self, tmp_path):
         a, b = tmp_path / "t1", tmp_path / "t3"
