@@ -183,9 +183,9 @@ class GrowthFunction:
                 (base,) = self.params
                 v = np.exp(n * math.log(base))
                 if base.is_integer():
-                    power = 1
+                    b, power = int(base), 1
                     for i in range(n_max):
-                        power *= int(base)
+                        power *= b
                         try:
                             v[i] = float(power)  # int -> float rounds correctly
                         except OverflowError:  # past float64; exp() already gave inf
