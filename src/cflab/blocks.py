@@ -1,24 +1,22 @@
-"""Products of consecutive partial quotients: ledgers, event detectors, trimmed sums.
+"""Products of consecutive partial quotients: event detectors, trimmed sums, maxima.
 
 Block i (1-based) of length ell covers quotients a_i .. a_{i+ell-1}. A level-n
 check may use blocks with start index <= n, so a stream is consumed up to
-index n + ell - 1. Products are compared in log space with an exact
-big-integer fallback inside a 1e-9 band around the threshold.
+index n + ell - 1. Block products are exact integers, and "product >= phi(n)"
+is decided by GrowthFunction.meets_threshold.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .cf import take
 from .errors import DomainError
 from .growth import GrowthFunction
-
-LOG_BAND = 1e-9
 
 
 class BlockProduct(NamedTuple):
@@ -34,74 +32,25 @@ class EventRecord:
     overlap: int
 
 
-class BlockProductLedger:
-    """Committed block products with a sorted index for threshold counting.
+def _products(stream: Iterable[int], ell: int, horizon: int) -> Iterator[int]:
+    """Exact products of blocks 1..horizon in order; fewer if the stream ends.
 
-    One quotient is pushed at a time; a block commits once its window is
-    full, i.e. block i commits when quotient i + ell - 1 arrives. The window
-    product is maintained exactly (multiply/divide by integers), so the float
-    log of each committed product carries no accumulated drift.
+    Reads at most horizon + ell - 1 quotients. The window product is kept
+    exactly by multiplying in the new quotient and dividing out the old one.
     """
-
-    def __init__(self, ell: int):
-        if ell < 1:
-            raise DomainError("ell must be >= 1")
-        self.ell = ell
-        self._window: deque[int] = deque()
-        self._window_product = 1
-        self.log_products: list[float] = []
-        self.exact_products: list[int] = []
-        self.sorted_logs: list[float] = []
-
-    @property
-    def committed(self) -> int:
-        return len(self.log_products)
-
-    def push(self, a: int) -> bool:
-        """Feed one quotient; returns True when a block was committed."""
+    if ell < 1:
+        raise DomainError("ell must be >= 1")
+    window: deque[int] = deque()
+    product = 1
+    for a in islice(stream, max(horizon + ell - 1, 0)):
         if a < 1:
             raise DomainError("partial quotients must be >= 1")
-        self._window.append(a)
-        self._window_product *= a
-        if len(self._window) > self.ell:
-            self._window_product //= self._window.popleft()
-        if len(self._window) < self.ell:
-            return False
-        exact = self._window_product
-        lg = math.log(exact)
-        self.log_products.append(lg)
-        self.exact_products.append(exact)
-        insort(self.sorted_logs, lg)
-        return True
-
-    def count_at_least(self, phi: GrowthFunction, n: int) -> int:
-        """Number of committed blocks with product >= phi(n).
-
-        Counts by ordered search on the float logs; entries within LOG_BAND of
-        log phi(n) are re-resolved with the exact integer product.
-        """
-        thr = phi.log_phi(n)
-        if math.isinf(thr):
-            return 0
-        lo = bisect_left(self.sorted_logs, thr - LOG_BAND)
-        hi = bisect_right(self.sorted_logs, thr + LOG_BAND)
-        certain = len(self.sorted_logs) - hi
-        if hi == lo:
-            return certain
-        borderline = 0
-        for lg, exact in zip(self.log_products, self.exact_products):
-            if thr - LOG_BAND <= lg <= thr + LOG_BAND and phi.meets_threshold(exact, n):
-                borderline += 1
-        return certain + borderline
-
-    def qualifying_indices(self, phi: GrowthFunction, n: int) -> list[int]:
-        """1-based start indices of committed blocks with product >= phi(n)."""
-        thr = phi.log_phi(n)
-        out = []
-        for i, (lg, exact) in enumerate(zip(self.log_products, self.exact_products), start=1):
-            if lg > thr + LOG_BAND or (lg >= thr - LOG_BAND and phi.meets_threshold(exact, n)):
-                out.append(i)
-        return out
+        window.append(a)
+        product *= a
+        if len(window) > ell:
+            product //= window.popleft()
+        if len(window) == ell:
+            yield product
 
 
 def block_products(seq, ell: int) -> list[BlockProduct]:
@@ -109,10 +58,7 @@ def block_products(seq, ell: int) -> list[BlockProduct]:
     seq = list(seq)
     if len(seq) < ell:
         raise DomainError(f"need at least {ell} terms, got {len(seq)}")
-    ledger = BlockProductLedger(ell)
-    for a in seq:
-        ledger.push(a)
-    return [BlockProduct(lg, ex) for lg, ex in zip(ledger.log_products, ledger.exact_products)]
+    return [BlockProduct(math.log(p), p) for p in _products(seq, ell, len(seq) - ell + 1)]
 
 
 def first_F_event(
@@ -120,29 +66,23 @@ def first_F_event(
 ) -> Optional[tuple[int, EventRecord]]:
     """Smallest n <= horizon at which two distinct block starts beat phi(n).
 
-    Incremental: maintains the sorted log index and counts entries >= log
-    phi(n) at each level, O(log n) per step away from the threshold band.
-    Returns (n, record) with j the smallest and k the largest qualifying
-    start index at that level; None when no level qualifies.
+    Two of blocks 1..n beat phi(n) exactly when the second-largest of their
+    products does, so each level costs one comparison. At the hit, one pass
+    over the products gives (n, record) with j the smallest and k the largest
+    qualifying start; None when no level qualifies.
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    ledger = BlockProductLedger(ell)
-    it = iter(stream)
-    fed = 0
-    while ledger.committed < horizon:
-        try:
-            a = next(it)
-        except StopIteration:
-            break
-        fed += 1
-        if fed > horizon + ell - 1:
-            break
-        if not ledger.push(a):
-            continue
-        n = ledger.committed
-        if ledger.count_at_least(phi, n) >= 2:
-            qual = ledger.qualifying_indices(phi, n)
+    seen = []
+    top = second = 0
+    for n, p in enumerate(_products(stream, ell, horizon), start=1):
+        seen.append(p)
+        if p > top:
+            top, second = p, top
+        elif p > second:
+            second = p
+        if phi.meets_threshold(second, n):
+            qual = [i for i, q in enumerate(seen, start=1) if phi.meets_threshold(q, n)]
             j, k = qual[0], qual[-1]
             return n, EventRecord(n=n, j=j, k=k, overlap=max(0, j + ell - k))
     return None
@@ -154,25 +94,8 @@ def first_E_event(
     """Smallest n <= horizon whose own block product beats phi(n)."""
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    ledger = BlockProductLedger(ell)
-    it = iter(stream)
-    fed = 0
-    while ledger.committed < horizon:
-        try:
-            a = next(it)
-        except StopIteration:
-            break
-        fed += 1
-        if fed > horizon + ell - 1:
-            break
-        if not ledger.push(a):
-            continue
-        n = ledger.committed
-        lg = ledger.log_products[-1]
-        thr = phi.log_phi(n)
-        if lg > thr + LOG_BAND:
-            return n
-        if lg >= thr - LOG_BAND and phi.meets_threshold(ledger.exact_products[-1], n):
+    for n, p in enumerate(_products(stream, ell, horizon), start=1):
+        if phi.meets_threshold(p, n):
             return n
     return None
 
@@ -204,57 +127,35 @@ def trimmed_sum_trajectory(stream: Iterable[int], ell: int, horizon: int) -> Ite
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    ledger = BlockProductLedger(ell)
-    it = iter(stream)
-    total = 0
-    max_block = 0
-    while ledger.committed < horizon:
-        try:
-            a = next(it)
-        except StopIteration:
-            raise DomainError("stream exhausted before horizon") from None
-        if not ledger.push(a):
-            continue
-        n = ledger.committed
-        exact = ledger.exact_products[-1]
-        total += exact
-        if exact > max_block:
-            max_block = exact
-        if n == 1:
-            norm = math.nan
-        else:
-            norm = float(total - max_block) / (n * math.log(n) ** ell)
+    total = max_block = n = 0
+    for n, p in enumerate(_products(stream, ell, horizon), start=1):
+        total += p
+        max_block = max(max_block, p)
+        norm = math.nan if n == 1 else float(total - max_block) / (n * math.log(n) ** ell)
         yield TrimmedRow(n, total, max_block, norm)
+    if n < horizon:
+        raise DomainError("stream exhausted before horizon")
 
 
 def progression_sum(stream: Iterable[int], ell: int, d: int, n: int) -> int:
-    """Exact sum over j <= n of a_j a_{j+d} ... a_{j+(ell-1)d}."""
+    """Exact sum over j <= n of a_j a_{j+d} ... a_{j+(ell-1)d}.
+
+    The terms with j = r (mod d) are the consecutive ell-blocks of the
+    subsequence a_r, a_{r+d}, ..., so each residue class is one block scan.
+    """
     if d < 1:
         raise DomainError("d must be >= 1")
     if n < 1:
         raise DomainError("n must be >= 1")
     seq = take(stream, n + (ell - 1) * d)
-    total = 0
-    for j in range(1, n + 1):
-        prod = 1
-        for t in range(ell):
-            prod *= seq[j - 1 + t * d]
-        total += prod
-    return total
+    return sum(sum(_products(seq[r::d], ell, len(range(r, n, d)))) for r in range(d))
 
 
 def running_max(stream: Iterable[int], ell: int, horizon: int) -> Iterator[tuple[int, int]]:
     """Per-n running maximum L_{ell,n} of block products, exact."""
-    ledger = BlockProductLedger(ell)
-    it = iter(stream)
-    best = 0
-    while ledger.committed < horizon:
-        try:
-            a = next(it)
-        except StopIteration:
-            raise DomainError("stream exhausted before horizon") from None
-        if not ledger.push(a):
-            continue
-        if ledger.exact_products[-1] > best:
-            best = ledger.exact_products[-1]
-        yield ledger.committed, best
+    best = n = 0
+    for n, p in enumerate(_products(stream, ell, horizon), start=1):
+        best = max(best, p)
+        yield n, best
+    if n < horizon:
+        raise DomainError("stream exhausted before horizon")

@@ -131,7 +131,10 @@ def cmd_pressure(args) -> int:
         tail_correction=not args.no_tail,
         alphabet_max=max(args.alphabet, pressure.DEFAULT_PARAMS.alphabet_max),
     )
-    svals = [float(x) for x in args.s.split(",")]
+    try:
+        svals = [float(x) for x in args.s.split(",")]
+    except ValueError:
+        raise DomainError(f"bad --s {args.s!r}, expected comma-separated numbers") from None
     rows = [[s, args.alphabet, pressure.transfer_pressure(s, args.alphabet, params)] for s in svals]
     _emit_csv(["s", "N", "pressure"], rows, args.out)
     return 0
@@ -153,10 +156,17 @@ def cmd_dim(args) -> int:
     return 0
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def cmd_experiment(args) -> int:
     if args.action == "run":
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = mc.config_from_text(fh.read())
+        config = mc.config_from_text(_read_text(args.config))
         threads = args.threads
         if threads is None:
             env = os.environ.get("CFLAB_THREADS", "0")
@@ -170,14 +180,10 @@ def cmd_experiment(args) -> int:
         print(json.dumps({"config_hash": manifest.config_hash, "out": args.out}, indent=2))
         return 0
     # report
-    manifest_path = os.path.join(args.dir, "manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = json.loads(_read_text(os.path.join(args.dir, "manifest.json")))
     print(f"run {manifest['config_hash'][:12]}  tool {manifest['tool_version']}  seed {manifest['seed']}")
     for name in manifest["output_files"]:
-        path = os.path.join(args.dir, name)
-        with open(path, "r", encoding="utf-8") as fh:
-            content = fh.read().strip().splitlines()
+        content = _read_text(os.path.join(args.dir, name)).strip().splitlines()
         print(f"-- {name}")
         widths = None
         for line in content:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 
 LOG2 = math.log(2.0)
+LOG_BAND = 1e-9  # meets_threshold decides in log space outside this band
 
 POWERLOG = "powerlog"
 EXPONENTIAL = "exp"
@@ -135,6 +136,11 @@ class GrowthFunction:
         if self.family == EXPONENTIAL:
             (base,) = self.params
             lp = n * math.log(base)
+            if base.is_integer() and lp < 710.0:
+                try:
+                    return max(float(int(base) ** n), 2.0)  # int -> float rounds correctly
+                except OverflowError:
+                    return math.inf
             return max(math.exp(lp), 2.0) if lp < 709.0 else math.inf
         if self.family == DOUBLY_EXPONENTIAL:
             lp = self.log_phi(n)
@@ -188,7 +194,8 @@ class GrowthFunction:
                         power *= b
                         try:
                             v[i] = float(power)  # int -> float rounds correctly
-                        except OverflowError:  # past float64; exp() already gave inf
+                        except OverflowError:  # past float64, where exp() may not be inf yet
+                            v[i:] = math.inf
                             break
             elif self.family == DOUBLY_EXPONENTIAL:
                 base, rate = self.params
@@ -219,14 +226,24 @@ class GrowthFunction:
         return None
 
     def meets_threshold(self, product: int, n: int) -> bool:
-        """Exact comparison product >= phi(n) for an integer block product."""
+        """Exact verdict on product >= phi(n) for an integer block product.
+
+        phi >= 2, so products below 2 never qualify. Otherwise the float logs
+        decide when they differ by more than LOG_BAND, and the comparison is
+        exact inside the band.
+        """
+        if product < 2:
+            return False
+        gap = math.log(product) - self.log_phi(n)
+        if abs(gap) > LOG_BAND:
+            return gap > 0
         exact = self.phi_exact(n)
         if exact is not None:
             return product >= exact
         v = self.phi(n)
         if math.isfinite(v):
             return product >= v  # int-vs-float comparison is exact in Python
-        return math.log(product) >= self.log_phi(n)
+        return gap >= 0
 
     # -- analysis -----------------------------------------------------------
     def growth_constants(self, horizon: int = 2000) -> GrowthConstants:

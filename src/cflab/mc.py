@@ -7,8 +7,8 @@ for identical (config, seed, version). Samples are reduced in sample order.
 
 Comparisons "block product >= phi(n)" run in value space: block products are
 exact in float64 below 2^53, thresholds are the float values of phi (correctly
-rounded where phi is exact, so ties count), and int-vs-float comparison in the
-rare giant-product entries is re-resolved exactly.
+rounded where phi is exact, so ties count), and the rare giant-product entries
+are re-resolved exactly by GrowthFunction.meets_threshold.
 """
 
 from __future__ import annotations
@@ -403,7 +403,7 @@ class _ChungErdosChunk:
     config: ExperimentConfig
     stream_fn: Optional[StreamFn] = None
 
-    def __call__(self, rng_range) -> tuple[int, np.ndarray, np.ndarray]:
+    def __call__(self, rng_range) -> tuple[int, np.ndarray, int]:
         cfg = self.config
         lo, hi = rng_range
         N = cfg.horizon
@@ -415,10 +415,8 @@ class _ChungErdosChunk:
             ms = _qualification_counts(cfg, self.stream_fn, lo, hi)
             events = np.array([_event_masks(m)[1] for m in ms])
         any_count = int(np.count_nonzero(events.any(axis=1)))
-        y = events.astype(np.int64)
-        counts = y.sum(axis=0)
-        pair_counts = y.T @ y
-        return any_count, counts, pair_counts
+        per_sample = events.sum(axis=1)  # c_s; sum_{i,j} #(E_i and E_j) = sum_s c_s^2
+        return any_count, events.sum(axis=0), int(per_sample @ per_sample)
 
 
 @dataclass(frozen=True)
@@ -442,15 +440,15 @@ def chung_erdos_check(
     cfg = config.validated()
     if cfg.kind != "chung_erdos":
         raise DomainError("config.kind must be 'chung_erdos'")
-    per_row = 8 * (cfg.horizon + cfg.ell) * 3 + 8 * cfg.horizon**2
+    per_row = 8 * (cfg.horizon + cfg.ell) * 3
     parts = _run_chunks(cfg, _ChungErdosChunk(cfg, stream_fn), _chunk_ranges(cfg.samples, per_row))
     any_count = sum(p[0] for p in parts)
     counts = np.sum([p[1] for p in parts], axis=0)
-    pair_counts = np.sum([p[2] for p in parts], axis=0)
+    pair_total = sum(p[2] for p in parts)
     S = cfg.samples
     lhs = any_count / S
     sum_p = float(counts.sum()) / S
-    sum_pairs = float(pair_counts.sum()) / S
+    sum_pairs = float(pair_total) / S
     degenerate = sum_pairs == 0.0
     rhs = 0.0 if degenerate else sum_p**2 / sum_pairs
     stderr = math.sqrt(max(lhs * (1.0 - lhs), 1e-300) / S)

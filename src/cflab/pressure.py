@@ -146,6 +146,12 @@ class PressureSolverParams:
     tail_min_s: float = 0.505  # stub needs 2s > 1; below this, pure truncation
     bracket: tuple[float, float] = (0.45, 1.0)
 
+    def __post_init__(self):
+        if self.grid_points < 2:
+            raise DomainError("grid_points must be >= 2")
+        if not self.bisect_tol > 0:
+            raise DomainError("bisect_tol must be positive")
+
 
 DEFAULT_PARAMS = PressureSolverParams()
 
@@ -293,6 +299,8 @@ def _root_at_alphabet(potential, log_B, N, params):
         return hi, (hi, hi), evals  # pressure still positive at s = 1
     while hi - lo > params.bisect_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats
+            break
         if _pressure_gap(mid, log_B, potential, N, params) > 0.0:
             lo = mid
         else:
@@ -432,6 +440,8 @@ def s_m_oracle(
         raise ConvergenceError(f"s_m condition unsatisfied even at s = {hi}")
     while hi - lo > params.bisect_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats
+            break
         if condition(mid):
             hi = mid
         else:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cflab import blocks
+from cflab import blocks, growth
 from cflab.errors import DomainError
 from cflab.growth import GrowthFunction
 
@@ -168,19 +168,37 @@ class TestTrimmedAndMax:
 
 
 def test_log_exact_agreement_outside_band():
-    # away from the 1e-9 band the float-log verdict must equal the exact one
+    # away from the band the float-log verdict must equal the exact one
     rng = np.random.default_rng(17)
     phi = GrowthFunction.power_log(1, 1)
     for _ in range(30):
         word = [int(x) for x in rng.integers(1, 200, 40)]
-        ledger = blocks.BlockProductLedger(3)
-        for a in word:
-            ledger.push(a)
-        for n in range(1, ledger.committed + 1):
+        prods = blocks.block_products(word, 3)
+        for n in range(1, len(prods) + 1):
             thr = phi.log_phi(n)
-            for lg, exact in zip(ledger.log_products, ledger.exact_products):
-                if abs(lg - thr) > blocks.LOG_BAND:
-                    assert (lg >= thr) == phi.meets_threshold(exact, n)
+            for b in prods:
+                if abs(b.log_value - thr) > growth.LOG_BAND:
+                    assert (b.log_value >= thr) == (b.exact >= phi.phi(n))
+
+
+def test_detectors_read_at_most_horizon_plus_ell_minus_one():
+    def counted_ones(read):
+        while True:  # all ones: no block ever beats phi >= 2, so every level is scanned
+            read.append(1)
+            yield 1
+
+    horizon = 25
+    for ell in (1, 3):
+        scans = (
+            lambda s: blocks.first_F_event(s, ell, PHI2, horizon),
+            lambda s: blocks.first_E_event(s, ell, PHI2, horizon),
+            lambda s: list(blocks.trimmed_sum_trajectory(s, ell, horizon)),
+            lambda s: list(blocks.running_max(s, ell, horizon)),
+        )
+        for scan in scans:
+            read = []
+            scan(counted_ones(read))
+            assert len(read) == horizon + ell - 1
 
 
 @given(

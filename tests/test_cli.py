@@ -194,6 +194,10 @@ BAD_INPUTS = [
     ["series", "--id", "S1", "--params", "ell=2.5", "--M", "100"],
     ["series", "--id", "S1", "--params", "ell", "--M", "100"],
     ["series", "--id", "S1", "--params", "ell=2", "--M-grid", "100:x:3"],
+    ["pressure", "--s", "abc"],
+    ["pressure", "--s", "0.7", "--grid-points", "1"],
+    ["experiment", "run", "--config", "missing.cfg", "--out", "missing_out"],
+    ["experiment", "report", "--dir", "missing"],
 ]
 
 

@@ -63,6 +63,14 @@ class TestLogPhi:
                 else:  # correctly rounded wherever an exact value exists
                     want = float(exact) if exact < 2**1024 else math.inf
                     assert arr[n - 1] == want, (f, n)
+        for base in (2, 3):  # integer bases: phi is the correctly rounded b^n, like phi_array
+            f = GrowthFunction.exponential(base)
+            arr = f.phi_array(1100)
+            for n in range(1, 1101):
+                assert f.phi(n) == arr[n - 1], (f, n)
+        # 1023 log 2 > 709, where exp(n log b) would already be saturated
+        assert GrowthFunction.exponential(2).phi(1023) == 2.0**1023
+        assert GrowthFunction.exponential(2).phi(1024) == math.inf
 
 
 class TestGrowthConstants:
@@ -174,3 +182,28 @@ class TestWlogNormalizer:
             v = psi.phi(n)
             term = n * math.log(v) ** 4 / v**2 + math.log(v) / v
             assert n * term > 0.5
+
+
+def _threshold_cases():
+    """(phi, n) pairs at exact ties, small and giant, for every family."""
+    cases = [(GrowthFunction.power_log(0, 0), n) for n in (1, 7, 10**6)]
+    cases += [(GrowthFunction.power_log(1, 2), n) for n in (3, 100, 10**13)]
+    cases += [(GrowthFunction.exponential(2), n) for n in (1, 2, 24, 53, 60, 1023, 1100)]
+    cases += [(GrowthFunction.exponential(3), n) for n in (1, 5, 40, 646, 700)]
+    cases += [(GrowthFunction.exponential(2.5), n) for n in (3, 50)]
+    cases += [(GrowthFunction.doubly_exponential(2, 2), n) for n in (1, 3, 6, 9)]
+    cases += [(GrowthFunction.doubly_exponential(3, 1.5), n) for n in (2, 10)]
+    table = GrowthFunction.table([2.0, 3.0, 3.5, 1e17, 2.0**60, 1e20])
+    cases += [(table, n) for n in range(1, 7)]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "f, n", _threshold_cases(), ids=lambda v: repr(v) if isinstance(v, int) else v.family
+)
+def test_meets_threshold_at_ties(f, n):
+    exact = f.phi_exact(n)
+    tie = math.ceil(exact if exact is not None else f.phi(n))
+    for p in (0, 1, 2, 3, tie - 1, tie, tie + 1, 2 * tie):
+        want = p >= exact if exact is not None else p >= f.phi(n)
+        assert f.meets_threshold(p, n) == want, (p, tie)

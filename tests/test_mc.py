@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,20 @@ class TestChungErdos:
         )
         res = mc.chung_erdos_check(cfg)
         assert res.holds
+
+    def test_memory_linear_in_horizon(self):
+        # the pair sum needs only per-sample event counts, not an N x N matrix
+        cfg = mc.ExperimentConfig(
+            kind="chung_erdos", ell=1, phi=GrowthFunction.power_log(1, 1),
+            horizon=3000, samples=2, seed=3,
+        )
+        tracemalloc.start()
+        try:
+            mc.chung_erdos_check(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestPersistence:

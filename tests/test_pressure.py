@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -197,3 +200,40 @@ class TestShulgaHussain:
     def test_domain(self):
         with pytest.raises(DomainError):
             pr.shulga_hussain_dims([1.0, 2.0])
+
+
+def _python(*args):
+    """Run the interpreter on cflab in a child process that cannot hang the suite."""
+    src = os.path.dirname(os.path.dirname(pr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
+class TestBisectionTolerance:
+    def test_bad_params_rejected(self):
+        for kwargs in ({"bisect_tol": 0.0}, {"bisect_tol": -1.0}, {"bisect_tol": math.nan},
+                       {"grid_points": 1}):
+            with pytest.raises(DomainError):
+                pr.PressureSolverParams(**kwargs)
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_cli_non_positive_exits_domain(self, tol):
+        done = _python("-m", "cflab.cli", "dim", "--set", "F3", "--phi-family", "exp",
+                       "--phi-params", "2", "--tol", tol)
+        assert done.returncode == 1 and done.stderr.startswith("error[domain]")
+
+    def test_sub_ulp_tolerance_ends_at_adjacent_floats(self):
+        code = (
+            "from cflab import pressure as pr\n"
+            "from cflab.growth import GrowthFunction\n"
+            "p = pr.PressureSolverParams(bisect_tol=1e-17, escalation=(100,))\n"
+            "lo, hi = pr.hausdorff_dim('F3', GrowthFunction.exponential(2), p).bracket\n"
+            "print(lo.hex(), hi.hex(), pr.s_m_oracle(2.0, 1, n_trunc=1000, params=p).hex())\n"
+        )
+        done = _python("-c", code)
+        assert done.returncode == 0, done.stderr
+        lo, hi, s_m = (float.fromhex(x) for x in done.stdout.split())
+        assert math.nextafter(lo, math.inf) == hi
+        assert 0.5 < s_m < 8.0
