@@ -38,7 +38,10 @@ def _add_phi_flags(p):
 
 def _emit_csv(header, rows, out=None):
     if out:
-        mc.write_csv_atomic(out, header, rows)
+        try:
+            mc.write_csv_atomic(out, header, rows)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc.strerror}") from None
     else:
         mc.write_csv(sys.stdout, header, rows)
 
@@ -135,8 +138,11 @@ def cmd_pressure(args) -> int:
         svals = [float(x) for x in args.s.split(",")]
     except ValueError:
         raise DomainError(f"bad --s {args.s!r}, expected comma-separated numbers") from None
-    rows = [[s, args.alphabet, pressure.transfer_pressure(s, args.alphabet, params)] for s in svals]
-    _emit_csv(["s", "N", "pressure"], rows, args.out)
+    # several s at one alphabet share the s-independent rows; one s keeps nothing
+    rows = pressure.collocation_rows(args.alphabet, params) if len(svals) > 1 else None
+    table = [[s, args.alphabet, pressure.transfer_pressure(s, args.alphabet, params, rows)]
+             for s in svals]
+    _emit_csv(["s", "N", "pressure"], table, args.out)
     return 0
 
 

@@ -13,6 +13,11 @@ y* = 1/(N+1+x). The stub under-counts the omitted mass (the integrand is
 decreasing), so eigenvalues, pressures, and dimension roots are approached
 from below; set tail_correction=False for the literal truncated-alphabet
 operator.
+
+The barycentric rows do not depend on s. A dimension solve builds them once
+per alphabet (collocation_rows) and reuses them at every bisection step when
+they fit _ROWS_BUDGET bytes (N = 1000 at 64 points takes 33 MB); above that,
+and for a single transfer_pressure call, they are streamed chunk by chunk.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .growth import GrowthFunction
 from .series import hurwitz_tail, zeta
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+_CHUNK_ENTRIES = 4_000_000  # barycentric row entries per streamed chunk of branches
+_ROWS_BUDGET = 64_000_000  # bytes of rows one alphabet may hold across s
 
 
 # ---------------------------------------------------------------------------
@@ -193,40 +200,101 @@ def _barycentric_rows(y: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray
     return rows
 
 
-def _transfer_matrix(s: float, N: int, params: PressureSolverParams) -> np.ndarray:
+def _chunk_len(m: int) -> int:
+    """Branches a per chunk: about _CHUNK_ENTRIES row entries, at least one branch."""
+    return max(1, _CHUNK_ENTRIES // (m * m))
+
+
+def _grid(params: PressureSolverParams) -> tuple[np.ndarray, np.ndarray]:
+    """Collocation nodes and weights, once one chunk of rows is known to fit the budget."""
     m = params.grid_points
-    x, w = _cheb_nodes_weights(m)
-    A = np.zeros((m, m))
-    chunk = max(1, 4_000_000 // (m * m))
+    piece = _chunk_len(m) * m * m * 8
+    if piece > _ROWS_BUDGET:
+        raise ResourceLimitError(
+            f"grid_points = {m} needs {piece} bytes of rows per chunk, over {_ROWS_BUDGET}"
+        )
+    return _cheb_nodes_weights(m)
+
+
+def _row_chunks(N: int, x: np.ndarray, w: np.ndarray):
+    """Per chunk of branches a <= N: y = 1/(a+x), shape (na, m), and its rows (na, m, m)."""
+    m = len(x)
+    chunk = _chunk_len(m)
     for lo in range(1, N + 1, chunk):
         a = np.arange(lo, min(lo + chunk, N + 1), dtype=float)
-        y = 1.0 / (a[:, None] + x[None, :])  # (na, m)
-        coef = y ** (2.0 * s)
-        rows = _barycentric_rows(y.reshape(-1), x, w).reshape(len(a), m, m)
-        A += np.einsum("ai,aij->ij", coef, rows)
+        y = 1.0 / (a[:, None] + x[None, :])
+        yield y, _barycentric_rows(y.reshape(-1), x, w).reshape(len(a), m, m)
+
+
+def _stub_rows(N: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows at the tail stub's point y* = 1/(N+1+x)."""
+    return _barycentric_rows(1.0 / (N + 1.0 + x), x, w)
+
+
+class CollocationRows:  # a plain class: a dataclass adds about 0.6 ms to importing cflab
+    """The s-independent part of the collocation matrix for one alphabet N.
+
+    `chunks` holds the streamed path's (y, rows) pairs chunk by chunk and
+    `stub` the tail-stub rows, so a matrix built from them is bitwise the
+    streamed one.
+    """
+
+    def __init__(self, N: int, grid_points: int, chunks: tuple, stub: np.ndarray):
+        self.N, self.grid_points, self.chunks, self.stub = N, grid_points, chunks, stub
+
+    @property
+    def nbytes(self) -> int:
+        return self.stub.nbytes + sum(y.nbytes + rows.nbytes for y, rows in self.chunks)
+
+
+def collocation_rows(
+    N: int, params: PressureSolverParams = DEFAULT_PARAMS
+) -> CollocationRows | None:
+    """Rows to reuse across s at alphabet N, or None when they exceed _ROWS_BUDGET."""
+    x, w = _grid(params)
+    m = len(x)
+    if 8 * (N * m * (m + 1) + m * m) > _ROWS_BUDGET:
+        return None
+    return CollocationRows(N, m, tuple(_row_chunks(N, x, w)), _stub_rows(N, x, w))
+
+
+def _transfer_matrix(
+    s: float, N: int, params: PressureSolverParams, rows: CollocationRows | None = None
+) -> np.ndarray:
+    x, w = _grid(params)
+    m = len(x)
+    A = np.zeros((m, m))
+    for y, piece in rows.chunks if rows is not None else _row_chunks(N, x, w):
+        A += np.einsum("ai,aij->ij", y ** (2.0 * s), piece)
     if params.tail_correction and s >= params.tail_min_s and N >= 50:
         c = N + x  # tail over a >= N+1: base c + k with k >= 1
         tail = hurwitz_tail(2.0 * s, c)
-        y_star = 1.0 / (N + 1.0 + x)
-        A += tail[:, None] * _barycentric_rows(y_star, x, w)
+        A += tail[:, None] * (rows.stub if rows is not None else _stub_rows(N, x, w))
     return A
 
 
 def transfer_pressure(
-    s: float, N: int, params: PressureSolverParams = DEFAULT_PARAMS
+    s: float,
+    N: int,
+    params: PressureSolverParams = DEFAULT_PARAMS,
+    rows: CollocationRows | None = None,
 ) -> float:
     """log of the leading eigenvalue of the (tail-corrected) truncated operator.
 
     Power iteration on the collocation matrix, stopping when successive
-    Rayleigh quotients differ by less than power_iter_tol (relative).
+    Rayleigh quotients differ by less than power_iter_tol (relative). `rows`
+    from collocation_rows(N, params) skips rebuilding the s-independent
+    rows; without it they are streamed chunk by chunk and nothing is kept.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
-    if s <= 0:
-        raise DomainError("s must be positive")
+    if not 0 < s < math.inf:
+        raise DomainError(f"s must be positive and finite, got {s}")
     if N > params.alphabet_max:
         raise ResourceLimitError(f"N exceeds alphabet_max = {params.alphabet_max}")
-    A = _transfer_matrix(s, N, params)
+    if rows is not None and (rows.N, rows.grid_points) != (N, params.grid_points):
+        raise DomainError("rows were built for another alphabet or grid")
+    A = _transfer_matrix(s, N, params, rows)
     f = np.ones(params.grid_points)
     f /= np.linalg.norm(f)
     trace = []
@@ -284,14 +352,15 @@ def word_pressure_oracle(
 # dimension roots
 
 
-def _pressure_gap(s, log_B, potential, N, params):
-    return transfer_pressure(s, N, params) + potential.offset(s, log_B)
+def _pressure_gap(s, log_B, potential, N, params, rows):
+    return transfer_pressure(s, N, params, rows) + potential.offset(s, log_B)
 
 
 def _root_at_alphabet(potential, log_B, N, params):
+    rows = collocation_rows(N, params)  # dropped when this alphabet's solve returns
     lo, hi = params.bracket
-    g_lo = _pressure_gap(lo, log_B, potential, N, params)
-    g_hi = _pressure_gap(hi, log_B, potential, N, params)
+    g_lo = _pressure_gap(lo, log_B, potential, N, params, rows)
+    g_hi = _pressure_gap(hi, log_B, potential, N, params, rows)
     evals = 2
     if g_lo <= 0.0:
         return lo, (lo, lo), evals  # root at or below the bracket floor
@@ -301,7 +370,7 @@ def _root_at_alphabet(potential, log_B, N, params):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # lo and hi are adjacent floats
             break
-        if _pressure_gap(mid, log_B, potential, N, params) > 0.0:
+        if _pressure_gap(mid, log_B, potential, N, params, rows) > 0.0:
             lo = mid
         else:
             hi = mid

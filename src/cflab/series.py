@@ -48,17 +48,28 @@ class DivisorSieve:
 
 
 def divisor_table(k: int, limit: int, budget: int = 80_000_000) -> DivisorSieve:
-    """Exact d_k sieve via k-1 Dirichlet-convolution passes, O(k M log M)."""
+    """Exact d_k sieve via k-1 Dirichlet-convolution passes, O(k M log M).
+
+    Each pass sets nxt[v] = sum over e | v of table[e], split at r = isqrt(M)
+    into O(sqrt M) strided slice additions: every divisor e <= r adds
+    table[e] to nxt[e::e], and every cofactor j <= M // (r+1) adds the
+    divisors e in r+1..M//j at once, table[r+1 : M//j+1] into the multiples
+    j*e. Two tables are alive at a time.
+    """
     if k < 1 or limit < 1:
         raise DomainError("k and limit must be >= 1")
     if k * limit > budget:
         raise ResourceLimitError(f"sieve of size k*limit = {k * limit} exceeds budget {budget}")
+    r = math.isqrt(limit)
     table = np.ones(limit + 1, dtype=np.int64)
     table[0] = 0
     for _ in range(k - 1):
         nxt = np.zeros(limit + 1, dtype=np.int64)
-        for e in range(1, limit + 1):
+        for e in range(1, r + 1):
             nxt[e::e] += table[e]
+        for j in range(1, limit // (r + 1) + 1):
+            top = limit // j
+            nxt[j * (r + 1) : j * top + 1 : j] += table[r + 1 : top + 1]
         table = nxt
     if k > 1 and limit >= 1 and int(table.max()) >= 1 << 62:
         raise ResourceLimitError("divisor counts overflow int64")
@@ -103,10 +114,21 @@ def _inv_power_prefix(limit: int, t: float) -> np.ndarray:
 
 
 def _ceil_cut(M: float) -> int:
+    if not math.isfinite(M):
+        raise DomainError(f"M must be finite, got {M}")
     c = math.ceil(M)
     if c < 1:
         raise DomainError("M must be >= 1")
     return c
+
+
+def _floor_top(M: float) -> int:
+    if not math.isfinite(M):
+        raise DomainError(f"M must be finite, got {M}")
+    top = math.floor(M)
+    if top < 1:
+        raise DomainError("M must be >= 1")
+    return top
 
 
 def series_block_tail(ell: int, M: float) -> SeriesValue:
@@ -148,9 +170,7 @@ def series_harmonic_box(ell: int, M: float) -> SeriesValue:
     """sum over a_1...a_ell <= M of 1/(a_1...a_ell) = sum_{v <= M} d_ell(v)/v."""
     if ell < 1:
         raise DomainError("ell must be >= 1")
-    top = math.floor(M)
-    if top < 1:
-        raise DomainError("M must be >= 1")
+    top = _floor_top(M)
     sieve = divisor_table(ell, top)
     v = np.arange(1, top + 1, dtype=float)
     value = float(np.dot(sieve.table[1:].astype(float), 1.0 / v))
@@ -218,9 +238,7 @@ def series_power_box(ell: int, M: float, s: float) -> SeriesValue:
         raise DomainError("ell must be >= 1")
     if not 0 < s < 1:
         raise DomainError("box sums take s in (0, 1)")
-    top = math.floor(M)
-    if top < 1:
-        raise DomainError("M must be >= 1")
+    top = _floor_top(M)
     sieve = divisor_table(ell, top)
     v = np.arange(1, top + 1, dtype=float)
     value = float(np.dot(sieve.table[1:].astype(float), v ** (-s)))
@@ -346,7 +364,7 @@ def asymptotic_ratio_scan(
 
 
 def geometric_grid(lo: float, hi: float, points: int) -> list[float]:
-    if points < 2 or lo <= 0 or hi <= lo:
-        raise DomainError("grid requires 0 < lo < hi and points >= 2")
+    if points < 2 or not 0 < lo < hi < math.inf:
+        raise DomainError("grid requires 0 < lo < hi < inf and points >= 2")
     step = (hi / lo) ** (1.0 / (points - 1))
     return [lo * step ** i for i in range(points)]

@@ -46,6 +46,14 @@ def products_le(k: int, cap: int):
             yield a * rest
 
 
+def divisor_counts(k: int, limit: int) -> list[int]:
+    """d_k(v) for v = 0..limit (d_k(0) = 0): every ordered k-tuple counted once."""
+    counts = [0] * (limit + 1)
+    for v in products_le(k, limit):
+        counts[v] += 1
+    return counts
+
+
 def _cut(M: float) -> int:
     return math.ceil(M)
 

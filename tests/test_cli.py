@@ -194,7 +194,18 @@ BAD_INPUTS = [
     ["series", "--id", "S1", "--params", "ell=2.5", "--M", "100"],
     ["series", "--id", "S1", "--params", "ell", "--M", "100"],
     ["series", "--id", "S1", "--params", "ell=2", "--M-grid", "100:x:3"],
+    ["series", "--id", "S1", "--params", "ell=2", "--M", "nan"],
+    ["series", "--id", "S1", "--params", "ell=2", "--M", "inf"],
+    ["series", "--id", "S3", "--params", "ell=2", "--M", "inf"],
+    ["series", "--id", "S1", "--params", "ell=2", "--M-grid", "100:inf:3"],
+    ["series", "--id", "S1", "--params", "ell=2", "--M-grid", "nan:100:3"],
+    ["series", "--id", "S1", "--params", "ell=2", "--M", "100", "--out", "no_such_dir/s.csv"],
+    ["events", "--ell", "1", "--phi-family", "powerlog", "--phi-params", "1,2",
+     "--horizon", "10", "--out", "no_such_dir/e.csv"],
+    ["pressure", "--s", "0.7", "--alphabet", "10", "--out", "no_such_dir/p.csv"],
     ["pressure", "--s", "abc"],
+    ["pressure", "--s", "0.7,nan", "--alphabet", "10"],
+    ["pressure", "--s", "inf", "--alphabet", "10"],
     ["pressure", "--s", "0.7", "--grid-points", "1"],
     ["experiment", "run", "--config", "missing.cfg", "--out", "missing_out"],
     ["experiment", "report", "--dir", "missing"],

@@ -1,9 +1,14 @@
+import gc
 import math
 import os
+import resource
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cflab import pressure as pr
@@ -129,6 +134,82 @@ class TestTransferPressure:
             pr.transfer_pressure(0.8, 10**7)
 
 
+class TestCollocationRows:
+    @pytest.mark.parametrize("N", [100, 1000, 2500])
+    def test_reused_rows_give_the_streamed_matrix(self, monkeypatch, N):
+        params = pr.DEFAULT_PARAMS
+        if N == 2500:  # 82 MB of rows: streamed by default, reused under a larger budget
+            assert pr.collocation_rows(N, params) is None
+            monkeypatch.setattr(pr, "_ROWS_BUDGET", 128_000_000)
+        rows = pr.collocation_rows(N, params)
+        assert rows is not None
+        for s in (0.46, 0.5, params.tail_min_s, 0.7, 1.0):  # below and above the tail
+            streamed = pr._transfer_matrix(s, N, params)
+            assert np.array_equal(pr._transfer_matrix(s, N, params, rows), streamed)
+            assert pr.transfer_pressure(s, N, params, rows) == pr.transfer_pressure(s, N, params)
+
+    def test_rows_of_another_alphabet_rejected(self):
+        rows = pr.collocation_rows(100)
+        with pytest.raises(DomainError):
+            pr.transfer_pressure(0.7, 101, pr.DEFAULT_PARAMS, rows)
+        with pytest.raises(DomainError):
+            pr.transfer_pressure(0.7, 100, pr.PressureSolverParams(grid_points=32), rows)
+
+    def test_solver_reuses_one_rows_object_per_alphabet_and_drops_it(self, monkeypatch):
+        seen = []  # (N, id of the rows passed, weak reference to them)
+        evaluate = pr.transfer_pressure
+
+        def recording(s, N, params=pr.DEFAULT_PARAMS, rows=None):
+            assert rows is not None and rows.nbytes <= pr._ROWS_BUDGET
+            seen.append((N, id(rows), weakref.ref(rows)))
+            return evaluate(s, N, params, rows)
+
+        monkeypatch.setattr(pr, "transfer_pressure", recording)
+        pr.hausdorff_dim("F3", GrowthFunction.exponential(2.0), FAST)
+        for N in (100, 1000):
+            ids = [key for n, key, _ in seen if n == N]
+            assert len(ids) > 2 and len(set(ids)) == 1
+        gc.collect()
+        assert all(ref() is None for _, _, ref in seen)
+
+    def test_single_evaluation_keeps_nothing(self):
+        tracemalloc.start()
+        try:
+            pr.transfer_pressure(0.7, 1000)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 1_000_000
+
+    def test_grid_over_budget_rejected_before_allocation(self):
+        # 10^9 points would need 8e18 bytes of rows; the child may map only 2 GiB
+        code = (
+            "import tracemalloc\n"
+            "from cflab import pressure as pr\n"
+            "from cflab.errors import ResourceLimitError\n"
+            "from cflab.growth import GrowthFunction\n"
+            "huge = pr.PressureSolverParams(grid_points=10**9)\n"
+            "tracemalloc.start()\n"
+            "for call in (lambda: pr.transfer_pressure(0.7, 10, huge),\n"
+            "             lambda: pr.hausdorff_dim('F3', GrowthFunction.exponential(2), huge)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ResourceLimitError:\n"
+            "        continue\n"
+            "    raise SystemExit('not refused')\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        done = _python("-c", code, address_space=2**31)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 1_000_000
+
+    def test_cli_grid_over_budget_exits_resource(self):
+        done = _python("-m", "cflab.cli", "pressure", "--s", "0.7", "--grid-points", str(10**9),
+                       address_space=2**31)
+        assert done.returncode == 2 and done.stderr.startswith("error[resource]")
+        assert done.stdout == ""
+
+
 class TestSmOracle:
     def test_m1_matches_zeta_condition(self):
         # for m = 1 the condition is zeta(2s) <= B^{g3(s)}; verify at the root
@@ -202,12 +283,22 @@ class TestShulgaHussain:
             pr.shulga_hussain_dims([1.0, 2.0])
 
 
-def _python(*args):
-    """Run the interpreter on cflab in a child process that cannot hang the suite."""
+def _python(*args, address_space=None):
+    """Run the interpreter on cflab in a child process that cannot hang the suite.
+
+    `address_space` caps the child's virtual memory in bytes, so a budget
+    check that fails to refuse a huge allocation ends in MemoryError there
+    instead of exhausting the machine's memory.
+    """
     src = os.path.dirname(os.path.dirname(pr.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=cap if address_space else None,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product as iproduct
 
 import mpmath
@@ -39,6 +40,30 @@ class TestDivisorSieve:
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
             se.divisor_table(4, 10**9)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_tuple_enumeration(self, k):
+        # the slice split changes at isqrt(limit): cover limits around squares
+        for limit in (1, 2, 3, 15, 16, 17, 99, 100, 101, 120, 121, 122, 1023, 1024, 1025):
+            assert se.divisor_table(k, limit).table.tolist() == oracles.divisor_counts(k, limit)
+
+    def test_peak_memory_three_tables(self):
+        limit = 10**6
+        tracemalloc.start()
+        try:
+            se.divisor_table(2, limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * (limit + 1)
+
+    @pytest.mark.parametrize("M", [math.nan, math.inf])
+    def test_non_finite_M_rejected(self, M):
+        for fn in (lambda: se.series_block_tail(2, M), lambda: se.series_harmonic_box(2, M)):
+            with pytest.raises(DomainError):
+                fn()
+        with pytest.raises(DomainError):
+            se.geometric_grid(100.0, M, 3)
 
 
 class TestZeta:
