@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
+
+_TAKE_BUDGET = 400_000_000  # bytes of one materialized word, at most 36 bytes a term
 
 
 class ConvergentPair(NamedTuple):
@@ -126,27 +128,6 @@ def gauss_step(x):
     return a, inv - a
 
 
-def quotient_law(k: int, r) -> object:
-    """Exact conditional law P(a_{n+1} = k | past) = (1+r)/((k+r)(k+r+1)).
-
-    The past enters only through r = q_{n-1}/q_n: the probability is the
-    ratio |I_{n+1}(word, k)| / |I_n(word)| of exact interval lengths, which
-    telescopes to the displayed form (sums to 1 over k >= 1).
-    """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    return (1 + r) / ((k + r) * (k + r + 1))
-
-
-def quotient_cdf(m: int, r) -> object:
-    """P(a_{n+1} <= m | past) = 1 - (1+r)/(m+1+r), exact for exact r."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    if m == 0:
-        return 0 * r
-    return 1 - (1 + r) / (m + 1 + r)
-
-
 def sample_next_quotient(state: ContinuantRatioState, u: float) -> tuple[int, ContinuantRatioState]:
     """Draw the next quotient from the exact Lebesgue conditional law.
 
@@ -190,7 +171,9 @@ def sample_quotients(rng, count: int) -> list[int]:
 
 
 def take(stream: Iterable[int], count: int) -> list[int]:
-    """Materialize `count` terms of a quotient stream."""
+    """Materialize `count` terms of a quotient stream, within _TAKE_BUDGET bytes."""
+    if 36 * count > _TAKE_BUDGET:
+        raise ResourceLimitError(f"{count} terms exceed the {_TAKE_BUDGET}-byte budget")
     out = []
     it = iter(stream)
     for _ in range(count):

@@ -122,34 +122,10 @@ class GrowthFunction:
 
     # -- evaluation ---------------------------------------------------------
     def phi(self, n: int) -> float:
-        """phi(n) as a float; overflows saturate to +inf."""
+        """phi(n) as a float, +inf on overflow; bitwise phi_array(N)[n - 1] for every N >= n."""
         if n < 1:
             raise DomainError("n must be >= 1")
-        if self.family == POWERLOG:
-            alpha, beta = self.params
-            lf = max(math.log(n), LOG2)
-            try:
-                v = n ** alpha * lf ** beta
-            except OverflowError:
-                return math.inf
-            return max(v, 2.0)
-        if self.family == EXPONENTIAL:
-            (base,) = self.params
-            lp = n * math.log(base)
-            if base.is_integer() and lp < 710.0:
-                try:
-                    return max(float(int(base) ** n), 2.0)  # int -> float rounds correctly
-                except OverflowError:
-                    return math.inf
-            return max(math.exp(lp), 2.0) if lp < 709.0 else math.inf
-        if self.family == DOUBLY_EXPONENTIAL:
-            lp = self.log_phi(n)
-            return max(math.exp(lp), 2.0) if lp < 709.0 else math.inf
-        if self.family == TABLE:
-            if n > len(self.values):
-                raise DomainError(f"table covers n <= {len(self.values)}")
-            return self.values[n - 1]
-        raise DomainError(f"unknown family {self.family!r}")
+        return float(self.phi_array(n, first=n)[0])
 
     def log_phi(self, n: int) -> float:
         """log phi(n); exact in log space for the (doubly) exponential families."""
@@ -173,13 +149,16 @@ class GrowthFunction:
             return math.log(self.phi(n))
         raise DomainError(f"unknown family {self.family!r}")
 
-    def phi_array(self, n_max: int) -> np.ndarray:
-        """[phi(1), ..., phi(n_max)] as float64, +inf on overflow.
+    def phi_array(self, n_max: int, first: int = 1) -> np.ndarray:
+        """[phi(first), ..., phi(n_max)] as float64, +inf on overflow.
 
-        Where phi_exact(n) exists the entry is its correctly rounded value, so
-        float comparisons against integer block products see exact ties.
+        The one evaluation of phi: each entry depends on its level alone, so a
+        window holds bitwise the entries of the full array and phi(n) is the
+        window [n, n]. Where phi_exact(n) exists the entry is its correctly
+        rounded value, so float comparisons against integer block products
+        see exact ties.
         """
-        n = np.arange(1, n_max + 1, dtype=float)
+        n = np.arange(first, n_max + 1, dtype=float)
         with np.errstate(over="ignore"):
             if self.family == POWERLOG:
                 alpha, beta = self.params
@@ -188,22 +167,23 @@ class GrowthFunction:
             elif self.family == EXPONENTIAL:
                 (base,) = self.params
                 v = np.exp(n * math.log(base))
-                if base.is_integer():
-                    b, power = int(base), 1
-                    for i in range(n_max):
-                        power *= b
+                if base.is_integer() and first * math.log(base) < 710.0:  # else exp() is inf
+                    b = int(base)
+                    power = b**first
+                    for i in range(len(v)):
                         try:
                             v[i] = float(power)  # int -> float rounds correctly
                         except OverflowError:  # past float64, where exp() may not be inf yet
                             v[i:] = math.inf
                             break
+                        power *= b
             elif self.family == DOUBLY_EXPONENTIAL:
                 base, rate = self.params
                 v = np.exp(np.minimum(rate ** n, 1e308) * math.log(base))
             elif self.family == TABLE:
                 if n_max > len(self.values):
                     raise DomainError(f"table covers n <= {len(self.values)}")
-                v = np.asarray(self.values[:n_max], dtype=float)
+                v = np.asarray(self.values[first - 1 : n_max], dtype=float)
             else:
                 raise DomainError(f"unknown family {self.family!r}")
         return np.maximum(v, 2.0)
@@ -307,7 +287,7 @@ def _classify_table(f: GrowthFunction, theorem: str, ell: int) -> str:
     """Partial-sum heuristic: local decay exponent of the general term."""
     m = len(f.values)
     ns = np.arange(max(2, m // 2), m + 1, dtype=float)
-    lp = np.array([f.log_phi(int(n)) for n in ns])
+    lp = np.array([math.log(v) for v in f.phi_array(m, first=int(ns[0])).tolist()])  # log_phi
     if theorem == "HWX":
         lt = (ell - 1) * np.log(np.maximum(lp, 1e-12)) - lp
     elif theorem == "TTW":
@@ -355,10 +335,5 @@ def normalize_for_main3(f: GrowthFunction, horizon: int) -> GrowthFunction:
     The returned function dominates phi, satisfies psi(n) >= n log^2 psi(n)
     for all n past the finite patch, and is patched to be non-decreasing.
     """
-    vals = []
-    best = 2.0
-    for n in range(1, horizon + 1):
-        v = max(f.phi(n), wlog_threshold(n))
-        best = max(best, v)
-        vals.append(best)
-    return GrowthFunction.table(vals)
+    x = np.array([wlog_threshold(n) for n in range(1, horizon + 1)])
+    return GrowthFunction.table(np.maximum.accumulate(np.maximum(f.phi_array(horizon), x)))

@@ -3,12 +3,17 @@
 Sampling is exact Lebesgue via the conditional quotient law; every sample
 owns a Philox stream keyed by (seed, sample_id), so trajectories are
 independent of chunking and thread scheduling and results are byte-identical
-for identical (config, seed, version). Samples are reduced in sample order.
+for identical (config, seed, version). Every kind is a reducer over one scan,
+_depth_blocks, which draws a chunk of samples _DEPTH_BLOCK quotient columns at
+a time and carries only the (ell - 1) * d column tail between blocks, so a
+chunk's memory does not grow with the horizon. Chunk results are folded in
+sample order. The step d applies to trimmed/khinchin; event kinds refuse d != 1.
 
 Comparisons "block product >= phi(n)" run in value space: block products are
-exact in float64 below 2^53, thresholds are the float values of phi (correctly
-rounded where phi is exact, so ties count), and the rare giant-product entries
-are re-resolved exactly by GrowthFunction.meets_threshold.
+exact in float64 below 2^53, thresholds are the float values of phi on the
+depth block's levels (correctly rounded where phi is exact, so ties count),
+and the rare giant-product entries are re-resolved exactly by
+GrowthFunction.meets_threshold.
 """
 
 from __future__ import annotations
@@ -18,9 +23,11 @@ import json
 import math
 import os
 import tempfile
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,8 +39,9 @@ from .growth import GrowthFunction
 PRNG_NAME = "philox4x64 keyed by (seed, sample_id)"
 GIANT = 2.0**53  # float64 stops being exact on integers here
 KHINCHIN_EPS = (0.1, 0.25)
-_DEPTH_BLOCK = 16_384
-_CHUNK_BUDGET = 80_000_000  # bytes of quotient matrix per worker chunk
+_DEPTH_BLOCK = 16_384  # quotient columns drawn per step of every experiment
+_CHUNK_BUDGET = 128_000_000  # peak bytes of one worker chunk
+_BYTES_PER_QUOTIENT = 40  # measured peak bytes per quotient of a depth block, any kind
 
 KINDS = ("dichotomy", "trimmed", "khinchin", "chung_erdos")
 
@@ -64,7 +72,9 @@ class ExperimentConfig:
             raise DomainError("checkpoints must lie in [1, horizon]")
         if self.kind in ("trimmed", "khinchin") and cps[0] < 2:
             raise DomainError("trimmed/khinchin checkpoints must be >= 2")
-        if self.kind in ("dichotomy",) and self.phi is None:
+        if self.kind in ("dichotomy", "chung_erdos") and self.d != 1:
+            raise DomainError("d applies only to trimmed/khinchin; events use consecutive blocks")
+        if self.kind == "dichotomy" and self.phi is None:
             raise DomainError("dichotomy experiments need a growth function")
         if self.kind == "chung_erdos" and self.phi is None and self.synthetic_p is None:
             raise DomainError("chung_erdos needs a growth function or synthetic_p")
@@ -138,6 +148,23 @@ def sample_quotient_block(
     return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
 
 
+StreamFn = Callable[[int, int], np.ndarray]
+
+
+class _ForcedStream:
+    """QuotientSampler's next_block over the rows stream_fn(sample_id, length), held whole."""
+
+    def __init__(self, stream_fn: StreamFn, length: int, sample_ids: Sequence[int]):
+        self._rows = np.vstack([stream_fn(sid, length) for sid in sample_ids])
+        if self._rows.shape[1] < length:
+            raise DomainError("stream ended before the horizon")
+        self._fed = 0
+
+    def next_block(self, depth: int) -> np.ndarray:
+        self._fed += depth
+        return self._rows[:, self._fed - depth : self._fed]
+
+
 def _block_prods(qa: np.ndarray, ell: int, d: int, n_starts: int) -> np.ndarray:
     """Products of progression blocks a_j a_{j+d} .. a_{j+(ell-1)d}, j <= n_starts."""
     prod = qa[:, :n_starts].copy()
@@ -146,114 +173,151 @@ def _block_prods(qa: np.ndarray, ell: int, d: int, n_starts: int) -> np.ndarray:
     return prod
 
 
-def _exact_row_products(row: np.ndarray, ell: int, i0: int) -> int:
-    """Exact integer block product at 0-based start i0 of one quotient row."""
-    out = 1
-    for t in range(ell):
-        out *= int(row[i0 + t])
-    return out
+def _depth_blocks(cfg: ExperimentConfig, source, count: int):
+    """(start, prod, qa) per depth block of one chunk's rows, drawn from source.
 
-
-def _qualify_counts(prod_row: np.ndarray, phi_arr: np.ndarray, qa_row, ell, phi) -> np.ndarray:
-    """m[i] = number of levels n with phi(n) <= product at start i (prefix of n).
-
-    phi_arr is non-decreasing so searchsorted gives the count; rows with
-    products at or above 2^53 are re-resolved with exact integers.
+    prod[:, j] is the product of the block at 0-based start start + j, over
+    the columns j, j + d, .., j + (ell - 1) d of qa; the column tail carried
+    into the next block keeps products spanning a boundary available.
     """
-    m = np.searchsorted(phi_arr, prod_row, side="right")
-    giants = np.nonzero(prod_row >= GIANT)[0]
-    for i in giants:
-        exact = _exact_row_products(qa_row, ell, int(i))
-        lo, hi = 0, len(phi_arr)
-        while lo < hi:  # largest prefix of levels with phi(level) <= exact
-            mid = (lo + hi + 1) // 2
-            if phi.meets_threshold(exact, mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        m[i] = lo
+    N, ell, d = cfg.horizon, cfg.ell, cfg.d
+    span = (ell - 1) * d
+    tail = np.empty((count, 0))
+    done = 0  # block starts yielded so far
+    while done < N:
+        qa = source.next_block(min(_DEPTH_BLOCK, N + span - done - tail.shape[1]))
+        if tail.shape[1]:
+            qa = np.concatenate([tail, qa], axis=1)
+        tail = qa[:, qa.shape[1] - span :] if span else tail  # drops the previous block
+        starts = min(qa.shape[1] - span, N - done)
+        if starts > 0:
+            yield done, _block_prods(qa, ell, d, starts), qa
+            done += starts
+
+
+def _qualify_counts(products: np.ndarray, giants: dict, phi_win: np.ndarray, phi, start: int):
+    """Per product, the number of window levels n = start + 1, .. with phi(n) <= product.
+
+    phi_win holds phi at those levels and is non-decreasing, so searchsorted
+    gives the count; products at or above 2^53 are re-resolved from their
+    exact integers giants[i].
+    """
+    m = np.searchsorted(phi_win, products, side="right")
+    levels = range(start + 1, start + len(phi_win) + 1)
+    for i, p in giants.items():  # the window's levels with phi(n) <= p come first
+        m[i] = bisect_left(levels, True, key=lambda n: not phi.meets_threshold(p, n))
     return m
 
 
 def _event_masks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, F) masks over levels 1..N from qualification counts m.
+    """(E, F) masks over the window's levels 1 .. len(m) - 1, counted from its start.
 
-    Block i qualifies at level n iff i <= n <= m[i]; E holds at level n when
-    block n qualifies, and F when besides block n some earlier block still
-    qualifies at level n (the prefix max of m reaches n).
+    Block j >= 1 of the window qualifies at its level k iff j <= k <= m[j];
+    m[0] is the prefix max of the earlier blocks' m, clipped to the window.
+    E holds at level k when block k qualifies, and F when besides it some
+    earlier block does (the prefix max of m reaches k).
     """
-    idx = np.arange(1, len(m) + 1)
-    e = m >= idx
-    f = e.copy()
-    f[0] = False
-    f[1:] &= np.maximum.accumulate(m)[:-1] >= idx[1:]
+    idx = np.arange(1, len(m))
+    e = m[1:] >= idx
+    f = e & (np.maximum.accumulate(m[:-1]) >= idx)
     return e, f
 
 
-def _first_hits(m: np.ndarray) -> tuple[int, int]:
-    """(tau_F, tau_E) from qualification counts; N+1 encodes no event."""
-    e, f = _event_masks(m)
-    none = len(m) + 1
-    tau_f = int(np.argmax(f)) + 1 if f.any() else none
-    tau_e = int(np.argmax(e)) + 1 if e.any() else none
-    return tau_f, tau_e
+def _events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
+    """Per row: tau_F, tau_E (horizon + 1 encodes none) and the number of F levels.
 
-
-StreamFn = Callable[[int, int], np.ndarray]
-
-
-def _qualification_counts(cfg, stream_fn: Optional[StreamFn], lo: int, hi: int):
-    """Per sample of lo..hi-1, the counts m of its consecutive ell-blocks.
-
-    Quotient rows come from the sampler, or from stream_fn when given.
+    phi is evaluated on each depth block's levels only. A row carries its
+    exact largest earlier block product, whose count in the new window is
+    the clipped prefix max of the earlier m.
     """
-    N, ell = cfg.horizon, cfg.ell
-    if stream_fn is None:
-        qa = sample_quotient_block(cfg.seed, range(lo, hi), N + ell - 1)
-    else:
-        qa = np.vstack([stream_fn(sid, N + ell - 1) for sid in range(lo, hi)])
-    phi_arr = cfg.phi.phi_array(N)
-    prod = _block_prods(qa, ell, 1, N)
-    for row in range(hi - lo):
-        yield _qualify_counts(prod[row], phi_arr, qa[row], ell, cfg.phi)
+    ell, phi, N = cfg.ell, cfg.phi, cfg.horizon
+    out = np.zeros((3, count), dtype=np.int64)
+    out[:2] = N + 1
+    carry = [0] * count
+    for start, prod, qa in _depth_blocks(cfg, source, count):
+        phi_win = phi.phi_array(start + prod.shape[1], first=start + 1)
+        tops = prod.max(axis=1)
+        for row in range(count):
+            top, qa_row = carry[row], qa[row]
+            products = np.concatenate(([min(top, GIANT)], prod[row]))
+            giants = {i: top if i == 0 else math.prod(map(int, qa_row[i - 1 : i - 1 + ell]))
+                      for i in np.flatnonzero(products >= GIANT).tolist()}
+            m = _qualify_counts(products, giants, phi_win, phi, start)
+            # floats below 2^53 are exact integers
+            carry[row] = max(giants.values()) if giants else max(top, int(tops[row]))
+            e, f = _event_masks(m)
+            for k, mask in enumerate((f, e)):
+                if out[k, row] > N and mask.any():
+                    out[k, row] = start + 1 + int(np.argmax(mask))
+            out[2, row] += np.count_nonzero(f)
+    return out
 
 
-def _chunk_ranges(samples: int, per_row_bytes: int) -> list[tuple[int, int]]:
-    size = max(1, min(512, _CHUNK_BUDGET // max(per_row_bytes, 1)))
-    return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
+def _sums_and_maxes(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
+    """Running block-product sum (out[0]) and maximum (out[1]) per checkpoint and row."""
+    cps = cfg.checkpoints
+    out = np.empty((2, len(cps), count))
+    run_sum = np.zeros(count)
+    run_max = np.zeros(count)
+    next_cp = 0
+    for start, prod, _ in _depth_blocks(cfg, source, count):
+        mx = np.maximum.accumulate(prod, axis=1)
+        np.maximum(mx, run_max[:, None], out=mx)
+        cs = np.cumsum(prod, axis=1, out=prod)  # prod is a fresh copy; reuse its memory
+        cs += run_sum[:, None]
+        while next_cp < len(cps) and cps[next_cp] <= start + prod.shape[1]:
+            col = cps[next_cp] - start - 1
+            out[:, next_cp] = cs[:, col], mx[:, col]
+            next_cp += 1
+        run_sum = cs[:, -1].copy()
+        run_max = mx[:, -1].copy()
+    return out
+
+
+def _chunk(cfg: ExperimentConfig, rows, reduce, rng_range: tuple[int, int]) -> np.ndarray:
+    """One worker's share: reduce over the quotient source rows(sample_ids) of a range."""
+    lo, hi = rng_range
+    return reduce(cfg, rows(range(lo, hi)), hi - lo)
+
+
+def _chunk_ranges(cfg: ExperimentConfig) -> list[tuple[int, int]]:
+    """Sample ranges of at most 512 whose depth blocks fit _CHUNK_BUDGET."""
+    depth = min(_DEPTH_BLOCK, cfg.horizon + (cfg.ell - 1) * cfg.d)
+    size = max(1, min(512, _CHUNK_BUDGET // (_BYTES_PER_QUOTIENT * depth)))
+    return [(lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size)]
 
 
 def _run_chunks(config: ExperimentConfig, worker, ranges):
-    """Map worker over sample ranges, inline or in a process pool, in order."""
+    """Map worker over sample ranges, inline or in a process pool, yielding in order."""
     workers = min(config.threads, os.cpu_count() or 1, len(ranges))
     if workers <= 1:
-        return [worker(r) for r in ranges]
+        yield from map(worker, ranges)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, ranges))
+        yield from pool.map(worker, ranges)
+
+
+def _gather(cfg: ExperimentConfig, stream_fn: Optional[StreamFn], reduce, shape, dtype):
+    """reduce's results, samples on the last axis, folded in sample order as chunks return.
+
+    The quotient rows come from the sampler, or from stream_fn when given.
+    """
+    rows = (partial(QuotientSampler, cfg.seed) if stream_fn is None
+            else partial(_ForcedStream, stream_fn, cfg.horizon + (cfg.ell - 1) * cfg.d))
+    out = np.empty(shape + (cfg.samples,), dtype=dtype)
+    ranges = _chunk_ranges(cfg)
+    for (lo, hi), part in zip(ranges, _run_chunks(cfg, partial(_chunk, cfg, rows, reduce), ranges)):
+        out[..., lo:hi] = part
+    return out
 
 
 # ---------------------------------------------------------------------------
 # dichotomy
 
 
-@dataclass(frozen=True)
-class _DichotomyChunk:
-    config: ExperimentConfig
-    stream_fn: Optional[StreamFn] = None
-
-    def __call__(self, rng_range: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = rng_range
-        tf = np.empty(hi - lo, dtype=np.int64)
-        te = np.empty(hi - lo, dtype=np.int64)
-        for row, m in enumerate(_qualification_counts(self.config, self.stream_fn, lo, hi)):
-            tf[row], te[row] = _first_hits(m)
-        return tf, te
-
-
 def _hitting_times(cfg: ExperimentConfig, stream_fn: Optional[StreamFn]):
-    per_row = 8 * (cfg.horizon + cfg.ell)
-    parts = _run_chunks(cfg, _DichotomyChunk(cfg, stream_fn), _chunk_ranges(cfg.samples, per_row))
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    events = _gather(cfg, stream_fn, _events, (3,), np.int64)
+    return events[0], events[1]
 
 
 def run_dichotomy(
@@ -283,73 +347,10 @@ def hitting_times(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 # trimmed sums and the weak law
 
 
-@dataclass(frozen=True)
-class _TrajectoryChunk:
-    """Streams depth blocks, keeping only running sums/maxima in memory.
-
-    Only the (ell - 1) * d column tail of the previous block is retained so
-    block products spanning a block boundary stay available.
-    """
-
-    config: ExperimentConfig
-    stream_fn: Optional[StreamFn] = None
-
-    def __call__(self, rng_range: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.config
-        lo, hi = rng_range
-        N, ell, d = cfg.horizon, cfg.ell, cfg.d
-        span = (ell - 1) * d
-        length = N + span
-        count = hi - lo
-        sampler = None
-        if self.stream_fn is None:
-            sampler = QuotientSampler(cfg.seed, range(lo, hi))
-        else:
-            full = np.vstack([self.stream_fn(sid, length) for sid in range(lo, hi)])
-        cps = list(cfg.checkpoints)
-        sums_out = np.empty((len(cps), count))
-        maxes_out = np.empty((len(cps), count))
-        run_sum = np.zeros(count)
-        run_max = np.zeros(count)
-        tail = np.empty((count, 0))
-        done = 0  # block starts committed so far
-        next_cp = 0
-        fed = 0
-        while done < N:
-            depth = min(_DEPTH_BLOCK, length - fed)
-            if depth <= 0:
-                raise DomainError("stream ended before the horizon")
-            if sampler is not None:
-                fresh = sampler.next_block(depth)
-            else:
-                fresh = full[:, fed : fed + depth]
-            fed += depth
-            qa = np.concatenate([tail, fresh], axis=1) if tail.shape[1] else fresh
-            starts = min(qa.shape[1] - span, N - done)
-            if starts > 0:
-                prod = _block_prods(qa, ell, d, starts)
-                cs = np.cumsum(prod, axis=1)
-                cs += run_sum[:, None]
-                mx = np.maximum.accumulate(prod, axis=1)
-                np.maximum(mx, run_max[:, None], out=mx)
-                while next_cp < len(cps) and cps[next_cp] <= done + starts:
-                    col = cps[next_cp] - done - 1
-                    sums_out[next_cp] = cs[:, col]
-                    maxes_out[next_cp] = mx[:, col]
-                    next_cp += 1
-                run_sum = cs[:, starts - 1].copy()
-                run_max = mx[:, starts - 1].copy()
-                done += starts
-            tail = qa[:, qa.shape[1] - span :] if span else np.empty((count, 0))
-        return sums_out, maxes_out  # (checkpoints, chunk_samples)
-
-
 def _gather_trajectories(cfg: ExperimentConfig, stream_fn) -> tuple[np.ndarray, np.ndarray]:
-    per_row = 8 * _DEPTH_BLOCK * 6  # streaming: memory scales with the depth block
-    parts = _run_chunks(cfg, _TrajectoryChunk(cfg, stream_fn), _chunk_ranges(cfg.samples, per_row))
-    sums = np.concatenate([p[0] for p in parts], axis=1)
-    maxes = np.concatenate([p[1] for p in parts], axis=1)
-    return sums, maxes
+    """(sums, maxes) of the block products, shape (checkpoints, samples) each."""
+    out = _gather(cfg, stream_fn, _sums_and_maxes, (2, len(cfg.checkpoints)), float)
+    return out[0], out[1]
 
 
 def run_trimmed(
@@ -398,25 +399,11 @@ def run_khinchin(
 # Chung-Erdos
 
 
-@dataclass(frozen=True)
-class _ChungErdosChunk:
-    config: ExperimentConfig
-    stream_fn: Optional[StreamFn] = None
-
-    def __call__(self, rng_range) -> tuple[int, np.ndarray, int]:
-        cfg = self.config
-        lo, hi = rng_range
-        N = cfg.horizon
-        if cfg.synthetic_p is not None:
-            events = np.empty((hi - lo, N), dtype=bool)
-            for i, sid in enumerate(range(lo, hi)):
-                events[i] = sample_rng(cfg.seed, sid).random(N) < cfg.synthetic_p
-        else:
-            ms = _qualification_counts(cfg, self.stream_fn, lo, hi)
-            events = np.array([_event_masks(m)[1] for m in ms])
-        any_count = int(np.count_nonzero(events.any(axis=1)))
-        per_sample = events.sum(axis=1)  # c_s; sum_{i,j} #(E_i and E_j) = sum_s c_s^2
-        return any_count, events.sum(axis=0), int(per_sample @ per_sample)
+def _coin_count(cfg: ExperimentConfig, sample_id: int) -> int:
+    """Events of one sample under synthetic_p: iid coins, drawn a depth block at a time."""
+    rng, N = sample_rng(cfg.seed, sample_id), cfg.horizon
+    draws = (rng.random(min(_DEPTH_BLOCK, N - lo)) for lo in range(0, N, _DEPTH_BLOCK))
+    return sum(int(np.count_nonzero(u < cfg.synthetic_p)) for u in draws)
 
 
 @dataclass(frozen=True)
@@ -434,21 +421,22 @@ def chung_erdos_check(
     """Monte Carlo check of P(union E_n) >= (sum P(E_n))^2 / sum P(E_i and E_j).
 
     Events are E_n = A_n(phi): the block at n and some earlier block both
-    beat phi(n). The denominator includes the i = j diagonal (finite form).
-    With synthetic_p set, events are iid coins instead (closed-form oracle).
+    beat phi(n). The denominator includes the i = j diagonal (finite form):
+    with c_s the number of events of sample s, sum_{i,j} #(E_i and E_j) =
+    sum_s c_s^2. With synthetic_p set, events are iid coins instead
+    (closed-form oracle).
     """
     cfg = config.validated()
     if cfg.kind != "chung_erdos":
         raise DomainError("config.kind must be 'chung_erdos'")
-    per_row = 8 * (cfg.horizon + cfg.ell) * 3
-    parts = _run_chunks(cfg, _ChungErdosChunk(cfg, stream_fn), _chunk_ranges(cfg.samples, per_row))
-    any_count = sum(p[0] for p in parts)
-    counts = np.sum([p[1] for p in parts], axis=0)
-    pair_total = sum(p[2] for p in parts)
+    if cfg.synthetic_p is None:
+        c = _gather(cfg, stream_fn, _events, (3,), np.int64)[2]
+    else:
+        c = np.array([_coin_count(cfg, sid) for sid in range(cfg.samples)])
     S = cfg.samples
-    lhs = any_count / S
-    sum_p = float(counts.sum()) / S
-    sum_pairs = float(pair_total) / S
+    lhs = int(np.count_nonzero(c)) / S
+    sum_p = float(c.sum()) / S
+    sum_pairs = float(sum(x * x for x in c.tolist())) / S
     degenerate = sum_pairs == 0.0
     rhs = 0.0 if degenerate else sum_p**2 / sum_pairs
     stderr = math.sqrt(max(lhs * (1.0 - lhs), 1e-300) / S)

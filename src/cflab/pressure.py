@@ -315,39 +315,6 @@ def transfer_pressure(
     )
 
 
-def word_pressure_oracle(
-    s: float, alphabet: Sequence[int], n: int, budget: int = 10_000_000
-) -> float:
-    """(1/n) log sum over words in A^n of q_n(word)^{-2s}, continuants exact.
-
-    Evaluates the ergodic sum at the left endpoint of each cylinder, which is
-    legitimate because the potential has vanishing variations. Enumeration is
-    level-by-level over exact integer continuant pairs.
-    """
-    A = sorted(set(int(a) for a in alphabet))
-    if not A or A[0] < 1:
-        raise DomainError("alphabet must contain positive integers")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if len(A) ** n > budget:
-        raise ResourceLimitError(f"|A|^n = {len(A) ** n} exceeds budget {budget}")
-    if (n + 1) * math.log2(max(A) + 1) > 62:
-        raise ResourceLimitError("continuants would overflow int64")
-    arr = np.asarray(A, dtype=np.int64)
-    q_prev = np.ones(1, dtype=np.int64)
-    q = None
-    for _ in range(n):
-        if q is None:
-            q = arr.copy()
-            q_prev = np.ones(len(arr), dtype=np.int64)
-        else:
-            q_new = (arr[:, None] * q[None, :] + q_prev[None, :]).reshape(-1)
-            q_prev = np.tile(q, len(arr))
-            q = q_new
-    total = float(np.sum(q.astype(float) ** (-2.0 * s)))
-    return math.log(total) / n
-
-
 # ---------------------------------------------------------------------------
 # dimension roots
 

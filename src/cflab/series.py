@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 
 ZETA_TERMS = 100_000
+_GRID_BUDGET = 80_000_000  # bytes of one M grid, a list of floats at 32 bytes a point
 ZETA_ERR = 1e-13  # certified by the Euler-Maclaurin remainder at ZETA_TERMS
 EXACT = "exact-finite"
 HYBRID = "hybrid-tail"
@@ -74,11 +75,6 @@ def divisor_table(k: int, limit: int, budget: int = 80_000_000) -> DivisorSieve:
     if k > 1 and limit >= 1 and int(table.max()) >= 1 << 62:
         raise ResourceLimitError("divisor counts overflow int64")
     return DivisorSieve(k, limit, table)
-
-
-def dirichlet_piltz(k: int, limit: int) -> int:
-    """Exact summatory function D_k(M) = sum_{v <= M} d_k(v)."""
-    return int(divisor_table(k, limit).table.sum())
 
 
 @lru_cache(maxsize=256)
@@ -366,5 +362,7 @@ def asymptotic_ratio_scan(
 def geometric_grid(lo: float, hi: float, points: int) -> list[float]:
     if points < 2 or not 0 < lo < hi < math.inf:
         raise DomainError("grid requires 0 < lo < hi < inf and points >= 2")
+    if 32 * points > _GRID_BUDGET:
+        raise ResourceLimitError(f"grid of {points} points exceeds the {_GRID_BUDGET}-byte budget")
     step = (hi / lo) ** (1.0 / (points - 1))
     return [lo * step ** i for i in range(points)]

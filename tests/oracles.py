@@ -5,7 +5,8 @@ coordinates, integer floor thresholds) with mpmath zeta constants, staying
 off the divisor-sieve/Euler-Maclaurin path they check. Event oracles walk
 the definitions literally. The trimmed-law centre sums exact Gauss masses of
 the cylinders {a_1 = i, a_2 = j}; it uses neither the sampler nor the series
-module.
+module. The exact quotient law, the Dirichlet-Piltz sum and the word
+pressure are definitions the library's fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
+
+from cflab.errors import DomainError, ResourceLimitError
+from cflab.series import divisor_table
 
 
 @lru_cache(maxsize=64)
@@ -228,3 +232,64 @@ def coin_rhs_sigma(p: float, N: int, samples: int) -> float:
     dD = -(U**2) / D**2
     var = (dU**2 * var_u + dD**2 * var_d + 2.0 * dU * dD * cov_ud) / samples
     return math.sqrt(max(var, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# exact quotient law, summatory divisor function, word pressure
+
+
+def quotient_law(k: int, r) -> object:
+    """Exact conditional law P(a_{n+1} = k | past) = (1+r)/((k+r)(k+r+1)).
+
+    The past enters only through r = q_{n-1}/q_n: the probability is the
+    ratio |I_{n+1}(word, k)| / |I_n(word)| of exact interval lengths, which
+    telescopes to the displayed form (sums to 1 over k >= 1).
+    """
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    return (1 + r) / ((k + r) * (k + r + 1))
+
+
+def quotient_cdf(m: int, r) -> object:
+    """P(a_{n+1} <= m | past) = 1 - (1+r)/(m+1+r), exact for exact r."""
+    if m < 0:
+        raise DomainError("m must be >= 0")
+    if m == 0:
+        return 0 * r
+    return 1 - (1 + r) / (m + 1 + r)
+
+
+def dirichlet_piltz(k: int, limit: int) -> int:
+    """Exact summatory function D_k(M) = sum_{v <= M} d_k(v)."""
+    return int(divisor_table(k, limit).table.sum())
+
+
+def word_pressure_oracle(s: float, alphabet, n: int, budget: int = 10_000_000) -> float:
+    """(1/n) log sum over words in A^n of q_n(word)^{-2s}, continuants exact.
+
+    Evaluates the ergodic sum at the left endpoint of each cylinder, which is
+    legitimate because the potential has vanishing variations. Enumeration is
+    level-by-level over exact integer continuant pairs.
+    """
+    A = sorted(set(int(a) for a in alphabet))
+    if not A or A[0] < 1:
+        raise DomainError("alphabet must contain positive integers")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if len(A) ** n > budget:
+        raise ResourceLimitError(f"|A|^n = {len(A) ** n} exceeds budget {budget}")
+    if (n + 1) * math.log2(max(A) + 1) > 62:
+        raise ResourceLimitError("continuants would overflow int64")
+    arr = np.asarray(A, dtype=np.int64)
+    q_prev = np.ones(1, dtype=np.int64)
+    q = None
+    for _ in range(n):
+        if q is None:
+            q = arr.copy()
+            q_prev = np.ones(len(arr), dtype=np.int64)
+        else:
+            q_new = (arr[:, None] * q[None, :] + q_prev[None, :]).reshape(-1)
+            q_prev = np.tile(q, len(arr))
+            q = q_new
+    total = float(np.sum(q.astype(float) ** (-2.0 * s)))
+    return math.log(total) / n

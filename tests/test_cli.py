@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 from cflab import cli
+from test_pressure import _python
 
 
 def run_cli(capsys, *argv):
@@ -208,14 +209,40 @@ BAD_INPUTS = [
     ["pressure", "--s", "inf", "--alphabet", "10"],
     ["pressure", "--s", "0.7", "--grid-points", "1"],
     ["experiment", "run", "--config", "missing.cfg", "--out", "missing_out"],
+    ["experiment", "run", "--config", "dichotomy_d3.cfg", "--out", "out"],
+    ["experiment", "run", "--config", "chung_erdos_d2.cfg", "--out", "out"],
     ["experiment", "report", "--dir", "missing"],
 ]
 
+# configs the cases above read; event kinds use consecutive blocks, so d != 1 is refused
+BAD_CONFIGS = {
+    "dichotomy_d3.cfg": "kind = dichotomy\nd = 3\nphi_family = powerlog\nphi_params = 1,2\n",
+    "chung_erdos_d2.cfg": "kind = chung_erdos\nd = 2\nphi_family = powerlog\nphi_params = 1,0\n",
+}
+
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
-def test_bad_input_exits_domain(capsys, argv):
+def test_bad_input_exits_domain(capsys, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(text)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and err.startswith("error[domain]") and out == ""
+
+
+HUGE_INPUTS = [
+    ["series", "--id", "S1", "--params", "ell=2", "--M-grid", "100:1000:1000000000"],
+    ["events", "--ell", "1", "--phi-family", "doubleexp", "--phi-params", "10,10",
+     "--horizon", "1000000000"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_INPUTS, ids=lambda argv: argv[0])
+def test_huge_input_exits_resource_before_allocating(argv):
+    # the child may map only 1 GiB, so an input refused late ends in MemoryError
+    done = _python("-m", "cflab.cli", *argv, address_space=2**30)
+    assert done.returncode == 2 and done.stderr.startswith("error[resource]"), done.stderr
+    assert done.stdout == ""
 
 
 class TestErrorsAndHelp:

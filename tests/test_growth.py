@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cflab import growth
@@ -71,6 +72,22 @@ class TestLogPhi:
         # 1023 log 2 > 709, where exp(n log b) would already be saturated
         assert GrowthFunction.exponential(2).phi(1023) == 2.0**1023
         assert GrowthFunction.exponential(2).phi(1024) == math.inf
+
+    @pytest.mark.parametrize("f", [
+        GrowthFunction.exponential(2.5),
+        GrowthFunction.exponential(3),
+        GrowthFunction.power_log(1.2, 1),
+        GrowthFunction.power_log(1, 2),
+        GrowthFunction.doubly_exponential(1.5, 1.01),
+        GrowthFunction.table([2.0 + 0.25 * n**0.5 for n in range(10**5)]),
+    ], ids=lambda f: f"{f.family}{f.params}")
+    def test_phi_is_phi_array_bitwise(self, f):
+        # one kernel: meets_threshold's phi(n) and the engine's searched array agree
+        N = 10**5
+        arr = f.phi_array(N)
+        assert all(f.phi(n) == arr[n - 1] for n in range(1, N + 1))
+        for first in (2, 700, 1023, 1025, 5000):  # windows, as the engine reads them
+            assert np.array_equal(f.phi_array(first + 4000, first=first), arr[first - 1 : first + 4000])
 
 
 class TestGrowthConstants:

@@ -22,6 +22,41 @@ def twos_stream(sid, length):
     return np.full(length, 2.0)
 
 
+def near_power_stream(sid, length):
+    """a_n = 2^(n + delta_n), delta_n in -2..1: ties a_n = 2^n with exp(2) past 2^53 (ell = 1)."""
+    delta = np.random.default_rng(sid).choice([-2, -1, 0, 1], size=length, p=[0.6, 0.3, 0.05, 0.05])
+    return 2.0 ** np.maximum(np.arange(1, length + 1) + delta, 0)
+
+
+def powers_of_two_stream(sid, length):
+    """Quotients 2^k, k in 1..60: products of three reach 2^180 and tie with GIANT_TABLE."""
+    return 2.0 ** np.random.default_rng(sid).integers(1, 61, length)
+
+
+def rare_giant_stream(sid, length):
+    """Ones with a rare 2^60: a giant block is carried far across depth blocks."""
+    return np.where(np.random.default_rng(sid).random(length) < 0.002, 2.0**60, 1.0)
+
+
+GIANT_TABLE = GrowthFunction.table([2.0 ** (168 + n // 400) for n in range(2000)])
+
+
+def reference_hits(word, ell, phi, horizon):
+    """(tau_F, tau_E) of one quotient word from the blocks detectors; horizon + 1 is none."""
+    hit_f = blocks.first_F_event(word, ell, phi, horizon)
+    hit_e = blocks.first_E_event(word, ell, phi, horizon)
+    return (hit_f[0] if hit_f else horizon + 1), (hit_e if hit_e else horizon + 1)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestConfig:
     def test_roundtrip(self):
         cfg = mc.ExperimentConfig(
@@ -108,6 +143,87 @@ class TestSamplingEngine:
                 assert (hit[0] if hit else none) == tau_f[sid], (phi, ell, sid)
                 hit_e = blocks.first_E_event(word, ell, phi, horizon)
                 assert (hit_e if hit_e else none) == tau_e[sid], (phi, ell, sid)
+
+
+class TestDepthBlockStreaming:
+    """Every kind streams depth blocks; results must not see the block boundaries."""
+
+    @pytest.mark.parametrize("depth", [7, 777])
+    def test_hitting_times_match_detectors(self, monkeypatch, depth):
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
+        lebesgue = [(GrowthFunction.power_log(1, 0), 2, 2000, 4, 13)] + [
+            (GrowthFunction.exponential(base), ell, 30, 150, 5) for base in (2, 3) for ell in (1, 2)
+        ]
+        for phi, ell, horizon, samples, seed in lebesgue:
+            cfg = mc.ExperimentConfig(
+                kind="dichotomy", ell=ell, phi=phi, horizon=horizon, samples=samples, seed=seed,
+            )
+            tau_f, tau_e = mc.hitting_times(cfg)
+            for sid in range(samples):
+                stream = cf.lebesgue_quotients(mc.sample_rng(seed, sid))
+                want = reference_hits(cf.take(stream, horizon + ell - 1), ell, phi, horizon)
+                assert (tau_f[sid], tau_e[sid]) == want, (phi, ell, sid)
+        # giant products: exact ties with 2^n past 2^53, and a giant carried across blocks
+        giants = [
+            (near_power_stream, GrowthFunction.exponential(2), 1, 1000),
+            (powers_of_two_stream, GIANT_TABLE, 3, 2000),
+            (rare_giant_stream, GrowthFunction.power_log(1, 2), 1, 2000),
+        ]
+        for stream_fn, phi, ell, horizon in giants:
+            cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon, samples=8)
+            tau_f, tau_e = mc._hitting_times(cfg.validated(), stream_fn)
+            for sid in range(8):
+                word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
+                want = reference_hits(word, ell, phi, horizon)
+                assert (tau_f[sid], tau_e[sid]) == want, (stream_fn.__name__, sid)
+
+    @pytest.mark.parametrize("depth", [7, 777])
+    def test_chung_erdos_and_trimmed_unchanged(self, monkeypatch, depth):
+        ce = mc.ExperimentConfig(
+            kind="chung_erdos", ell=2, phi=GrowthFunction.power_log(1, 1), horizon=1600,
+            samples=12, seed=3,
+        )
+        coins = mc.ExperimentConfig(kind="chung_erdos", horizon=1600, samples=12, seed=4,
+                                    synthetic_p=0.01)
+        trimmed = mc.ExperimentConfig(
+            kind="trimmed", ell=3, d=2, horizon=1600, samples=5, seed=8,
+            checkpoints=(5, 700, 777, 778, 1600),
+        )
+        want = (mc.chung_erdos_check(ce), mc.chung_erdos_check(coins), mc.run_trimmed(trimmed))
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
+        got = (mc.chung_erdos_check(ce), mc.chung_erdos_check(coins), mc.run_trimmed(trimmed))
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["dichotomy", "chung_erdos"])
+    def test_one_sample_peak_flat_in_horizon(self, monkeypatch, kind):
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", 256)
+        run = {"dichotomy": mc.run_dichotomy, "chung_erdos": mc.chung_erdos_check}[kind]
+        peaks = []
+        for horizon in (4 * 256, 4 * 256, 16 * 256):  # the first run warms up caches
+            cfg = mc.ExperimentConfig(
+                kind=kind, ell=3, phi=GrowthFunction.power_log(1, 2), horizon=horizon,
+                samples=1, seed=2,
+            )
+            peaks.append(traced_peak(lambda: run(cfg)))
+        assert peaks[2] <= 1.1 * peaks[1], peaks
+
+    def test_chung_erdos_peak_flat_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", 256)
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", 1)  # one sample per chunk
+        peaks = []
+        for samples in (2, 2, 16):  # the first run warms up caches
+            cfg = mc.ExperimentConfig(
+                kind="chung_erdos", ell=1, phi=GrowthFunction.power_log(1, 1),
+                horizon=4 * 256, samples=samples, seed=6,
+            )
+            peaks.append(traced_peak(lambda: mc.chung_erdos_check(cfg)))
+        assert peaks[2] <= 1.1 * peaks[1], peaks
+
+    def test_mc_workload_shapes_keep_one_chunk(self):
+        for kind, samples, horizon, ell in (("dichotomy", 256, 10**4, 3), ("trimmed", 16, 2 * 10**4, 2)):
+            cfg = mc.ExperimentConfig(kind=kind, ell=ell, horizon=horizon, samples=samples,
+                                      phi=PHI2)
+            assert mc._chunk_ranges(cfg.validated()) == [(0, samples)]
 
 
 class TestDichotomy:
@@ -271,11 +387,11 @@ class TestPersistence:
             made.clear()
             ranges = [(i, i + 1) for i in range(chunks)]
             cfg = mc.ExperimentConfig(kind="khinchin", threads=threads)
-            assert mc._run_chunks(cfg, lambda r: r[0], ranges) == list(range(chunks))
+            assert list(mc._run_chunks(cfg, lambda r: r[0], ranges)) == list(range(chunks))
             assert made == ([want] if want else [])
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         made.clear()
-        mc._run_chunks(mc.ExperimentConfig(kind="khinchin", threads=8), lambda r: r, ranges)
+        list(mc._run_chunks(mc.ExperimentConfig(kind="khinchin", threads=8), lambda r: r, ranges))
         assert made == []  # unknown CPU count: run inline
 
     def test_thread_count_invariance(self, tmp_path):

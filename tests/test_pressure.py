@@ -15,6 +15,8 @@ from cflab import pressure as pr
 from cflab.errors import DomainError, ResourceLimitError
 from cflab.growth import GrowthFunction
 
+import oracles
+
 TRUNCATED = pr.PressureSolverParams(tail_correction=False)
 FAST = pr.PressureSolverParams(escalation=(100, 1000), bisect_tol=1e-4)
 
@@ -86,20 +88,20 @@ class TestWordOracle:
             fib.append(fib[-1] + fib[-2])
         for s, n in ((0.7, 10), (1.0, 14)):
             want = -2.0 * s * math.log(fib[n]) / n
-            assert pr.word_pressure_oracle(s, [1], n) == pytest.approx(want, abs=1e-12)
+            assert oracles.word_pressure_oracle(s, [1], n) == pytest.approx(want, abs=1e-12)
 
     def test_counting_at_s_zero(self):
         for m in (2, 5, 9):
-            assert pr.word_pressure_oracle(0.0, range(1, m + 1), 1) == pytest.approx(math.log(m))
+            assert oracles.word_pressure_oracle(0.0, range(1, m + 1), 1) == pytest.approx(math.log(m))
 
     def test_cauchy_convergence(self):
-        a = pr.word_pressure_oracle(1.0, [1, 2], 8)
-        b = pr.word_pressure_oracle(1.0, [1, 2], 12)
+        a = oracles.word_pressure_oracle(1.0, [1, 2], 8)
+        b = oracles.word_pressure_oracle(1.0, [1, 2], 12)
         assert abs(a - b) < 0.05
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
-            pr.word_pressure_oracle(0.8, range(1, 100), 6)
+            oracles.word_pressure_oracle(0.8, range(1, 100), 6)
 
 
 class TestTransferPressure:
@@ -122,8 +124,8 @@ class TestTransferPressure:
         # limit (the raw n = 14 value carries an O(1/n) bias of ~0.03)
         for s in (0.6, 0.8):
             for N in (2, 3):
-                lam14 = 14 * pr.word_pressure_oracle(s, range(1, N + 1), 14)
-                lam7 = 7 * pr.word_pressure_oracle(s, range(1, N + 1), 7)
+                lam14 = 14 * oracles.word_pressure_oracle(s, range(1, N + 1), 14)
+                lam7 = 7 * oracles.word_pressure_oracle(s, range(1, N + 1), 7)
                 limit = (lam14 - lam7) / 7
                 assert abs(limit - pr.transfer_pressure(s, N, TRUNCATED)) < 0.02
 

@@ -33,9 +33,9 @@ class TestDivisorSieve:
             assert conv == int(d3[v])
 
     def test_dirichlet_piltz(self):
-        assert se.dirichlet_piltz(1, 77) == 77
-        assert se.dirichlet_piltz(2, 10) == 27
-        assert se.dirichlet_piltz(3, 1) == 1
+        assert oracles.dirichlet_piltz(1, 77) == 77
+        assert oracles.dirichlet_piltz(2, 10) == 27
+        assert oracles.dirichlet_piltz(3, 1) == 1
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
