@@ -127,14 +127,17 @@ class GrowthFunction:
             raise DomainError("n must be >= 1")
         return float(self.phi_array(n, first=n)[0])
 
+    def _powerlog_log(self, n: int) -> float:
+        """alpha log n + beta log max(log n, log 2): log phi(n) before the clamp at 2."""
+        alpha, beta = self.params
+        return alpha * math.log(n) + beta * math.log(max(math.log(n), LOG2))
+
     def log_phi(self, n: int) -> float:
         """log phi(n); exact in log space for the (doubly) exponential families."""
         if n < 1:
             raise DomainError("n must be >= 1")
         if self.family == POWERLOG:
-            alpha, beta = self.params
-            lf = max(math.log(n), LOG2)
-            return max(alpha * math.log(n) + beta * math.log(lf), LOG2)
+            return max(self._powerlog_log(n), LOG2)
         if self.family == EXPONENTIAL:
             (base,) = self.params
             return max(n * math.log(base), LOG2)
@@ -191,11 +194,12 @@ class GrowthFunction:
     def phi_exact(self, n: int) -> Fraction | None:
         """Exact rational phi(n) when the family supports it, else None.
 
-        Available for the constant power-log clamp (alpha = beta = 0), for
+        Available where the power-log clamp decides (the unclamped log lies
+        more than LOG_BAND below log 2, so phi_array clamps to exactly 2), for
         exponential bases that are exactly integers, and for tables.
         """
-        if self.family == POWERLOG and self.params == (0.0, 0.0):
-            return Fraction(2)
+        if self.family == POWERLOG:
+            return Fraction(2) if self._powerlog_log(n) < LOG2 - LOG_BAND else None
         if self.family == EXPONENTIAL:
             (base,) = self.params
             if float(base).is_integer():

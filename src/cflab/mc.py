@@ -9,10 +9,19 @@ a time and carries only the (ell - 1) * d column tail between blocks, so a
 chunk's memory does not grow with the horizon. Chunk results are folded in
 sample order. The step d applies to trimmed/khinchin; event kinds refuse d != 1.
 
+The sampler's recursion r <- 1/(a + r) is sequential in depth, but it
+contracts at the Gauss map's Lyapunov rate pi^2/(6 log 2) per step. So each
+depth block is cut into tiles of about _TILE columns, every tile but the
+first starts from r = 0 warmed up on the tail of the tile before, and all
+samples x tiles run as one wide recursion. A tile is kept only when its
+warmed-up start equals the true end of the tile before, and is recomputed
+from that end otherwise: the rows are bitwise the column-at-a-time ones.
+
 Comparisons "block product >= phi(n)" run in value space: block products are
 exact in float64 below 2^53, thresholds are the float values of phi on the
-depth block's levels (correctly rounded where phi is exact, so ties count),
-and the rare giant-product entries are re-resolved exactly by
+depth block's levels (correctly rounded where phi is exact, so ties count).
+The event masks are built for a group of rows at once; a row whose products
+or carried maximum reach 2^53 is resolved on its own, exactly, by
 GrowthFunction.meets_threshold.
 """
 
@@ -40,6 +49,10 @@ PRNG_NAME = "philox4x64 keyed by (seed, sample_id)"
 GIANT = 2.0**53  # float64 stops being exact on integers here
 KHINCHIN_EPS = (0.1, 0.25)
 _DEPTH_BLOCK = 16_384  # quotient columns drawn per step of every experiment
+_TILE = 256  # about this many columns per tile of the sampler's wide recursion
+_WARMUP = 64  # uniforms a tile's start warms up on; at 32, 0 of 129,024 tiles were recomputed
+_TINY = np.nextafter(0.0, 1.0)  # smallest positive uniform: a = 1, as the law puts at u = 0
+_MASK_ROWS = 16  # rows whose E/F masks are built at once
 _CHUNK_BUDGET = 128_000_000  # peak bytes of one worker chunk
 _BYTES_PER_QUOTIENT = 40  # measured peak bytes per quotient of a depth block, any kind
 
@@ -101,6 +114,21 @@ def sample_rng(seed: int, sample_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _advance(u, r, a, tmp, tmp2) -> None:
+    """a = ceil((1 + r) u / (1 - u)) and r = 1 / (a + r), elementwise; a may alias u or tmp2.
+
+    Needs u > 0: the law puts a = 1 at u = 0, which the smallest positive u
+    also gives, so callers clamp u to _TINY.
+    """
+    np.subtract(1.0, u, out=tmp)
+    np.add(r, 1.0, out=tmp2)
+    np.multiply(tmp2, u, out=a)
+    a /= tmp
+    np.ceil(a, out=a)
+    np.add(a, r, out=tmp)
+    np.divide(1.0, tmp, out=r)
+
+
 class QuotientSampler:
     """Streaming quotient matrix: one Philox stream per sample, drawn in blocks.
 
@@ -115,22 +143,45 @@ class QuotientSampler:
         self._r = np.zeros(self.count)
 
     def next_block(self, depth: int) -> np.ndarray:
-        """Next `depth` quotient columns, shape (samples, depth), float64."""
-        out = np.empty((self.count, depth))
-        block = np.empty((depth, self.count))
-        for i, rng in enumerate(self._rngs):
-            block[:, i] = rng.random(depth)
-        r = self._r
-        scratch = np.empty(self.count)
-        for t in range(depth):
-            u = block[t]
-            np.multiply(1.0 + r, u, out=scratch)
-            scratch /= 1.0 - u
-            a = np.ceil(scratch)
-            np.maximum(a, 1.0, out=a)  # u = 0 (prob 2^-53) lands on a = 1
-            out[:, t] = a
-            r = 1.0 / (a + r)
-        self._r = r
+        """Next `depth` quotient columns, shape (samples, depth), float64.
+
+        Tile 0 starts from the carried r, tile k >= 1 from r = 0 warmed up on
+        the last _WARMUP uniforms of tile k - 1 (see the module docstring).
+        """
+        count = self.count
+        tiles = -(-depth // _TILE)
+        width = -(-depth // tiles)  # columns of every tile; the last one may hold fewer
+        last = depth - (tiles - 1) * width
+        full = depth - last
+        out = np.empty((count, depth))
+        # lanes[t, i, k] is column k * width + t of sample i: its uniform, then its quotient
+        lanes = np.empty((width, count, tiles))
+        for i, (row, rng) in enumerate(zip(out, self._rngs)):
+            rng.random(out=row)
+            if full:
+                np.maximum(row[:full].reshape(tiles - 1, width).T, _TINY, out=lanes[:, i, :-1])
+            np.maximum(row[full:], _TINY, out=lanes[:last, i, -1])
+        r = np.zeros((count, tiles))
+        r[:, 0] = self._r
+        tmp, tmp2 = np.empty((2, count, tiles))
+        for t in range(max(width - _WARMUP, 0), width if tiles > 1 else 0):
+            _advance(lanes[t, :, :-1], r[:, 1:], tmp2[:, :-1], tmp[:, :-1], tmp2[:, :-1])
+        start = r[:, 1:].copy()
+        for t in range(width):
+            k = tiles if t < last else tiles - 1  # the last tile has ended
+            _advance(lanes[t, :, :k], r[:, :k], lanes[t, :, :k], tmp[:, :k], tmp2[:, :k])
+        for k in range(1, tiles):  # r[:, k] is now tile k's end from its warmed-up start
+            wrong = np.flatnonzero(start[:, k - 1] != r[:, k - 1])
+            if wrong.size:
+                rk = r[wrong, k - 1]
+                for t, col in enumerate(range(k * width, min(k * width + width, depth))):
+                    u = np.maximum(out[wrong, col], _TINY)
+                    _advance(u, rk, u, np.empty_like(u), np.empty_like(u))
+                    lanes[t, wrong, k] = u
+                r[wrong, k] = rk
+        out[:, :full].reshape(count, tiles - 1, width).transpose(2, 0, 1)[...] = lanes[:, :, :-1]
+        out[:, full:] = lanes[:last, :, -1].T
+        self._r = r[:, -1].copy()
         return out
 
 
@@ -223,33 +274,53 @@ def _event_masks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, f
 
 
+def _fold_events(out: np.ndarray, start: int, e: np.ndarray, f: np.ndarray) -> None:
+    """Fold a window's (rows, levels) E/F masks into out's rows: first hits and F count."""
+    for k, mask in enumerate((f, e)):
+        first = mask.argmax(axis=1)
+        hit = mask[np.arange(len(first)), first]
+        np.minimum(out[k], np.where(hit, start + 1 + first, out[k]), out=out[k])
+    out[2] += np.count_nonzero(f, axis=1)
+
+
 def _events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
     """Per row: tau_F, tau_E (horizon + 1 encodes none) and the number of F levels.
 
-    phi is evaluated on each depth block's levels only. A row carries its
-    exact largest earlier block product, whose count in the new window is
-    the clipped prefix max of the earlier m.
+    phi, evaluated on each depth block's levels only, is non-decreasing: block
+    n qualifies at its level iff prod >= phi(n) (E), and besides it an earlier
+    block does iff the largest earlier product, carried across blocks, does
+    (F). A row whose window or carry reaches 2^53 takes the exact path of
+    _qualify_counts, for this and every later window.
     """
     ell, phi, N = cfg.ell, cfg.phi, cfg.horizon
     out = np.zeros((3, count), dtype=np.int64)
     out[:2] = N + 1
-    carry = [0] * count
+    top = np.zeros(count)  # largest earlier block product, exact below GIANT
+    exact_top = {}  # the exact integer top of rows whose top reached GIANT
     for start, prod, qa in _depth_blocks(cfg, source, count):
         phi_win = phi.phi_array(start + prod.shape[1], first=start + 1)
-        tops = prod.max(axis=1)
-        for row in range(count):
-            top, qa_row = carry[row], qa[row]
-            products = np.concatenate(([min(top, GIANT)], prod[row]))
-            giants = {i: top if i == 0 else math.prod(map(int, qa_row[i - 1 : i - 1 + ell]))
-                      for i in np.flatnonzero(products >= GIANT).tolist()}
-            m = _qualify_counts(products, giants, phi_win, phi, start)
-            # floats below 2^53 are exact integers
-            carry[row] = max(giants.values()) if giants else max(top, int(tops[row]))
-            e, f = _event_masks(m)
-            for k, mask in enumerate((f, e)):
-                if out[k, row] > N and mask.any():
-                    out[k, row] = start + 1 + int(np.argmax(mask))
-            out[2, row] += np.count_nonzero(f)
+        for lo in range(0, count, _MASK_ROWS):
+            rows = slice(lo, min(lo + _MASK_ROWS, count))
+            p, t = prod[rows], top[rows]
+            for i in np.flatnonzero((p.max(axis=1) >= GIANT) | (t >= GIANT)).tolist():
+                row = lo + i
+                products = np.concatenate(([t[i]], p[i]))
+                giants = {j: exact_top[row] if j == 0 else math.prod(map(int, qa[row, j - 1 : j - 1 + ell]))
+                          for j in np.flatnonzero(products >= GIANT).tolist()}
+                e, f = _event_masks(_qualify_counts(products, giants, phi_win, phi, start))
+                _fold_events(out[:, row : row + 1], start, e[None], f[None])
+                exact_top[row] = max(giants.values())
+                t[i] = GIANT
+                p[i] = 0.0  # done: below phi >= 2 everywhere
+            e = p >= phi_win
+            np.maximum.accumulate(p, axis=1, out=p)
+            np.maximum(p, t[:, None], out=p)  # p[:, j] is now the top after block j
+            f = np.empty_like(e)
+            np.greater_equal(t, phi_win[0], out=f[:, 0])
+            np.greater_equal(p[:, :-1], phi_win[1:], out=f[:, 1:])
+            f &= e
+            t[:] = p[:, -1]
+            _fold_events(out[:, rows], start, e, f)
     return out
 
 

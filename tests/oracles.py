@@ -5,8 +5,9 @@ coordinates, integer floor thresholds) with mpmath zeta constants, staying
 off the divisor-sieve/Euler-Maclaurin path they check. Event oracles walk
 the definitions literally. The trimmed-law centre sums exact Gauss masses of
 the cylinders {a_1 = i, a_2 = j}; it uses neither the sampler nor the series
-module. The exact quotient law, the Dirichlet-Piltz sum and the word
-pressure are definitions the library's fast paths are checked against.
+module. The exact quotient law, the Dirichlet-Piltz sum, the word pressure
+and the column-at-a-time quotient sampler are definitions and slow paths the
+library's fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import mpmath
 import numpy as np
 
 from cflab.errors import DomainError, ResourceLimitError
+from cflab.mc import sample_rng
 from cflab.series import divisor_table
 
 
@@ -135,6 +137,20 @@ def brute_first_E(word, ell: int, phi, horizon: int):
     return None
 
 
+def brute_F_count(word, ell: int, phi, horizon: int) -> int:
+    """Levels n <= horizon where block n and some earlier block both beat phi(n).
+
+    An earlier block beats phi(n) iff the largest earlier product does.
+    """
+    count, top = 0, 0
+    for n in range(1, horizon + 1):
+        p = math.prod(word[n - 1 : n - 1 + ell])
+        if phi.meets_threshold(p, n) and phi.meets_threshold(top, n):
+            count += 1
+        top = max(top, p)
+    return count
+
+
 # ---------------------------------------------------------------------------
 # finite-n centre of the ell = 2 trimmed law: X = a_1 a_2 under the Gauss measure
 #
@@ -235,7 +251,39 @@ def coin_rhs_sigma(p: float, N: int, samples: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact quotient law, summatory divisor function, word pressure
+# exact quotient law, summatory divisor function, word pressure, column sampler
+
+
+class ColumnQuotientSampler:
+    """The quotient sampler one depth column at a time: the bitwise reference.
+
+    Same streams and recursion r <- 1/(a + r) as mc.QuotientSampler, stepped
+    over all samples one column per numpy step.
+    """
+
+    def __init__(self, seed: int, sample_ids):
+        self._rngs = [sample_rng(seed, sid) for sid in sample_ids]
+        self.count = len(self._rngs)
+        self._r = np.zeros(self.count)
+
+    def next_block(self, depth: int) -> np.ndarray:
+        """Next `depth` quotient columns, shape (samples, depth), float64."""
+        out = np.empty((self.count, depth))
+        block = np.empty((depth, self.count))
+        for i, rng in enumerate(self._rngs):
+            block[:, i] = rng.random(depth)
+        r = self._r
+        scratch = np.empty(self.count)
+        for t in range(depth):
+            u = block[t]
+            np.multiply(1.0 + r, u, out=scratch)
+            scratch /= 1.0 - u
+            a = np.ceil(scratch)
+            np.maximum(a, 1.0, out=a)  # u = 0 (prob 2^-53) lands on a = 1
+            out[:, t] = a
+            r = 1.0 / (a + r)
+        self._r = r
+        return out
 
 
 def quotient_law(k: int, r) -> object:

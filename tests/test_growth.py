@@ -224,3 +224,27 @@ def test_meets_threshold_at_ties(f, n):
     for p in (0, 1, 2, 3, tie - 1, tie, tie + 1, 2 * tie):
         want = p >= exact if exact is not None else p >= f.phi(n)
         assert f.meets_threshold(p, n) == want, (p, tie)
+
+
+def test_meets_threshold_decides_the_clamp_without_phi(monkeypatch):
+    # phi(1) = phi(2) = 2 by the clamp: the tie needs no numpy window
+    f = GrowthFunction.power_log(1, 2)
+
+    def no_phi(self, n):
+        raise AssertionError(f"phi({n}) evaluated")
+
+    monkeypatch.setattr(GrowthFunction, "phi", no_phi)
+    assert [f.meets_threshold(p, n) for n in (1, 2) for p in (1, 2, 3)] == [False, True, True] * 2
+    assert f.phi_exact(1) == f.phi_exact(2) == 2
+
+
+@pytest.mark.parametrize("f", [
+    GrowthFunction.power_log(1, 2),
+    GrowthFunction.power_log(0.5, 1),  # clamped at n <= 3, phi(4) = 2.77
+    GrowthFunction.power_log(1, 0),  # phi(2) = 2 unclamped: no exact value, a float tie
+], ids=lambda f: f"{f.family}{f.params}")
+def test_meets_threshold_small_products_match_phi(f):
+    N = 10**4
+    phi = f.phi_array(N)
+    for p in range(1, 5):
+        assert [f.meets_threshold(p, n) for n in range(1, N + 1)] == (p >= phi).tolist(), p

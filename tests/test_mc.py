@@ -123,6 +123,24 @@ class TestSamplingEngine:
         joined = np.concatenate(parts, axis=1)
         assert np.array_equal(joined, mc.sample_quotient_block(1, [0, 1], 100))
 
+    @pytest.mark.parametrize("warmup", [64, 1, 0])  # 1 and 0 recompute (almost) every tile
+    @pytest.mark.parametrize("samples, cuts", [
+        (3, (7, 50, 43, 1)),  # below one tile, and depth 1
+        (2, (700, 256, 10_002)),  # ragged last tiles around one whole tile
+    ])
+    def test_tiled_sampler_is_column_recursion(self, monkeypatch, warmup, samples, cuts):
+        monkeypatch.setattr(mc, "_WARMUP", warmup)
+        tiled = mc.QuotientSampler(5, range(samples))
+        column = oracles.ColumnQuotientSampler(5, range(samples))
+        for depth in cuts:
+            assert np.array_equal(tiled.next_block(depth), column.next_block(depth)), depth
+            assert np.array_equal(tiled._r, column._r), depth
+
+    def test_sampler_peak_bytes_per_quotient(self):
+        # the uniforms and one tiled copy of them: two samples x depth float arrays
+        peak = traced_peak(lambda: mc.QuotientSampler(1, range(256)).next_block(10_002))
+        assert peak <= 17 * 256 * 10_002, peak / (256 * 10_002)
+
     def test_streaming_detectors_agree_with_engine(self):
         # integer-base exponentials put exact ties phi(n) = block product in play
         cases = [(GrowthFunction.power_log(1, 0), 2, 400, 6, 13)] + [
@@ -176,6 +194,38 @@ class TestDepthBlockStreaming:
                 word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
                 want = reference_hits(word, ell, phi, horizon)
                 assert (tau_f[sid], tau_e[sid]) == want, (stream_fn.__name__, sid)
+
+    @pytest.mark.parametrize("depth", [7, 777])
+    def test_giant_row_leaves_vectorised_rows_alone(self, monkeypatch, depth):
+        """One chunk: ordinary rows and one row with a giant block across a depth-block boundary.
+
+        The giant row's blocks at levels b and b + 1 are 3 (2^59 + 2^7), which
+        float64 rounds up onto phi(b) = phi(b + 1): only the exact path sees
+        that neither qualifies, and its top stays carried through later blocks.
+        """
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
+        ell, horizon, samples, seed, forced = 2, 1000, 40, 17, 21
+        b = depth * -(-700 // depth)  # a drawn-column boundary: columns b - 1 | b
+        giant = 2.0**59 + 2.0**7
+        assert 3.0 * giant > 3 * int(giant)
+        phi = GrowthFunction.table(list(GrowthFunction.power_log(1, 1).phi_array(b - 1))
+                                   + [3.0 * giant] * (horizon - b + 1))
+
+        def stream_fn(sid, length):
+            row = mc.sample_quotient_block(seed, [sid], length)[0]
+            if sid == forced:
+                row[b - 1 : b + 2] = giant, 3.0, giant
+            return row
+
+        cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
+                                  samples=samples).validated()
+        assert mc._chunk_ranges(cfg) == [(0, samples)]
+        got = mc._gather(cfg, stream_fn, mc._events, (3,), np.int64)
+        for sid in range(samples):
+            word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
+            want = reference_hits(word, ell, phi, horizon) + (oracles.brute_F_count(word, ell, phi, horizon),)
+            assert tuple(got[:, sid].tolist()) == want, sid
+        assert np.count_nonzero(got[2]) > samples // 2  # the vectorised rows see F levels
 
     @pytest.mark.parametrize("depth", [7, 777])
     def test_chung_erdos_and_trimmed_unchanged(self, monkeypatch, depth):
