@@ -170,10 +170,15 @@ def sample_quotients(rng, count: int) -> list[int]:
     return [next(it) for _ in range(count)]
 
 
-def take(stream: Iterable[int], count: int) -> list[int]:
-    """Materialize `count` terms of a quotient stream, within _TAKE_BUDGET bytes."""
+def check_word_budget(count: int) -> None:
+    """Refuse a word of `count` terms past _TAKE_BUDGET bytes, at most 36 bytes a term."""
     if 36 * count > _TAKE_BUDGET:
         raise ResourceLimitError(f"{count} terms exceed the {_TAKE_BUDGET}-byte budget")
+
+
+def take(stream: Iterable[int], count: int) -> list[int]:
+    """Materialize `count` terms of a quotient stream, within _TAKE_BUDGET bytes."""
+    check_word_budget(count)
     out = []
     it = iter(stream)
     for _ in range(count):

@@ -2,6 +2,10 @@
 
 All numeric output is printed at 12 significant digits. Exit codes: 0 on
 success, 1 on domain errors (including bad flags), 2 on resource errors.
+
+`events` streams depth blocks through the Monte Carlo engine
+(mc.event_records), like `experiment`; it keeps the word budget of cf.take,
+which it used to call, for compatibility, so the same inputs exit 2.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import sys
 
 from . import __version__
 from .errors import DomainError, ResourceLimitError
-from . import blocks, cf, growth, mc, pressure, series
+from . import cf, growth, mc, pressure, series
 
 
 def _fmt(x):
@@ -81,18 +85,49 @@ def cmd_phi(args) -> int:
 def cmd_events(args) -> int:
     phi = growth.GrowthFunction.from_spec(args.phi_family, args.phi_params)
     rows = []
-    for sid in range(args.samples):
-        stream = cf.lebesgue_quotients(mc.sample_rng(args.seed, sid))
-        word = cf.take(stream, args.horizon + args.ell - 1)
-        hit_f = blocks.first_F_event(word, args.ell, phi, args.horizon)
-        hit_e = blocks.first_E_event(word, args.ell, phi, args.horizon)
-        if hit_f is not None:
-            n, rec = hit_f
-            rows.append([sid, n, hit_e if hit_e is not None else "", rec.j, rec.k, rec.overlap])
+    if args.samples > 0:
+        cf.check_word_budget(args.horizon + args.ell - 1)  # cf.take's bound, kept for compatibility
+        if args.horizon < 1:
+            raise DomainError("horizon must be >= 1")
+        if args.ell < 1:
+            raise DomainError("ell must be >= 1")
+        cfg = mc.ExperimentConfig(kind="dichotomy", ell=args.ell, phi=phi, horizon=args.horizon,
+                                  samples=args.samples, seed=args.seed)
+        if phi.family == growth.TABLE and len(phi.values) < args.horizon:
+            tau_f, tau_e, first_j = _events_within_table(cfg)
         else:
-            rows.append([sid, "", hit_e if hit_e is not None else "", "", "", ""])
+            tau_f, tau_e, first_j = mc.event_records(cfg)
+        none = cfg.horizon + 1
+        for sid, (n, e, j) in enumerate(zip(tau_f.tolist(), tau_e.tolist(), first_j.tolist())):
+            e = e if e != none else ""
+            if n != none:
+                rows.append([sid, n, e, j, n, max(0, j + args.ell - n)])
+            else:
+                rows.append([sid, "", e, "", "", ""])
     _emit_csv(["sample_id", "tau_F", "tau_E", "j", "k", "overlap"], rows, args.out)
     return 0
+
+
+def _events_within_table(cfg):
+    """mc.event_records for a table phi shorter than the horizon.
+
+    As on the scalar path, phi past the table is an error once a product >= 2
+    must be compared with it: by a sample without an F level in the table that
+    has two blocks >= 2 (F compares the second largest), or else by one without
+    an E level in the table whose one block >= 2 lies past it. The phi = 2
+    events over the whole horizon tell both; a sample that meets neither has
+    no event past the table.
+    """
+    table = len(cfg.phi.values)
+    tau_f, tau_e, first_j = mc.event_records(dataclasses.replace(cfg, horizon=table))
+    open_f, open_e = tau_f > table, tau_e > table
+    if open_f.any():
+        two_f, two_e = mc.hitting_times(dataclasses.replace(cfg, phi=growth.GrowthFunction.power_log(0, 0)))
+        late_e = open_e & (two_e > table) & (two_e <= cfg.horizon)
+        if (open_f & ((two_f <= cfg.horizon) | late_e)).any():
+            cfg.phi.phi_array(cfg.horizon)  # raises DomainError: the table ends before the horizon
+    tau_f[open_f] = tau_e[open_e] = cfg.horizon + 1
+    return tau_f, tau_e, first_j
 
 
 def _parse_params(text: str) -> dict:
@@ -201,7 +236,7 @@ def cmd_experiment(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="cflab", description=__doc__)
+    parser = _Parser(prog="cflab", description=__doc__.split("\n\n`events`")[0])
     parser.add_argument("--version", action="version", version=f"cflab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

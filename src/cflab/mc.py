@@ -6,8 +6,11 @@ independent of chunking and thread scheduling and results are byte-identical
 for identical (config, seed, version). Every kind is a reducer over one scan,
 _depth_blocks, which draws a chunk of samples _DEPTH_BLOCK quotient columns at
 a time and carries only the (ell - 1) * d column tail between blocks, so a
-chunk's memory does not grow with the horizon. Chunk results are folded in
-sample order. The step d applies to trimmed/khinchin; event kinds refuse d != 1.
+chunk's memory does not grow with the horizon, and only one depth block is
+alive at a time. Chunk results are folded in sample order. The step d applies
+to trimmed/khinchin; event kinds refuse d != 1. `cflab events` runs on the
+same scan (event_records): the dichotomy reducer, which then also records the
+two blocks j < k = tau_F of each sample's first F level.
 
 The sampler's recursion r <- 1/(a + r) is sequential in depth, but it
 contracts at the Gauss map's Lyapunov rate pi^2/(6 log 2) per step. So each
@@ -54,7 +57,7 @@ _WARMUP = 64  # uniforms a tile's start warms up on; at 32, 0 of 129,024 tiles w
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive uniform: a = 1, as the law puts at u = 0
 _MASK_ROWS = 16  # rows whose E/F masks are built at once
 _CHUNK_BUDGET = 128_000_000  # peak bytes of one worker chunk
-_BYTES_PER_QUOTIENT = 40  # measured peak bytes per quotient of a depth block, any kind
+_BYTES_PER_QUOTIENT = 25  # peak bytes per quotient of a depth block, any kind: at most 24.4 measured
 
 KINDS = ("dichotomy", "trimmed", "khinchin", "chung_erdos")
 
@@ -217,10 +220,14 @@ class _ForcedStream:
 
 
 def _block_prods(qa: np.ndarray, ell: int, d: int, n_starts: int) -> np.ndarray:
-    """Products of progression blocks a_j a_{j+d} .. a_{j+(ell-1)d}, j <= n_starts."""
+    """Products of progression blocks a_j a_{j+d} .. a_{j+(ell-1)d}, j <= n_starts.
+
+    A product past float64 is inf; the event path resolves it exactly, as any >= GIANT.
+    """
     prod = qa[:, :n_starts].copy()
-    for t in range(1, ell):
-        prod *= qa[:, t * d : t * d + n_starts]
+    with np.errstate(over="ignore"):
+        for t in range(1, ell):
+            prod *= qa[:, t * d : t * d + n_starts]
     return prod
 
 
@@ -229,7 +236,9 @@ def _depth_blocks(cfg: ExperimentConfig, source, count: int):
 
     prod[:, j] is the product of the block at 0-based start start + j, over
     the columns j, j + d, .., j + (ell - 1) d of qa; the column tail carried
-    into the next block keeps products spanning a boundary available.
+    into the next block keeps products spanning a boundary available. The
+    tail is a copy, so once the caller drops prod and qa (and every view of
+    them) before asking for the next block, only one depth block is alive.
     """
     N, ell, d = cfg.horizon, cfg.ell, cfg.d
     span = (ell - 1) * d
@@ -239,11 +248,12 @@ def _depth_blocks(cfg: ExperimentConfig, source, count: int):
         qa = source.next_block(min(_DEPTH_BLOCK, N + span - done - tail.shape[1]))
         if tail.shape[1]:
             qa = np.concatenate([tail, qa], axis=1)
-        tail = qa[:, qa.shape[1] - span :] if span else tail  # drops the previous block
+        tail = qa[:, max(qa.shape[1] - span, 0) :].copy()  # all of qa while it is shorter than span
         starts = min(qa.shape[1] - span, N - done)
         if starts > 0:
             yield done, _block_prods(qa, ell, d, starts), qa
             done += starts
+        del qa
 
 
 def _qualify_counts(products: np.ndarray, giants: dict, phi_win: np.ndarray, phi, start: int):
@@ -283,35 +293,56 @@ def _fold_events(out: np.ndarray, start: int, e: np.ndarray, f: np.ndarray) -> N
     out[2] += np.count_nonzero(f, axis=1)
 
 
-def _events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
-    """Per row: tau_F, tau_E (horizon + 1 encodes none) and the number of F levels.
+def _events(cfg: ExperimentConfig, source, count: int, records: bool = False) -> np.ndarray:
+    """Per row: tau_F, tau_E (horizon + 1 encodes none), the number of F levels and, with records, j.
 
     phi, evaluated on each depth block's levels only, is non-decreasing: block
     n qualifies at its level iff prod >= phi(n) (E), and besides it an earlier
     block does iff the largest earlier product, carried across blocks, does
     (F). A row whose window or carry reaches 2^53 takes the exact path of
     _qualify_counts, for this and every later window.
+
+    At the first F level n the record is k = n, and j (0 when there is no F
+    level) is the one earlier block that reaches phi(n): two would have made
+    an earlier level F. So j is the first block of the window reaching phi(n)
+    or, when the carried top does, the start of its earliest maximum, which
+    arg carries next to it.
     """
     ell, phi, N = cfg.ell, cfg.phi, cfg.horizon
-    out = np.zeros((3, count), dtype=np.int64)
+    out = np.zeros((3 + records, count), dtype=np.int64)
     out[:2] = N + 1
     top = np.zeros(count)  # largest earlier block product, exact below GIANT
+    arg = np.zeros(count, dtype=np.int64)  # 1-based start of the earliest block reaching top
     exact_top = {}  # the exact integer top of rows whose top reached GIANT
     for start, prod, qa in _depth_blocks(cfg, source, count):
-        phi_win = phi.phi_array(start + prod.shape[1], first=start + 1)
+        width = prod.shape[1]
+        phi_win = phi.phi_array(start + width, first=start + 1)
         for lo in range(0, count, _MASK_ROWS):
             rows = slice(lo, min(lo + _MASK_ROWS, count))
-            p, t = prod[rows], top[rows]
+            p, t, g, o = prod[rows], top[rows], arg[rows], out[:, rows]
+            pending = (o[0] > start) & records  # rows whose tau_F, and so j, is still to come
             for i in np.flatnonzero((p.max(axis=1) >= GIANT) | (t >= GIANT)).tolist():
                 row = lo + i
                 products = np.concatenate(([t[i]], p[i]))
                 giants = {j: exact_top[row] if j == 0 else math.prod(map(int, qa[row, j - 1 : j - 1 + ell]))
                           for j in np.flatnonzero(products >= GIANT).tolist()}
-                e, f = _event_masks(_qualify_counts(products, giants, phi_win, phi, start))
-                _fold_events(out[:, row : row + 1], start, e[None], f[None])
+                m = _qualify_counts(products, giants, phi_win, phi, start)
+                e, f = _event_masks(m)
+                _fold_events(o[:, i : i + 1], start, e[None], f[None])
+                if pending[i] and o[0, i] <= start + width:  # tau_F = start + k
+                    k = o[0, i] - start
+                    first = int(np.argmax(m[:k] >= k))  # the earlier block reaching phi; 0 is the carry
+                    o[3, i] = start + first if first else g[i]
                 exact_top[row] = max(giants.values())
+                first = next(j for j, v in giants.items() if v == exact_top[row])  # 0 is the carry
+                if first:
+                    g[i] = start + first
+                pending[i] = False
                 t[i] = GIANT
                 p[i] = 0.0  # done: below phi >= 2 everywhere
+            carry = start + width < N and pending.any()  # a later window may need arg
+            if carry:
+                a = p.argmax(axis=1)  # each row's earliest largest product of the window
             e = p >= phi_win
             np.maximum.accumulate(p, axis=1, out=p)
             np.maximum(p, t[:, None], out=p)  # p[:, j] is now the top after block j
@@ -319,8 +350,15 @@ def _events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
             np.greater_equal(t, phi_win[0], out=f[:, 0])
             np.greater_equal(p[:, :-1], phi_win[1:], out=f[:, 1:])
             f &= e
+            _fold_events(o, start, e, f)
+            for i in np.flatnonzero(pending & (o[0] <= start + width)).tolist():
+                c = o[0, i] - start - 1  # tau_F's column; the running top p[i] reaches phi first at j
+                first = np.searchsorted(p[i, :c], phi_win[c])
+                o[3, i] = g[i] if t[i] >= phi_win[c] else start + 1 + first
+            if carry:
+                np.copyto(g, start + 1 + a, where=p[:, -1] > t)
             t[:] = p[:, -1]
-            _fold_events(out[:, rows], start, e, f)
+        del prod, qa, p  # the next depth block is drawn without this one
     return out
 
 
@@ -331,7 +369,7 @@ def _sums_and_maxes(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
     run_sum = np.zeros(count)
     run_max = np.zeros(count)
     next_cp = 0
-    for start, prod, _ in _depth_blocks(cfg, source, count):
+    for start, prod, qa in _depth_blocks(cfg, source, count):
         mx = np.maximum.accumulate(prod, axis=1)
         np.maximum(mx, run_max[:, None], out=mx)
         cs = np.cumsum(prod, axis=1, out=prod)  # prod is a fresh copy; reuse its memory
@@ -342,6 +380,7 @@ def _sums_and_maxes(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
             next_cp += 1
         run_sum = cs[:, -1].copy()
         run_max = mx[:, -1].copy()
+        del prod, qa, mx, cs  # the next depth block is drawn without this one
     return out
 
 
@@ -352,9 +391,10 @@ def _chunk(cfg: ExperimentConfig, rows, reduce, rng_range: tuple[int, int]) -> n
 
 
 def _chunk_ranges(cfg: ExperimentConfig) -> list[tuple[int, int]]:
-    """Sample ranges of at most 512 whose depth blocks fit _CHUNK_BUDGET."""
-    depth = min(_DEPTH_BLOCK, cfg.horizon + (cfg.ell - 1) * cfg.d)
-    size = max(1, min(512, _CHUNK_BUDGET // (_BYTES_PER_QUOTIENT * depth)))
+    """Sample ranges of at most 512 whose depth blocks, with the tail carried past them, fit _CHUNK_BUDGET."""
+    span = (cfg.ell - 1) * cfg.d
+    width = min(_DEPTH_BLOCK, cfg.horizon + span) + span
+    size = max(1, min(512, _CHUNK_BUDGET // (_BYTES_PER_QUOTIENT * width)))
     return [(lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size)]
 
 
@@ -412,6 +452,16 @@ def run_dichotomy(
 def hitting_times(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (tau_F, tau_E) arrays; horizon+1 encodes no event."""
     return _hitting_times(config.validated(), None)
+
+
+def event_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample (tau_F, tau_E, j) arrays; horizon+1 encodes no event.
+
+    At the first F level n the two blocks are j < k = n; j is 0 where there
+    is no F level.
+    """
+    events = _gather(config.validated(), None, partial(_events, records=True), (4,), np.int64)
+    return events[0], events[1], events[3]
 
 
 # ---------------------------------------------------------------------------

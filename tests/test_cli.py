@@ -1,10 +1,13 @@
+import io
 import json
 import os
 
 import jsonschema
 import pytest
 
-from cflab import cli
+from cflab import blocks, cf, cli, mc
+from cflab.errors import DomainError
+from cflab.growth import GrowthFunction
 from test_pressure import _python
 
 
@@ -137,6 +140,87 @@ class TestEventsAndPressure:
         p08 = float(lines[1].split(",")[2])
         p10 = float(lines[2].split(",")[2])
         assert p08 > p10
+
+
+EVENTS_HEADER = ["sample_id", "tau_F", "tau_E", "j", "k", "overlap"]
+
+
+def scalar_events_csv(ell, family, params, horizon, seed, samples):
+    """The events CSV from one scalar word per sample and the blocks detectors."""
+    phi = GrowthFunction.from_spec(family, params)
+    rows = []
+    for sid in range(samples):
+        word = cf.take(cf.lebesgue_quotients(mc.sample_rng(seed, sid)), horizon + ell - 1)
+        hit_f = blocks.first_F_event(word, ell, phi, horizon)
+        hit_e = blocks.first_E_event(word, ell, phi, horizon)
+        tau_e = hit_e if hit_e is not None else ""
+        if hit_f is not None:
+            n, rec = hit_f
+            rows.append([sid, n, tau_e, rec.j, rec.k, rec.overlap])
+        else:
+            rows.append([sid, "", tau_e, "", "", ""])
+    buf = io.StringIO()
+    mc.write_csv(buf, EVENTS_HEADER, rows)
+    return buf.getvalue()
+
+
+def events_argv(ell, family, params, horizon, seed, samples):
+    return ["events", "--ell", str(ell), "--phi-family", family, "--phi-params", params,
+            "--horizon", str(horizon), "--seed", str(seed), "--samples", str(samples)]
+
+
+class TestEventsOnTheEngine:
+    """`events` streams depth blocks; its CSV is the scalar path's, byte for byte."""
+
+    @pytest.mark.parametrize("depth", [7, None])  # 7: records cross depth blocks
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_csv_matches_scalar_reference(self, capsys, monkeypatch, depth, ell):
+        if depth:
+            monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
+        for family, params in (("powerlog", "1,2"), ("exp", "2"), ("powerlog", "0,0")):
+            for seed in (3, 17, 2024):
+                args = (ell, family, params, 120, seed, 6)
+                code, out, err = run_cli(capsys, *events_argv(*args))
+                assert (code, err) == (0, ""), args
+                assert out == scalar_events_csv(*args), args
+
+    def test_table_shorter_than_horizon_as_scalar_path(self, capsys):
+        # the scalar path compares phi past the table only when a product >= 2 meets it there
+        outcomes = set()
+        for params, horizon in (("2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2", 40), ("2,3,4", 10),
+                                ("3,5,8,13,21,34", 12)):
+            for seed in range(6):
+                args = (1, "table", params, horizon, seed, 3)
+                code, out, err = run_cli(capsys, *events_argv(*args))
+                try:
+                    want = (0, scalar_events_csv(*args), "")
+                except DomainError as exc:
+                    want = (1, "", f"error[domain]: {exc}\n")
+                assert (code, out, err) == want, args
+                outcomes.add(code)
+        assert outcomes == {0, 1}
+
+    @pytest.mark.parametrize("extra", [["--samples", "0"], ["--samples", "-2"],
+                                       ["--samples", "0", "--horizon", "0", "--ell", "0"],
+                                       ["--samples", "0", "--horizon", "1000000000"]])
+    def test_no_samples_prints_the_header_only(self, capsys, extra):
+        argv = events_argv(1, "powerlog", "1,2", 10, 0, 1) + extra
+        assert run_cli(capsys, *argv) == (0, ",".join(EVENTS_HEADER) + "\r\n", "")
+
+    @pytest.mark.parametrize("horizon, ell, message", [
+        (0, 1, "horizon must be >= 1"), (-3, 2, "horizon must be >= 1"),
+        (10, 0, "ell must be >= 1"), (0, 0, "horizon must be >= 1"),
+    ])
+    def test_bad_horizon_or_ell_exits_domain(self, capsys, horizon, ell, message):
+        code, out, err = run_cli(capsys, *events_argv(ell, "powerlog", "1,2", horizon, 0, 2))
+        assert (code, out, err) == (1, "", f"error[domain]: {message}\n")
+
+    def test_word_budget_bound_is_kept(self, capsys, monkeypatch):
+        monkeypatch.setattr(cf, "_TAKE_BUDGET", 36 * 50)  # 50 terms: horizon + ell - 1 <= 50
+        for horizon, ell, code in ((50, 1, 0), (49, 2, 0), (51, 1, 2), (50, 2, 2), (0, 52, 2)):
+            got, out, err = run_cli(capsys, *events_argv(ell, "powerlog", "1,2", horizon, 0, 2))
+            assert got == code, (horizon, ell)
+            assert (err == "") == (code == 0) and (out == "") == (code == 2)
 
 
 class TestExperimentCli:

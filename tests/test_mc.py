@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -196,6 +197,48 @@ class TestDepthBlockStreaming:
                 assert (tau_f[sid], tau_e[sid]) == want, (stream_fn.__name__, sid)
 
     @pytest.mark.parametrize("depth", [7, 777])
+    def test_event_records_match_detector(self, monkeypatch, depth):
+        """The j recorded at tau_F is first_F_event's, also when it lies in an earlier depth block."""
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
+
+        def window(n, ell):  # the depth block that holds block start n (1-based)
+            first = depth - (ell - 1)  # starts of the first depth block
+            return 0 if n <= first else 1 + (n - first - 1) // depth
+
+        def check(word, ell, phi, horizon, tau_f, j):
+            hit = blocks.first_F_event(word, ell, phi, horizon)
+            assert (tau_f, j) == ((hit[0], hit[1].j) if hit else (horizon + 1, 0))
+            return hit is not None and window(j, ell) < window(tau_f, ell)
+
+        earlier = 0
+        lebesgue = [(GrowthFunction.power_log(1, 0), 2, 2000, 4, 13)] + [
+            (GrowthFunction.exponential(base), ell, 30, 150, 5) for base in (2, 3) for ell in (1, 2)
+        ]
+        for phi, ell, horizon, samples, seed in lebesgue:
+            cfg = mc.ExperimentConfig(
+                kind="dichotomy", ell=ell, phi=phi, horizon=horizon, samples=samples, seed=seed,
+            )
+            tau_f, tau_e, first_j = mc.event_records(cfg)
+            assert all(np.array_equal(a, b) for a, b in zip((tau_f, tau_e), mc.hitting_times(cfg)))
+            for sid in range(samples):
+                word = cf.take(cf.lebesgue_quotients(mc.sample_rng(seed, sid)), horizon + ell - 1)
+                earlier += check(word, ell, phi, horizon, tau_f[sid], first_j[sid])
+        giants = [
+            (near_power_stream, GrowthFunction.exponential(2), 1, 1000),
+            (powers_of_two_stream, GIANT_TABLE, 3, 2000),
+            (rare_giant_stream, GrowthFunction.power_log(1, 2), 1, 2000),
+        ]
+        for stream_fn, phi, ell, horizon in giants:
+            cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
+                                      samples=8).validated()
+            got = mc._gather(cfg, stream_fn, partial(mc._events, records=True), (4,), np.int64)
+            assert np.array_equal(got[:3], mc._gather(cfg, stream_fn, mc._events, (3,), np.int64))
+            for sid in range(8):
+                word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
+                earlier += check(word, ell, phi, horizon, got[0, sid], got[3, sid])
+        assert earlier > 0, earlier
+
+    @pytest.mark.parametrize("depth", [7, 777])
     def test_giant_row_leaves_vectorised_rows_alone(self, monkeypatch, depth):
         """One chunk: ordinary rows and one row with a giant block across a depth-block boundary.
 
@@ -244,6 +287,18 @@ class TestDepthBlockStreaming:
         got = (mc.chung_erdos_check(ce), mc.chung_erdos_check(coins), mc.run_trimmed(trimmed))
         assert got == want
 
+    def test_tail_longer_than_a_depth_block(self, monkeypatch):
+        """A (ell - 1) d = 10 column tail spans two depth blocks of 7 and is carried whole."""
+        trimmed = mc.ExperimentConfig(kind="trimmed", ell=3, d=5, horizon=300, samples=3, seed=8,
+                                      checkpoints=(2, 50, 300))
+        phi = GrowthFunction.table([1e8 * 1.01**n for n in range(300)])  # tau_F from 12 to none
+        dichotomy = mc.ExperimentConfig(kind="dichotomy", ell=11, phi=phi, horizon=300, samples=6, seed=8)
+        want = mc.run_trimmed(trimmed), mc.event_records(dichotomy)
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", 7)
+        got = mc.run_trimmed(trimmed), mc.event_records(dichotomy)
+        assert got[0] == want[0]
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+
     @pytest.mark.parametrize("kind", ["dichotomy", "chung_erdos"])
     def test_one_sample_peak_flat_in_horizon(self, monkeypatch, kind):
         monkeypatch.setattr(mc, "_DEPTH_BLOCK", 256)
@@ -268,6 +323,27 @@ class TestDepthBlockStreaming:
             )
             peaks.append(traced_peak(lambda: mc.chung_erdos_check(cfg)))
         assert peaks[2] <= 1.1 * peaks[1], peaks
+
+    @pytest.mark.parametrize("kind", ["trimmed", "khinchin", "dichotomy"])
+    def test_one_depth_block_alive_at_a_time(self, monkeypatch, kind):
+        """A chunk of several depth blocks peaks within _BYTES_PER_QUOTIENT of one block."""
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", 4096)
+        run = {"trimmed": mc.run_trimmed, "khinchin": mc.run_khinchin, "dichotomy": mc.run_dichotomy}[kind]
+        cfg = mc.ExperimentConfig(kind=kind, ell=2, phi=GrowthFunction.power_log(3, 2),
+                                  horizon=3 * 4096, samples=64, seed=1)
+        run(cfg)  # warms up caches
+        peak = traced_peak(lambda: run(cfg))
+        assert peak <= mc._BYTES_PER_QUOTIENT * 64 * 4096, peak / (64 * 4096)
+
+    def test_chunk_budget_counts_the_carried_tail(self, monkeypatch):
+        """A tail of (ell - 1) d columns longer than a depth block counts against the chunk budget."""
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", 128)
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", 400_000)  # one chunk of all 64 rows peaks at 490 KB
+        cfg = mc.ExperimentConfig(kind="dichotomy", ell=301, phi=GrowthFunction.power_log(1, 1),
+                                  horizon=10, samples=64, seed=3)
+        assert len(mc._chunk_ranges(cfg.validated())) > 1
+        mc.run_dichotomy(cfg)  # warms up caches
+        assert traced_peak(lambda: mc.run_dichotomy(cfg)) <= mc._CHUNK_BUDGET
 
     def test_mc_workload_shapes_keep_one_chunk(self):
         for kind, samples, horizon, ell in (("dichotomy", 256, 10**4, 3), ("trimmed", 16, 2 * 10**4, 2)):
