@@ -164,12 +164,6 @@ def lebesgue_quotients(rng, buffer: int = 4096) -> Iterator[int]:
             yield a
 
 
-def sample_quotients(rng, count: int) -> list[int]:
-    """First `count` quotients of one sampled stream."""
-    it = lebesgue_quotients(rng)
-    return [next(it) for _ in range(count)]
-
-
 def check_word_budget(count: int) -> None:
     """Refuse a word of `count` terms past _TAKE_BUDGET bytes, at most 36 bytes a term."""
     if 36 * count > _TAKE_BUDGET:

@@ -43,7 +43,7 @@ def _add_phi_flags(p):
 def _emit_csv(header, rows, out=None):
     if out:
         try:
-            mc.write_csv_atomic(out, header, rows)
+            mc.write_atomic(out, lambda fh: mc.write_csv(fh, header, rows))
         except OSError as exc:
             raise DomainError(f"cannot write {out}: {exc.strerror}") from None
     else:

@@ -20,12 +20,12 @@ samples x tiles run as one wide recursion. A tile is kept only when its
 warmed-up start equals the true end of the tile before, and is recomputed
 from that end otherwise: the rows are bitwise the column-at-a-time ones.
 
-Comparisons "block product >= phi(n)" run in value space: block products are
-exact in float64 below 2^53, thresholds are the float values of phi on the
-depth block's levels (correctly rounded where phi is exact, so ties count).
-The event masks are built for a group of rows at once; a row whose products
-or carried maximum reach 2^53 is resolved on its own, exactly, by
-GrowthFunction.meets_threshold.
+Comparisons "block product >= phi(n)" run in value space, for a group of rows
+at once: thresholds are the float values of phi on the depth block's levels
+(correctly rounded where phi is exact, so ties count), and block products are
+exact in float64 below 2^53. Past it float64 still decides, except within a
+band of phi (_doubtful) where GrowthFunction.meets_threshold judges the exact
+integer.
 """
 
 from __future__ import annotations
@@ -34,19 +34,17 @@ import hashlib
 import json
 import math
 import os
-import tempfile
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .growth import GrowthFunction
+from .growth import LOG_BAND, GrowthFunction
 
 PRNG_NAME = "philox4x64 keyed by (seed, sample_id)"
 GIANT = 2.0**53  # float64 stops being exact on integers here
@@ -256,32 +254,27 @@ def _depth_blocks(cfg: ExperimentConfig, source, count: int):
         del qa
 
 
-def _qualify_counts(products: np.ndarray, giants: dict, phi_win: np.ndarray, phi, start: int):
-    """Per product, the number of window levels n = start + 1, .. with phi(n) <= product.
+def _doubtful(x: np.ndarray, phi, band: float) -> np.ndarray:
+    """Where x >= GIANT and x >= phi may not be meets_threshold's verdict on x's exact X.
 
-    phi_win holds phi at those levels and is non-decreasing, so searchsorted
-    gives the count; products at or above 2^53 are re-resolved from their
-    exact integers giants[i].
+    x rounds X, or is the largest of such floats: |x / X - 1| <= ell u, u = 2^-53,
+    one rounding per multiplication; an inf x counts as DBL_MAX <= X (1 + ell u).
+    Outside the band, |x - phi| > band (x + phi) puts x / phi above 1 + 2 band or
+    below 1 - 2 band + 2 band^2. With band = LOG_BAND + (ell + 1) 2^-52, the
+    (ell + 1) 2^-51 covers ell u and band^2, so X / phi lies beyond 1 +- 2 LOG_BAND
+    and |log X - log phi| > 1.99 LOG_BAND. meets_threshold's gap log X - log_phi(n)
+    is within 1e-12 of that for a finite phi (as meets_threshold itself assumes),
+    so it decides by its log test, with the float's sign. An inf or NaN phi fails
+    the ">" and is always doubtful.
     """
-    m = np.searchsorted(phi_win, products, side="right")
-    levels = range(start + 1, start + len(phi_win) + 1)
-    for i, p in giants.items():  # the window's levels with phi(n) <= p come first
-        m[i] = bisect_left(levels, True, key=lambda n: not phi.meets_threshold(p, n))
-    return m
+    with np.errstate(invalid="ignore", over="ignore"):
+        x = np.minimum(x, np.finfo(float).max)
+        return (x >= GIANT) & ~(abs(x - phi) > band * (x + phi))
 
 
-def _event_masks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, F) masks over the window's levels 1 .. len(m) - 1, counted from its start.
-
-    Block j >= 1 of the window qualifies at its level k iff j <= k <= m[j];
-    m[0] is the prefix max of the earlier blocks' m, clipped to the window.
-    E holds at level k when block k qualifies, and F when besides it some
-    earlier block does (the prefix max of m reaches k).
-    """
-    idx = np.arange(1, len(m))
-    e = m[1:] >= idx
-    f = e & (np.maximum.accumulate(m[:-1]) >= idx)
-    return e, f
+def _exact(qa: np.ndarray, row: int, j: int, ell: int) -> int:
+    """The exact integer product of the block at column j of qa's row."""
+    return math.prod(map(int, qa[row, j : j + ell].tolist()))
 
 
 def _fold_events(out: np.ndarray, start: int, e: np.ndarray, f: np.ndarray) -> None:
@@ -293,72 +286,82 @@ def _fold_events(out: np.ndarray, start: int, e: np.ndarray, f: np.ndarray) -> N
     out[2] += np.count_nonzero(f, axis=1)
 
 
-def _events(cfg: ExperimentConfig, source, count: int, records: bool = False) -> np.ndarray:
-    """Per row: tau_F, tau_E (horizon + 1 encodes none), the number of F levels and, with records, j.
+def _events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
+    """Per row: tau_F, tau_E (horizon + 1 encodes none), the number of F levels and j (0 for none).
 
     phi, evaluated on each depth block's levels only, is non-decreasing: block
     n qualifies at its level iff prod >= phi(n) (E), and besides it an earlier
     block does iff the largest earlier product, carried across blocks, does
-    (F). A row whose window or carry reaches 2^53 takes the exact path of
-    _qualify_counts, for this and every later window.
+    (F). float64 decides, but where a product or the running top is doubtful
+    the exact integer does; a row whose top passes 2^53 carries its exact
+    value, from the few blocks whose floats lie within the band of the top.
 
-    At the first F level n the record is k = n, and j (0 when there is no F
-    level) is the one earlier block that reaches phi(n): two would have made
-    an earlier level F. So j is the first block of the window reaching phi(n)
-    or, when the carried top does, the start of its earliest maximum, which
-    arg carries next to it.
+    At the first F level n the record is k = n, and j is the one earlier block
+    that reaches phi(n): two would have made an earlier level F. So j is the
+    earliest block holding the exact top before n: the carried top, whose
+    start arg carries next to it, or the first block of the window reaching it.
     """
     ell, phi, N = cfg.ell, cfg.phi, cfg.horizon
-    out = np.zeros((3 + records, count), dtype=np.int64)
+    band = LOG_BAND + (ell + 1) * 2.0**-52  # see _doubtful
+    out = np.zeros((4, count), dtype=np.int64)
     out[:2] = N + 1
-    top = np.zeros(count)  # largest earlier block product, exact below GIANT
+    top = np.zeros(count)  # largest earlier block product, rounded past GIANT
     arg = np.zeros(count, dtype=np.int64)  # 1-based start of the earliest block reaching top
     exact_top = {}  # the exact integer top of rows whose top reached GIANT
     for start, prod, qa in _depth_blocks(cfg, source, count):
         width = prod.shape[1]
         phi_win = phi.phi_array(start + width, first=start + 1)
+        later = start + width < N
         for lo in range(0, count, _MASK_ROWS):
             rows = slice(lo, min(lo + _MASK_ROWS, count))
             p, t, g, o = prod[rows], top[rows], arg[rows], out[:, rows]
-            pending = (o[0] > start) & records  # rows whose tau_F, and so j, is still to come
-            for i in np.flatnonzero((p.max(axis=1) >= GIANT) | (t >= GIANT)).tolist():
-                row = lo + i
-                products = np.concatenate(([t[i]], p[i]))
-                giants = {j: exact_top[row] if j == 0 else math.prod(map(int, qa[row, j - 1 : j - 1 + ell]))
-                          for j in np.flatnonzero(products >= GIANT).tolist()}
-                m = _qualify_counts(products, giants, phi_win, phi, start)
-                e, f = _event_masks(m)
-                _fold_events(o[:, i : i + 1], start, e[None], f[None])
-                if pending[i] and o[0, i] <= start + width:  # tau_F = start + k
-                    k = o[0, i] - start
-                    first = int(np.argmax(m[:k] >= k))  # the earlier block reaching phi; 0 is the carry
-                    o[3, i] = start + first if first else g[i]
-                exact_top[row] = max(giants.values())
-                first = next(j for j, v in giants.items() if v == exact_top[row])  # 0 is the carry
-                if first:
-                    g[i] = start + first
-                pending[i] = False
-                t[i] = GIANT
-                p[i] = 0.0  # done: below phi >= 2 everywhere
-            carry = start + width < N and pending.any()  # a later window may need arg
-            if carry:
+            pending = o[0] > start  # rows whose tau_F, and so j, is still to come
+            raw = p.copy() if ((p.max(axis=1) >= GIANT) | (t >= GIANT)).any() else None
+            seen = {}  # row -> (c, top_before(row, c)) of its last call; calls come in column order
+
+            def top_before(i, c):
+                """(exact top before column c of row i, the 1-based start of its earliest block)."""
+                c0, best = seen.get(i, (0, (exact_top.get(lo + i) or int(t[i]), int(g[i]))))
+                near = np.flatnonzero(_doubtful(raw[i, c0:c], p[i, c - 1] if c else t[i], band))
+                for j in (c0 + near).tolist():  # only blocks near the float top can hold it
+                    v = _exact(qa, lo + i, j, ell)
+                    if v > best[0]:  # ties keep the earlier start
+                        best = v, start + 1 + j
+                seen[i] = c, best
+                return best
+
+            if later and pending.any():  # a later window may need arg
                 a = p.argmax(axis=1)  # each row's earliest largest product of the window
             e = p >= phi_win
             np.maximum.accumulate(p, axis=1, out=p)
             np.maximum(p, t[:, None], out=p)  # p[:, j] is now the top after block j
-            f = np.empty_like(e)
+            f = np.empty_like(e)  # some earlier block reaches phi
             np.greater_equal(t, phi_win[0], out=f[:, 0])
             np.greater_equal(p[:, :-1], phi_win[1:], out=f[:, 1:])
+            if raw is not None:
+                for i, c in np.argwhere(_doubtful(raw, phi_win, band)).tolist():
+                    e[i, c] = phi.meets_threshold(_exact(qa, lo + i, c, ell), start + 1 + c)
+                before = np.concatenate((t[:, None], p[:, :-1]), axis=1)
+                for i, c in np.argwhere(_doubtful(before, phi_win, band) & e).tolist():
+                    f[i, c] = phi.meets_threshold(top_before(i, c)[0], start + 1 + c)
+                del before
             f &= e
             _fold_events(o, start, e, f)
             for i in np.flatnonzero(pending & (o[0] <= start + width)).tolist():
-                c = o[0, i] - start - 1  # tau_F's column; the running top p[i] reaches phi first at j
-                first = np.searchsorted(p[i, :c], phi_win[c])
-                o[3, i] = g[i] if t[i] >= phi_win[c] else start + 1 + first
-            if carry:
-                np.copyto(g, start + 1 + a, where=p[:, -1] > t)
+                c = o[0, i] - start - 1  # tau_F's column
+                r = p[i, c - 1] if c else t[i]  # the top before it
+                if r >= GIANT:
+                    seen.pop(i, None)  # F's calls may have passed c
+                    o[3, i] = top_before(i, c)[1]
+                else:  # exact: the carried top, or the first block where the running top reaches r
+                    o[3, i] = g[i] if t[i] >= r else start + 1 + np.searchsorted(p[i, :c], r)
+            if later:
+                for i in np.flatnonzero(p[:, -1] >= GIANT).tolist():
+                    exact_top[lo + i], g[i] = top_before(i, width)
+                if pending.any():
+                    np.copyto(g, start + 1 + a, where=(p[:, -1] > t) & (p[:, -1] < GIANT))
             t[:] = p[:, -1]
-        del prod, qa, p  # the next depth block is drawn without this one
+        del prod, qa, p, raw  # the next depth block is drawn without this one
     return out
 
 
@@ -427,7 +430,7 @@ def _gather(cfg: ExperimentConfig, stream_fn: Optional[StreamFn], reduce, shape,
 
 
 def _hitting_times(cfg: ExperimentConfig, stream_fn: Optional[StreamFn]):
-    events = _gather(cfg, stream_fn, _events, (3,), np.int64)
+    events = _gather(cfg, stream_fn, _events, (4,), np.int64)
     return events[0], events[1]
 
 
@@ -460,7 +463,7 @@ def event_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.
     At the first F level n the two blocks are j < k = n; j is 0 where there
     is no F level.
     """
-    events = _gather(config.validated(), None, partial(_events, records=True), (4,), np.int64)
+    events = _gather(config.validated(), None, _events, (4,), np.int64)
     return events[0], events[1], events[3]
 
 
@@ -551,7 +554,7 @@ def chung_erdos_check(
     if cfg.kind != "chung_erdos":
         raise DomainError("config.kind must be 'chung_erdos'")
     if cfg.synthetic_p is None:
-        c = _gather(cfg, stream_fn, _events, (3,), np.int64)[2]
+        c = _gather(cfg, stream_fn, _events, (4,), np.int64)[2]
     else:
         c = np.array([_coin_count(cfg, sid) for sid in range(cfg.samples)])
     S = cfg.samples
@@ -658,15 +661,16 @@ def write_csv(fh, header: Sequence[str], rows) -> None:
         fh.write(",".join(format_cell(c) for c in row) + "\r\n")
 
 
-def write_csv_atomic(path: str, header: Sequence[str], rows) -> None:
-    """write_csv to a temp file beside path, then rename it over path.
+def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
+    """write(fh) into a temp file beside path, then rename it over path.
 
     The temp file is opened like any new file, so it gets umask permissions.
+    Nothing translates newlines: the bytes are the same on every platform.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8", newline="") as fh:
-            write_csv(fh, header, rows)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -689,7 +693,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> RunManifest:
     header = list(rows[0])
     data = [list(r.values()) for r in rows]
     csv_name = f"{cfg.kind}.csv"
-    write_csv_atomic(os.path.join(out_dir, csv_name), header, data)
+    write_atomic(os.path.join(out_dir, csv_name), lambda fh: write_csv(fh, header, data))
     finished = datetime.now(timezone.utc).isoformat()
     manifest = RunManifest(
         config_hash=config_hash(cfg),
@@ -700,12 +704,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> RunManifest:
         finished_at=finished,
         output_files=(csv_name,),
     )
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        json.dump(manifest.__dict__, fh, indent=2, sort_keys=True, default=list)
-        fh.write("\n")
-    os.replace(tmp, manifest_path)
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(cfg))
+    manifest_text = json.dumps(manifest.__dict__, indent=2, sort_keys=True, default=list) + "\n"
+    write_atomic(os.path.join(out_dir, "manifest.json"), lambda fh: fh.write(manifest_text))
+    write_atomic(os.path.join(out_dir, "config.txt"), lambda fh: fh.write(config_to_text(cfg)))
     return manifest

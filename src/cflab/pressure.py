@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,7 +94,6 @@ class PotentialSpec:
     ell: int = 1
     u: float = 0.0
     v: float = 0.0
-    fn: Callable[[float], float] | None = None
 
     @classmethod
     def wang_wu(cls, ell: int) -> "PotentialSpec":
@@ -116,10 +115,6 @@ class PotentialSpec:
     def affine_beta(cls, u: float, v: float) -> "PotentialSpec":
         return cls("affine_beta", u=u, v=v)
 
-    @classmethod
-    def custom(cls, fn: Callable[[float], float]) -> "PotentialSpec":
-        return cls("custom", fn=fn)
-
     def f(self, s: float) -> float:
         """Multiplier of log B for the B-scaled families."""
         if self.kind == "wang_wu":
@@ -130,8 +125,6 @@ class PotentialSpec:
             return 3.0 * s - 1.0 - s * s
         if self.kind == "g3":
             return float(g3(s))
-        if self.kind == "custom":
-            return float(self.fn(s))
         raise DomainError(f"potential {self.kind!r} has no log-B multiplier")
 
     def offset(self, s: float, log_B: float) -> float:

@@ -5,9 +5,10 @@ coordinates, integer floor thresholds) with mpmath zeta constants, staying
 off the divisor-sieve/Euler-Maclaurin path they check. Event oracles walk
 the definitions literally. The trimmed-law centre sums exact Gauss masses of
 the cylinders {a_1 = i, a_2 = j}; it uses neither the sampler nor the series
-module. The exact quotient law, the Dirichlet-Piltz sum, the word pressure
-and the column-at-a-time quotient sampler are definitions and slow paths the
-library's fast paths are checked against.
+module. The exact quotient law, the Dirichlet-Piltz sum, the word pressure,
+the column-at-a-time quotient sampler and the first terms of one scalar
+stream are definitions and slow paths the library's fast paths are checked
+against.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
+from cflab.cf import lebesgue_quotients
 from cflab.errors import DomainError, ResourceLimitError
 from cflab.mc import sample_rng
 from cflab.series import divisor_table
@@ -251,7 +253,7 @@ def coin_rhs_sigma(p: float, N: int, samples: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact quotient law, summatory divisor function, word pressure, column sampler
+# exact quotient law, summatory divisor function, word pressure, column and scalar samplers
 
 
 class ColumnQuotientSampler:
@@ -284,6 +286,12 @@ class ColumnQuotientSampler:
             r = 1.0 / (a + r)
         self._r = r
         return out
+
+
+def sample_quotients(rng, count: int) -> list[int]:
+    """First `count` quotients of one scalar stream, cf.lebesgue_quotients(rng)."""
+    it = lebesgue_quotients(rng)
+    return [next(it) for _ in range(count)]
 
 
 def quotient_law(k: int, r) -> object:

@@ -140,7 +140,7 @@ class TestSampler:
     def test_stream_buffering_invariance(self):
         rng1 = np.random.Generator(np.random.Philox(key=7))
         rng2 = np.random.Generator(np.random.Philox(key=7))
-        a = cf.sample_quotients(rng1, 100)
+        a = oracles.sample_quotients(rng1, 100)
         it = cf.lebesgue_quotients(rng2, buffer=13)
         b = [next(it) for _ in range(100)]
         assert a == b

@@ -173,7 +173,7 @@ class TestEventsOnTheEngine:
     """`events` streams depth blocks; its CSV is the scalar path's, byte for byte."""
 
     @pytest.mark.parametrize("depth", [7, None])  # 7: records cross depth blocks
-    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 40, 60])  # 40, 60: products pass 2^53
     def test_csv_matches_scalar_reference(self, capsys, monkeypatch, depth, ell):
         if depth:
             monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)

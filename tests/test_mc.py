@@ -1,7 +1,6 @@
 import math
 import os
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -114,7 +113,7 @@ class TestSamplingEngine:
         assert np.array_equal(permuted[1], full[2])
 
     def test_scalar_stream_matches_engine(self):
-        row = cf.sample_quotients(mc.sample_rng(7, 3), 300)
+        row = oracles.sample_quotients(mc.sample_rng(7, 3), 300)
         block = mc.sample_quotient_block(7, [3], 300)[0]
         assert np.array_equal(np.array(row, dtype=float), block)
 
@@ -231,8 +230,7 @@ class TestDepthBlockStreaming:
         for stream_fn, phi, ell, horizon in giants:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                       samples=8).validated()
-            got = mc._gather(cfg, stream_fn, partial(mc._events, records=True), (4,), np.int64)
-            assert np.array_equal(got[:3], mc._gather(cfg, stream_fn, mc._events, (3,), np.int64))
+            got = mc._gather(cfg, stream_fn, mc._events, (4,), np.int64)
             for sid in range(8):
                 word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
                 earlier += check(word, ell, phi, horizon, got[0, sid], got[3, sid])
@@ -263,12 +261,64 @@ class TestDepthBlockStreaming:
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                   samples=samples).validated()
         assert mc._chunk_ranges(cfg) == [(0, samples)]
-        got = mc._gather(cfg, stream_fn, mc._events, (3,), np.int64)
+        got = mc._gather(cfg, stream_fn, mc._events, (4,), np.int64)
         for sid in range(samples):
             word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
             want = reference_hits(word, ell, phi, horizon) + (oracles.brute_F_count(word, ell, phi, horizon),)
-            assert tuple(got[:, sid].tolist()) == want, sid
+            assert tuple(got[:3, sid].tolist()) == want, sid
         assert np.count_nonzero(got[2]) > samples // 2  # the vectorised rows see F levels
+
+    @pytest.mark.parametrize("depth", [7, 777])
+    @pytest.mark.parametrize("ell, phi, horizon, planted", [
+        # (2^30 + 1)(2^30 - 1) = 2^60 - 1 rounds onto phi(60) = 2^60: an E tie that is not
+        # one; 2^35 2^35 = phi(70) is one
+        (2, GrowthFunction.exponential(2), 100, {60: 2**30 + 1, 61: 2**30 - 1, 70: 2**35, 71: 2**35}),
+        # 3 * 8343167830714406 * 737 = 2^64 + 50 rounds twice, to 2^64 - 2048 < phi(64)
+        (3, GrowthFunction.exponential(2), 100, {64: 3, 65: 8343167830714406, 66: 737}),
+        # blocks 3 and 9, in different depth blocks at depth 7, are both 2^60 in float64,
+        # 2^60 - 1 and 241 * 4783906658119697 = 2^60 + 1 exactly: only block 9 reaches phi,
+        # so level 9 is no F level, and level 12 is one with j = 9
+        (2, GrowthFunction.table([2.0**60] * 20), 20,
+         {3: 2**30 + 1, 4: 2**30 - 1, 9: 241, 10: 4783906658119697, 12: 2**31, 13: 2**31}),
+        # products past float64 are inf, as is phi(n) = 2^n past n = 1023: 2^1026 at
+        # level 1030 is no E level, 2^1060 at 1040 is one, and F at 1050 with j = 1040
+        (2, GrowthFunction.exponential(2), 1100,
+         {1030: 2**513, 1031: 2**513, 1040: 2**530, 1041: 2**530, 1050: 2**526, 1051: 2**526}),
+        # phi(2) = 2^1100 log(2)^3000 clamps to 2, but phi_array computes inf * 0 = NaN
+        (2, GrowthFunction.power_log(1100, 3000), 30, {1: 2**30, 2: 2**30, 3: 2**30}),
+    ], ids=["E-tie", "rounded-twice", "carried-top", "inf", "nan-phi"])
+    def test_exact_inside_the_band(self, monkeypatch, depth, ell, phi, horizon, planted):
+        """Giant products whose float verdict is wrong: exact integers decide them, carried or not."""
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
+
+        def stream_fn(sid, length):  # sample 1 is planted, its neighbours in the row group all ones
+            row = np.ones(length)
+            for n, a in planted.items() if sid == 1 else ():
+                row[n - 1] = a
+            return row
+
+        cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
+                                  samples=3).validated()
+        got = mc._gather(cfg, stream_fn, mc._events, (4,), np.int64)
+        for sid in range(3):
+            word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
+            hit = blocks.first_F_event(word, ell, phi, horizon)
+            want = reference_hits(word, ell, phi, horizon) + (
+                oracles.brute_F_count(word, ell, phi, horizon), hit[1].j if hit else 0)
+            assert tuple(got[:, sid].tolist()) == want, sid
+        assert got[1, 1] <= horizon  # the planted row has an E level
+
+    def test_exact_compares_stay_few(self, monkeypatch):
+        """At ell = 60 every product is past 2^53, but almost none lies near phi."""
+        calls = []
+        meets = GrowthFunction.meets_threshold
+        monkeypatch.setattr(GrowthFunction, "meets_threshold",
+                            lambda self, p, n: calls.append(n) or meets(self, p, n))
+        cfg = mc.ExperimentConfig(kind="dichotomy", ell=60, phi=GrowthFunction.power_log(1, 2),
+                                  horizon=20_000, samples=2, seed=0)
+        tau_f, tau_e, j = mc.event_records(cfg)
+        assert (tau_f.tolist(), tau_e.tolist(), j.tolist()) == ([2, 2], [1, 1], [1, 1])
+        assert len(calls) <= 5, len(calls)
 
     @pytest.mark.parametrize("depth", [7, 777])
     def test_chung_erdos_and_trimmed_unchanged(self, monkeypatch, depth):
@@ -537,6 +587,19 @@ class TestPersistence:
         assert on_disk["tool_version"] == manifest.tool_version
         parsed = mc.config_from_text((out / "config.txt").read_text())
         assert mc.config_hash(parsed) == manifest.config_hash
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_share_one_atomic_writer(self, tmp_path, umask):
+        """The CSV, manifest and config all get the umask's mode, and no temp file stays."""
+        old = os.umask(umask)
+        try:
+            mc.run_experiment(self._config(), str(tmp_path))
+        finally:
+            os.umask(old)
+        modes = {name: (tmp_path / name).stat().st_mode & 0o777
+                 for name in ("dichotomy.csv", "manifest.json", "config.txt")}
+        assert set(modes.values()) == {0o666 & ~umask}, modes
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(modes)
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "fmt"
