@@ -162,11 +162,14 @@ class GrowthFunction:
         see exact ties.
         """
         n = np.arange(first, n_max + 1, dtype=float)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             if self.family == POWERLOG:
                 alpha, beta = self.params
                 lf = np.maximum(np.log(n), LOG2)
                 v = n ** alpha * lf ** beta
+                odd = ~np.isfinite(v)  # n^alpha overflowed: inf, or NaN where lf^beta is 0
+                if odd.any():
+                    v[odd] = np.exp(alpha * np.log(n[odd]) + beta * np.log(lf[odd]))
             elif self.family == EXPONENTIAL:
                 (base,) = self.params
                 v = np.exp(n * math.log(base))

@@ -17,7 +17,10 @@ operator.
 The barycentric rows do not depend on s. A dimension solve builds them once
 per alphabet (collocation_rows) and reuses them at every bisection step when
 they fit _ROWS_BUDGET bytes (N = 1000 at 64 points takes 33 MB); above that,
-and for a single transfer_pressure call, they are streamed chunk by chunk.
+and for a single transfer_pressure call, they are streamed chunk by chunk
+(about _CHUNK_ENTRIES entries, 32 MB at 64 points) through one chunk buffer
+that every chunk of the evaluation reuses. Rows are built in blocks of
+_BLOCK_ROWS, small enough to stay in cache, straight into their chunk.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .series import hurwitz_tail, zeta
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _CHUNK_ENTRIES = 4_000_000  # barycentric row entries per streamed chunk of branches
 _ROWS_BUDGET = 64_000_000  # bytes of rows one alphabet may hold across s
+_BLOCK_ROWS = 2_048  # rows built at a time: 1 MB at 64 points, held in L2
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +184,30 @@ def _cheb_nodes_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _barycentric_rows(y: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Interpolation row vectors: row p maps node values to f(y[p])."""
-    d = y[:, None] - x[None, :]
-    hit = d == 0.0
-    d[hit] = 1.0
-    rows = w[None, :] / d
-    rows /= rows.sum(axis=1, keepdims=True)
-    exact = hit.any(axis=1)
-    if exact.any():
-        rows[exact] = hit[exact].astype(float)
-    return rows
+def _barycentric_rows(y: np.ndarray, x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Interpolation row vectors into out, shape (len(y), m): row p maps node values to f(y[p]).
+
+    Built _BLOCK_ROWS rows at a time, so a block's differences stay in cache in
+    one scratch array. Every entry takes the whole-array build's operations:
+    w / (y - x), then a division by the row sum. A y on a node divides by a zero
+    difference, which makes its row sum inf or NaN; only those rows are checked
+    for a node, and one that has one becomes its unit row.
+    """
+    d = np.empty((min(_BLOCK_ROWS, len(y)), len(x)))
+    sums = np.empty((len(d), 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(y), _BLOCK_ROWS):
+            rows = out[lo : lo + _BLOCK_ROWS]
+            k = len(rows)
+            np.subtract(y[lo : lo + k, None], x[None, :], out=d[:k])
+            np.divide(w[None, :], d[:k], out=rows)
+            rows /= np.sum(rows, axis=1, keepdims=True, out=sums[:k])
+            odd = np.flatnonzero(~np.isfinite(sums[:k, 0]))
+            if len(odd):
+                hit = d[odd] == 0.0
+                exact = hit.any(axis=1)
+                rows[odd[exact]] = hit[exact]
+    return out
 
 
 def _chunk_len(m: int) -> int:
@@ -209,19 +226,28 @@ def _grid(params: PressureSolverParams) -> tuple[np.ndarray, np.ndarray]:
     return _cheb_nodes_weights(m)
 
 
-def _row_chunks(N: int, x: np.ndarray, w: np.ndarray):
-    """Per chunk of branches a <= N: y = 1/(a+x), shape (na, m), and its rows (na, m, m)."""
+def _row_chunks(N: int, x: np.ndarray, w: np.ndarray, reuse: bool):
+    """Per chunk of branches a <= N: y = 1/(a+x), shape (na, m), and its rows (na, m, m).
+
+    With reuse, every chunk's rows go into one buffer, overwritten by the next chunk.
+    """
     m = len(x)
     chunk = _chunk_len(m)
+    buf = None
     for lo in range(1, N + 1, chunk):
         a = np.arange(lo, min(lo + chunk, N + 1), dtype=float)
         y = 1.0 / (a[:, None] + x[None, :])
-        yield y, _barycentric_rows(y.reshape(-1), x, w).reshape(len(a), m, m)
+        if buf is None or not reuse:
+            buf = np.empty((len(a), m, m))  # the first chunk is the largest
+        rows = buf[: len(a)]
+        _barycentric_rows(y.reshape(-1), x, w, rows.reshape(-1, m))
+        yield y, rows
 
 
 def _stub_rows(N: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rows at the tail stub's point y* = 1/(N+1+x)."""
-    return _barycentric_rows(1.0 / (N + 1.0 + x), x, w)
+    m = len(x)
+    return _barycentric_rows(1.0 / (N + 1.0 + x), x, w, np.empty((m, m)))
 
 
 class CollocationRows:  # a plain class: a dataclass adds about 0.6 ms to importing cflab
@@ -248,7 +274,7 @@ def collocation_rows(
     m = len(x)
     if 8 * (N * m * (m + 1) + m * m) > _ROWS_BUDGET:
         return None
-    return CollocationRows(N, m, tuple(_row_chunks(N, x, w)), _stub_rows(N, x, w))
+    return CollocationRows(N, m, tuple(_row_chunks(N, x, w, reuse=False)), _stub_rows(N, x, w))
 
 
 def _transfer_matrix(
@@ -257,7 +283,7 @@ def _transfer_matrix(
     x, w = _grid(params)
     m = len(x)
     A = np.zeros((m, m))
-    for y, piece in rows.chunks if rows is not None else _row_chunks(N, x, w):
+    for y, piece in rows.chunks if rows is not None else _row_chunks(N, x, w, reuse=True):
         A += np.einsum("ai,aij->ij", y ** (2.0 * s), piece)
     if params.tail_correction and s >= params.tail_min_s and N >= 50:
         c = N + x  # tail over a >= N+1: base c + k with k >= 1

@@ -6,9 +6,9 @@ off the divisor-sieve/Euler-Maclaurin path they check. Event oracles walk
 the definitions literally. The trimmed-law centre sums exact Gauss masses of
 the cylinders {a_1 = i, a_2 = j}; it uses neither the sampler nor the series
 module. The exact quotient law, the Dirichlet-Piltz sum, the word pressure,
-the column-at-a-time quotient sampler and the first terms of one scalar
-stream are definitions and slow paths the library's fast paths are checked
-against.
+the column-at-a-time quotient sampler, the first terms of one scalar stream
+and the whole-array collocation rows are definitions and slow paths the
+library's fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
+from cflab import pressure
 from cflab.cf import lebesgue_quotients
 from cflab.errors import DomainError, ResourceLimitError
 from cflab.mc import sample_rng
-from cflab.series import divisor_table
+from cflab.series import divisor_table, hurwitz_tail
 
 
 @lru_cache(maxsize=64)
@@ -349,3 +350,36 @@ def word_pressure_oracle(s: float, alphabet, n: int, budget: int = 10_000_000) -
             q = q_new
     total = float(np.sum(q.astype(float) ** (-2.0 * s)))
     return math.log(total) / n
+
+
+def barycentric_rows(y: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Interpolation rows, row p mapping node values to f(y[p]), in whole-array passes."""
+    d = y[:, None] - x[None, :]
+    hit = d == 0.0
+    d[hit] = 1.0
+    rows = w[None, :] / d
+    with np.errstate(divide="ignore", invalid="ignore"):  # a unit row's weights may sum to 0
+        rows /= rows.sum(axis=1, keepdims=True)
+    exact = hit.any(axis=1)
+    if exact.any():
+        rows[exact] = hit[exact].astype(float)
+    return rows
+
+
+def collocation_matrix(s: float, N: int, params) -> np.ndarray:
+    """The transfer-operator matrix from fresh whole-array rows per chunk of branches.
+
+    Same chunks, einsum and tail stub as the library, so its matrix must match bitwise.
+    """
+    x, w = pressure._cheb_nodes_weights(params.grid_points)
+    m = len(x)
+    chunk = pressure._chunk_len(m)
+    A = np.zeros((m, m))
+    for lo in range(1, N + 1, chunk):
+        a = np.arange(lo, min(lo + chunk, N + 1), dtype=float)
+        y = 1.0 / (a[:, None] + x[None, :])
+        rows = barycentric_rows(y.reshape(-1), x, w).reshape(len(a), m, m)
+        A += np.einsum("ai,aij->ij", y ** (2.0 * s), rows)
+    if params.tail_correction and s >= params.tail_min_s and N >= 50:
+        A += hurwitz_tail(2.0 * s, N + x)[:, None] * barycentric_rows(1.0 / (N + 1.0 + x), x, w)
+    return A

@@ -184,6 +184,14 @@ class TestEventsOnTheEngine:
                 assert (code, err) == (0, ""), args
                 assert out == scalar_events_csv(*args), args
 
+    def test_clamped_powerlog_with_overflowing_power(self, capsys):
+        # 2^1100 overflows where phi(2) = max(2^1100 log(2)^3000, 2) = 2: level 2 can be E
+        args = (1, "powerlog", "1100,3000", 5, 1, 20)
+        code, out, err = run_cli(capsys, *events_argv(*args))
+        assert (code, err) == (0, "")
+        assert out == scalar_events_csv(*args)
+        assert ",,2," in out  # a sample with no F level whose E level is 2
+
     def test_table_shorter_than_horizon_as_scalar_path(self, capsys):
         # the scalar path compares phi past the table only when a product >= 2 meets it there
         outcomes = set()
@@ -292,6 +300,8 @@ BAD_INPUTS = [
     ["pressure", "--s", "0.7,nan", "--alphabet", "10"],
     ["pressure", "--s", "inf", "--alphabet", "10"],
     ["pressure", "--s", "0.7", "--grid-points", "1"],
+    ["pressure", "--s", "0.7,0.8", "--alphabet", "0"],  # several s build rows before N is checked
+    ["pressure", "--s", "0.7,0.8", "--alphabet", "-3"],
     ["experiment", "run", "--config", "missing.cfg", "--out", "missing_out"],
     ["experiment", "run", "--config", "dichotomy_d3.cfg", "--out", "out"],
     ["experiment", "run", "--config", "chung_erdos_d2.cfg", "--out", "out"],

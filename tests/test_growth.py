@@ -35,6 +35,22 @@ class TestLogPhi:
         assert f.log_phi(1000) == math.inf
         assert f.phi(1000) == math.inf
 
+    @pytest.mark.parametrize("alpha, beta", [(1100, 3000), (1100, 100), (400, 3000), (1.2, 1)])
+    def test_powerlog_overflowing_power_at_the_clamp(self, alpha, beta):
+        # n^alpha overflows at n <= 2 where lf^beta = log(2)^beta may underflow: the logs decide
+        f = GrowthFunction.power_log(alpha, beta)
+        arr = f.phi_array(2000)
+        n = np.arange(1.0, 2001.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = np.maximum(n**alpha * np.maximum(np.log(n), growth.LOG2) ** beta, 2.0)
+        finite = np.isfinite(direct)
+        assert np.array_equal(arr[finite], direct[finite])  # finite entries are unchanged
+        assert not np.isnan(arr).any()
+        for k in (1, 2, 3, 1999):
+            want = math.exp(f.log_phi(k)) if f.log_phi(k) < 709 else math.inf
+            assert f.phi(k) == arr[k - 1] == pytest.approx(want, rel=1e-12), k
+        assert (arr[:2].tolist() == [2.0, 2.0]) == (f.log_phi(2) == growth.LOG2)
+
     def test_monotonicity_grid(self):
         grid = list(range(1, 200)) + [10**3, 10**4, 10**5, 10**6]
         for f in (

@@ -284,7 +284,7 @@ class TestDepthBlockStreaming:
         # level 1030 is no E level, 2^1060 at 1040 is one, and F at 1050 with j = 1040
         (2, GrowthFunction.exponential(2), 1100,
          {1030: 2**513, 1031: 2**513, 1040: 2**530, 1041: 2**530, 1050: 2**526, 1051: 2**526}),
-        # phi(2) = 2^1100 log(2)^3000 clamps to 2, but phi_array computes inf * 0 = NaN
+        # phi(2) = 2^1100 log(2)^3000 clamps to 2, where the float product is inf * 0 = NaN
         (2, GrowthFunction.power_log(1100, 3000), 30, {1: 2**30, 2: 2**30, 3: 2**30}),
     ], ids=["E-tie", "rounded-twice", "carried-top", "inf", "nan-phi"])
     def test_exact_inside_the_band(self, monkeypatch, depth, ell, phi, horizon, planted):
@@ -307,6 +307,12 @@ class TestDepthBlockStreaming:
                 oracles.brute_F_count(word, ell, phi, horizon), hit[1].j if hit else 0)
             assert tuple(got[:, sid].tolist()) == want, sid
         assert got[1, 1] <= horizon  # the planted row has an E level
+
+    def test_nan_or_inf_phi_is_always_doubtful(self):
+        band = mc.LOG_BAND + 3 * 2.0**-52
+        x = np.array([2.0**60, math.inf, 2.0**60, 2.0**60, 2.0, 2.0**60])
+        phi = np.array([math.nan, math.nan, math.inf, 2.0**70, math.nan, 2.0**60])
+        assert mc._doubtful(x, phi, band).tolist() == [True, True, True, False, False, True]
 
     def test_exact_compares_stay_few(self, monkeypatch):
         """At ell = 60 every product is past 2^53, but almost none lies near phi."""

@@ -147,6 +147,7 @@ class TestCollocationRows:
         assert rows is not None
         for s in (0.46, 0.5, params.tail_min_s, 0.7, 1.0):  # below and above the tail
             streamed = pr._transfer_matrix(s, N, params)
+            assert np.array_equal(streamed, oracles.collocation_matrix(s, N, params))
             assert np.array_equal(pr._transfer_matrix(s, N, params, rows), streamed)
             assert pr.transfer_pressure(s, N, params, rows) == pr.transfer_pressure(s, N, params)
 
@@ -183,6 +184,16 @@ class TestCollocationRows:
             tracemalloc.stop()
         assert current < 1_000_000
 
+    def test_single_evaluation_peaks_at_one_chunk_buffer(self):
+        m = pr.DEFAULT_PARAMS.grid_points
+        tracemalloc.start()
+        try:
+            pr.transfer_pressure(0.7, 2500)  # 3 chunks of 976 branches
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= pr._chunk_len(m) * m * m * 8 + 4_000_000
+
     def test_grid_over_budget_rejected_before_allocation(self):
         # 10^9 points would need 8e18 bytes of rows; the child may map only 2 GiB
         code = (
@@ -210,6 +221,52 @@ class TestCollocationRows:
                        address_space=2**31)
         assert done.returncode == 2 and done.stderr.startswith("error[resource]")
         assert done.stdout == ""
+
+
+class TestBlockedRows:
+    """The rows are built in blocks of _BLOCK_ROWS; every entry is the whole-array build's."""
+
+    @pytest.mark.parametrize("m", [2, 3, 64])
+    def test_nodes_on_block_boundaries(self, monkeypatch, m):
+        monkeypatch.setattr(pr, "_BLOCK_ROWS", 7)
+        x, w = pr._cheb_nodes_weights(m)
+        y = np.random.default_rng(m).random(7 * 5 + 3)
+        on_node = [0, 6, 7, 13, 14, 20, 36, 37]  # first and last rows of blocks, ragged last block
+        y[on_node] = x[np.arange(len(on_node)) % m]
+        got = pr._barycentric_rows(y, x, w, np.empty((len(y), m)))
+        want = oracles.barycentric_rows(y, x, w)
+        assert np.array_equal(got, want)
+        assert all(np.count_nonzero(got[p]) == 1 for p in on_node)
+        for short in (1, 6, 7, 8):  # fewer rows than one block, and exactly one
+            assert np.array_equal(pr._barycentric_rows(y[:short], x, w, np.empty((short, m))),
+                                  want[:short])
+
+    @pytest.mark.parametrize("block", [7, 64, pr._BLOCK_ROWS])
+    def test_chunks_and_stub(self, monkeypatch, block):
+        monkeypatch.setattr(pr, "_BLOCK_ROWS", block)
+        x, w = pr._cheb_nodes_weights(64)
+        monkeypatch.setattr(pr, "_CHUNK_ENTRIES", 3 * 64 * 64 + 5)  # 3 branches a chunk
+        for reuse in (True, False):
+            chunks = []
+            for y, rows in pr._row_chunks(10, x, w, reuse):  # a = 1, x = 0 gives y = 1 = x[0]
+                want = oracles.barycentric_rows(y.reshape(-1), x, w).reshape(rows.shape)
+                assert np.array_equal(rows, want)
+                chunks.append(rows)
+            assert [len(rows) for rows in chunks] == [3, 3, 3, 1]
+            buffers = {id(rows.base) for rows in chunks}
+            assert len(buffers) == (1 if reuse else 4)
+        for N in (1, 50, 1000, 10**4):
+            want = oracles.barycentric_rows(1.0 / (N + 1.0 + x), x, w)
+            assert np.array_equal(pr._stub_rows(N, x, w), want)
+
+    @pytest.mark.parametrize("N", [100, 1000])
+    def test_small_blocks_keep_the_matrix(self, monkeypatch, N):
+        monkeypatch.setattr(pr, "_BLOCK_ROWS", 7)
+        params = pr.DEFAULT_PARAMS
+        for s in (0.46, params.tail_min_s, 0.8):
+            want = oracles.collocation_matrix(s, N, params)
+            assert np.array_equal(pr._transfer_matrix(s, N, params), want)
+            assert np.array_equal(pr._transfer_matrix(s, N, params, pr.collocation_rows(N, params)), want)
 
 
 class TestSmOracle:
