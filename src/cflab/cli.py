@@ -165,18 +165,13 @@ def cmd_series(args) -> int:
 
 def cmd_pressure(args) -> int:
     params = pressure.PressureSolverParams(
-        grid_points=args.grid_points,
-        tail_correction=not args.no_tail,
-        alphabet_max=max(args.alphabet, pressure.DEFAULT_PARAMS.alphabet_max),
+        grid_points=args.grid_points, tail_correction=not args.no_tail
     )
     try:
         svals = [float(x) for x in args.s.split(",")]
     except ValueError:
         raise DomainError(f"bad --s {args.s!r}, expected comma-separated numbers") from None
-    # several s at one alphabet share the s-independent rows; one s keeps nothing
-    rows = pressure.collocation_rows(args.alphabet, params) if len(svals) > 1 else None
-    table = [[s, args.alphabet, pressure.transfer_pressure(s, args.alphabet, params, rows)]
-             for s in svals]
+    table = [[s, args.alphabet, pressure.transfer_pressure(s, args.alphabet, params)] for s in svals]
     _emit_csv(["s", "N", "pressure"], table, args.out)
     return 0
 

@@ -88,17 +88,35 @@ def zeta(t: float) -> float:
     return head + hurwitz_tail(t, float(K))
 
 
+def _euler_maclaurin(head, t, c):
+    """`head` plus the three Euler-Maclaurin corrections of sum_{k >= 1} (c + k)^{-t}."""
+    return (
+        head
+        - 0.5 * c ** (-t)
+        + t * c ** (-t - 1.0) / 12.0
+        - t * (t + 1.0) * (t + 2.0) * c ** (-t - 3.0) / 720.0
+    )
+
+
 def hurwitz_tail(t, c):
     """sum_{k >= 1} (c + k)^{-t} by Euler-Maclaurin with three corrections.
 
     `c` may be a float or an array of bases.
     """
-    return (
-        c ** (1.0 - t) / (t - 1.0)
-        - 0.5 * c ** (-t)
-        + t * c ** (-t - 1.0) / 12.0
-        - t * (t + 1.0) * (t + 2.0) * c ** (-t - 3.0) / 720.0
-    )
+    return _euler_maclaurin(c ** (1.0 - t) / (t - 1.0), t, c)
+
+
+def hurwitz_range(t, lo, hi):
+    """hurwitz_tail(t, lo) - hurwitz_tail(t, hi), the sum of (lo + k)^{-t} over 0 < k <= hi - lo.
+
+    The integrals' difference is taken as lo^u expm1(u log(hi/lo)) / u with
+    u = 1 - t, which is log(hi/lo) at u = 0, so t = 1 is finite. `lo` and
+    `hi` may be floats or arrays of bases.
+    """
+    u = 1.0 - t
+    r = np.log(hi / lo)
+    head = r if u == 0.0 else lo**u * np.expm1(u * r) / u
+    return _euler_maclaurin(head, t, lo) - _euler_maclaurin(0.0, t, hi)
 
 
 def _inv_power_prefix(limit: int, t: float) -> np.ndarray:

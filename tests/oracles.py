@@ -367,13 +367,15 @@ def barycentric_rows(y: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def collocation_matrix(s: float, N: int, params) -> np.ndarray:
-    """The transfer-operator matrix from fresh whole-array rows per chunk of branches.
+    """The literal N-branch transfer-operator matrix, from whole-array rows per chunk of branches.
 
-    Same chunks, einsum and tail stub as the library, so its matrix must match bitwise.
+    Chunks of about 4·10^6 row entries (976 branches at 64 points) bound its
+    memory; at N <= 976 it is one einsum over all branches, as in the library's
+    explicit branches, and the same tail stub follows.
     """
     x, w = pressure._cheb_nodes_weights(params.grid_points)
     m = len(x)
-    chunk = pressure._chunk_len(m)
+    chunk = max(1, 4_000_000 // (m * m))
     A = np.zeros((m, m))
     for lo in range(1, N + 1, chunk):
         a = np.arange(lo, min(lo + chunk, N + 1), dtype=float)

@@ -300,7 +300,7 @@ BAD_INPUTS = [
     ["pressure", "--s", "0.7,nan", "--alphabet", "10"],
     ["pressure", "--s", "inf", "--alphabet", "10"],
     ["pressure", "--s", "0.7", "--grid-points", "1"],
-    ["pressure", "--s", "0.7,0.8", "--alphabet", "0"],  # several s build rows before N is checked
+    ["pressure", "--s", "0.7,0.8", "--alphabet", "0"],
     ["pressure", "--s", "0.7,0.8", "--alphabet", "-3"],
     ["experiment", "run", "--config", "missing.cfg", "--out", "missing_out"],
     ["experiment", "run", "--config", "dichotomy_d3.cfg", "--out", "out"],

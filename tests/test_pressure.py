@@ -1,11 +1,9 @@
-import gc
 import math
 import os
 import resource
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -132,67 +130,76 @@ class TestTransferPressure:
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             pr.transfer_pressure(0.8, 0)
-        with pytest.raises(ResourceLimitError):
-            pr.transfer_pressure(0.8, 10**7)
+        with pytest.raises(DomainError):
+            pr.transfer_pressure(0.8, 2**53 + 1)
+        big = pr.transfer_pressure(0.8, 10**7)  # the operator's size does not depend on N
+        assert math.isfinite(big) and big >= pr.transfer_pressure(0.8, 10**4)
+
+    def test_cli_astronomical_alphabet_exits_domain(self):
+        done = _python("-m", "cflab.cli", "pressure", "--s", "0.7", "--alphabet", str(10**400))
+        assert done.returncode == 1 and done.stderr.startswith("error[domain]")
+        assert "Traceback" not in done.stderr and done.stdout == ""
 
 
 class TestCollocationRows:
-    @pytest.mark.parametrize("N", [100, 1000, 2500])
-    def test_reused_rows_give_the_streamed_matrix(self, monkeypatch, N):
-        params = pr.DEFAULT_PARAMS
-        if N == 2500:  # 82 MB of rows: streamed by default, reused under a larger budget
-            assert pr.collocation_rows(N, params) is None
-            monkeypatch.setattr(pr, "_ROWS_BUDGET", 128_000_000)
-        rows = pr.collocation_rows(N, params)
-        assert rows is not None
-        for s in (0.46, 0.5, params.tail_min_s, 0.7, 1.0):  # below and above the tail
-            streamed = pr._transfer_matrix(s, N, params)
-            assert np.array_equal(streamed, oracles.collocation_matrix(s, N, params))
-            assert np.array_equal(pr._transfer_matrix(s, N, params, rows), streamed)
-            assert pr.transfer_pressure(s, N, params, rows) == pr.transfer_pressure(s, N, params)
+    """One operator of _K explicit branches plus the Taylor-Hurwitz sum, built once per grid."""
 
-    def test_rows_of_another_alphabet_rejected(self):
-        rows = pr.collocation_rows(100)
-        with pytest.raises(DomainError):
-            pr.transfer_pressure(0.7, 101, pr.DEFAULT_PARAMS, rows)
-        with pytest.raises(DomainError):
-            pr.transfer_pressure(0.7, 100, pr.PressureSolverParams(grid_points=32), rows)
-
-    def test_solver_reuses_one_rows_object_per_alphabet_and_drops_it(self, monkeypatch):
-        seen = []  # (N, id of the rows passed, weak reference to them)
-        evaluate = pr.transfer_pressure
-
-        def recording(s, N, params=pr.DEFAULT_PARAMS, rows=None):
-            assert rows is not None and rows.nbytes <= pr._ROWS_BUDGET
-            seen.append((N, id(rows), weakref.ref(rows)))
-            return evaluate(s, N, params, rows)
-
-        monkeypatch.setattr(pr, "transfer_pressure", recording)
-        pr.hausdorff_dim("F3", GrowthFunction.exponential(2.0), FAST)
-        for N in (100, 1000):
-            ids = [key for n, key, _ in seen if n == N]
-            assert len(ids) > 2 and len(set(ids)) == 1
-        gc.collect()
-        assert all(ref() is None for _, _, ref in seen)
+    @pytest.mark.parametrize("N", [1, 50, 100, 200, 201, 1000, 10**4])
+    def test_operator_matches_the_literal_matrix(self, monkeypatch, N):
+        for tail in (True, False):
+            params = pr.PressureSolverParams(tail_correction=tail)
+            for s in (0.45, 0.5, params.tail_min_s, 0.8284, 1.0):  # below and above the stub
+                want = oracles.collocation_matrix(s, N, params)
+                if N <= pr._K:
+                    assert np.array_equal(pr._transfer_matrix(s, N, params), want)
+                got = pr.transfer_pressure(s, N, params)
+                with monkeypatch.context() as patch:
+                    patch.setattr(pr, "_transfer_matrix", lambda *_: want)
+                    literal = pr.transfer_pressure(s, N, params)
+                assert abs(got - literal) <= 1e-14
 
     def test_single_evaluation_keeps_nothing(self):
-        tracemalloc.start()
-        try:
-            pr.transfer_pressure(0.7, 1000)
-            current, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert current < 1_000_000
+        """Nothing outlives an evaluation but the cached operator parts."""
+        rows = pr._K * pr.DEFAULT_PARAMS.grid_points ** 2 * 8
+        for N in (1000, 10**6):
+            pr._operator_parts.cache_clear()
+            tracemalloc.start()
+            try:
+                pr.transfer_pressure(0.7, N)
+                cached, _ = tracemalloc.get_traced_memory()
+                pr._operator_parts.cache_clear()
+                current, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert cached <= rows + 1_000_000
+            assert current < 1_000_000
 
     def test_single_evaluation_peaks_at_one_chunk_buffer(self):
-        m = pr.DEFAULT_PARAMS.grid_points
-        tracemalloc.start()
+        """The _K branches' rows are the one chunk; the peak does not grow with N."""
+        rows = pr._K * pr.DEFAULT_PARAMS.grid_points ** 2 * 8
+        for N in (2500, 10**4, 10**6):
+            pr._operator_parts.cache_clear()
+            tracemalloc.start()
+            try:
+                pr.transfer_pressure(0.7, N)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= rows + 4_000_000
+
+    def test_solver_builds_the_rows_once(self):
+        pr._operator_parts.cache_clear()
+        pr.hausdorff_dim("F3", GrowthFunction.exponential(2.0), FAST)
+        assert pr._operator_parts.cache_info().misses == 1
+
+    def test_grid_limit_is_200_points(self):
+        # _K rows of 200^2 entries are exactly _ROWS_BUDGET bytes
+        with pytest.raises(ResourceLimitError):
+            pr.transfer_pressure(0.7, 10, pr.PressureSolverParams(grid_points=201))
         try:
-            pr.transfer_pressure(0.7, 2500)  # 3 chunks of 976 branches
-            _, peak = tracemalloc.get_traced_memory()
+            assert math.isfinite(pr.transfer_pressure(0.7, 10, pr.PressureSolverParams(grid_points=200)))
         finally:
-            tracemalloc.stop()
-        assert peak <= pr._chunk_len(m) * m * m * 8 + 4_000_000
+            pr._operator_parts.cache_clear()
 
     def test_grid_over_budget_rejected_before_allocation(self):
         # 10^9 points would need 8e18 bytes of rows; the child may map only 2 GiB
@@ -243,30 +250,33 @@ class TestBlockedRows:
 
     @pytest.mark.parametrize("block", [7, 64, pr._BLOCK_ROWS])
     def test_chunks_and_stub(self, monkeypatch, block):
+        """The _K branches' rows, built as one chunk, and the stub rows."""
         monkeypatch.setattr(pr, "_BLOCK_ROWS", block)
-        x, w = pr._cheb_nodes_weights(64)
-        monkeypatch.setattr(pr, "_CHUNK_ENTRIES", 3 * 64 * 64 + 5)  # 3 branches a chunk
-        for reuse in (True, False):
-            chunks = []
-            for y, rows in pr._row_chunks(10, x, w, reuse):  # a = 1, x = 0 gives y = 1 = x[0]
-                want = oracles.barycentric_rows(y.reshape(-1), x, w).reshape(rows.shape)
-                assert np.array_equal(rows, want)
-                chunks.append(rows)
-            assert [len(rows) for rows in chunks] == [3, 3, 3, 1]
-            buffers = {id(rows.base) for rows in chunks}
-            assert len(buffers) == (1 if reuse else 4)
+        pr._operator_parts.cache_clear()
+        try:
+            x, w, y, rows, _ = pr._operator_parts(64)
+        finally:
+            pr._operator_parts.cache_clear()
+        want = oracles.barycentric_rows(y.reshape(-1), x, w).reshape(rows.shape)
+        assert np.array_equal(rows, want)
+        assert y[0, -1] == x[0] and np.count_nonzero(rows[0, -1]) == 1  # a = 1 at the node x = 0
         for N in (1, 50, 1000, 10**4):
             want = oracles.barycentric_rows(1.0 / (N + 1.0 + x), x, w)
             assert np.array_equal(pr._stub_rows(N, x, w), want)
 
     @pytest.mark.parametrize("N", [100, 1000])
     def test_small_blocks_keep_the_matrix(self, monkeypatch, N):
-        monkeypatch.setattr(pr, "_BLOCK_ROWS", 7)
         params = pr.DEFAULT_PARAMS
-        for s in (0.46, params.tail_min_s, 0.8):
-            want = oracles.collocation_matrix(s, N, params)
-            assert np.array_equal(pr._transfer_matrix(s, N, params), want)
-            assert np.array_equal(pr._transfer_matrix(s, N, params, pr.collocation_rows(N, params)), want)
+        svals = (0.46, params.tail_min_s, 0.8)
+        pr._operator_parts.cache_clear()
+        want = [pr._transfer_matrix(s, N, params) for s in svals]
+        monkeypatch.setattr(pr, "_BLOCK_ROWS", 7)
+        pr._operator_parts.cache_clear()
+        try:
+            for s, default in zip(svals, want):
+                assert np.array_equal(pr._transfer_matrix(s, N, params), default)
+        finally:
+            pr._operator_parts.cache_clear()
 
 
 class TestSmOracle:

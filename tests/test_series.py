@@ -78,6 +78,16 @@ class TestZeta:
         with pytest.raises(DomainError):
             se.zeta(1.0)
 
+    # the three-term remainder is relatively about t^5 c^-6 / 30240: 3e-12 at t = 12, c = 200
+    @pytest.mark.parametrize("t, rtol", [(0.9, 1e-15), (1.0, 1e-15), (1.0 + 1e-9, 1e-15),
+                                         (2.0, 1e-15), (12.0, 5e-12)])
+    def test_hurwitz_range_is_the_finite_sum(self, t, rtol):
+        # sum of (a + x)^{-t} over 200 < a <= 3000, finite at t = 1 where each tail diverges
+        x = np.array([0.0, 0.5, 1.0])
+        got = se.hurwitz_range(t, 200.0 + x, 3000.0 + x)
+        want = [math.fsum((a + c) ** -t for a in range(201, 3001)) for c in x]
+        assert np.allclose(got, want, rtol=rtol, atol=0.0)
+
 
 class TestClosedForms:
     def test_block_tail(self):
