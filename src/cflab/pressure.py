@@ -6,29 +6,29 @@ a constant extra term split off: P(T, -f(s) log B - s log|T'|) = P(s) -
 f(s) log B, so one spectral computation per s serves every target set.
 
 Discretization: Chebyshev collocation with barycentric interpolation, power
-iteration with Rayleigh-quotient stopping. The alphabet is truncated at N;
-by default the omitted branches a > N are reinstated through an analytic
-Euler-Maclaurin stub evaluated at the largest omitted branch point
-y* = 1/(N+1+x). The stub under-counts the omitted mass (the integrand is
-decreasing), so eigenvalues, pressures, and dimension roots are approached
-from below; set tail_correction=False for the literal truncated-alphabet
-operator.
+iteration with Rayleigh-quotient stopping. The operator's size does not
+depend on the alphabet. The branches a <= _K = 200 enter through their
+barycentric rows at y = 1/(a+x). For the branches a > _K, y lies in (0, h]
+with h = 1/(_K+1); there the rows are expanded to degree _DEGREE = 10 in y/h
+(monomial rows D_k, fitted at 11 Chebyshev points of [0, h]), and D_k is
+weighted by h^{-k} times a Hurwitz sum of (a+x)^{-(2s+k)} over a > _K.
 
-The operator's size does not depend on N (at most 2^53). The branches
-a <= _K = 200 enter through their barycentric rows at y = 1/(a+x). For the
-branches _K < a <= N, y lies in (0, h] with h = 1/(_K+1); there the rows are
-expanded to degree _DEGREE = 10 in y/h (monomial rows D_k, fitted at 11
-Chebyshev points of [0, h]), and D_k is weighted by h^{-k} times the sum of
-(a+x)^{-(2s+k)} over _K < a <= N, a difference of two Hurwitz tails. The
-matrix equals the literal N-branch matrix bitwise for N <= _K; above that
-the pressures differ by at most 1.4e-15 (measured for N from 201 to 10^4 and
-s from 0.45 to 1, with and without the stub).
+By default (tail_correction) that sum runs over every a > _K for s >=
+_TAIL_MIN_S = 0.505: the operator is the whole Gauss system's, N is not
+read, and P(1) = 0 to the power iteration's tolerance. Below _TAIL_MIN_S,
+where the full sum diverges as s -> 1/2, and with tail_correction=False, the
+operator is the literal truncated one over a <= N: the sum runs over _K < a
+<= N, a difference of two Hurwitz tails. That matrix equals the literal
+N-branch matrix bitwise for N <= _K; above that the pressures differ by at
+most 1.4e-15 (measured for N from 201 to 10^4 and s from 0.45 to 1).
 
 The rows for a <= _K and the D_k depend on neither s nor N: they are built
 once per grid size and kept (_operator_parts), 6.6 MB at 64 points, in blocks
 of _BLOCK_ROWS rows that stay in cache. A grid whose _K rows would exceed
 _ROWS_BUDGET (64 MB, so more than 200 points) is refused before anything is
-allocated.
+allocated. At large s the grid no longer resolves (1+x)^{-2s}: a matrix that
+is not finite, or whose leading eigenvalue is not positive, is refused with
+a DomainError that names s and the grid.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResourceLimitError
 from .growth import GrowthFunction
-from .series import hurwitz_range, hurwitz_tail, zeta
+from .series import hurwitz_range, zeta
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _K = 200  # branches with explicit rows; the rest enter through the Taylor-Hurwitz sum
@@ -51,6 +51,7 @@ _DEGREE = 10  # degree in y/h of the rows of the branches a > _K
 _MAX_N = 2**53  # the alphabet enters as the float N + x, exact up to here
 _ROWS_BUDGET = 64_000_000  # bytes of the _K branches' rows
 _BLOCK_ROWS = 2_048  # rows built at a time: 1 MB at 64 points, held in L2
+_TAIL_MIN_S = 0.505  # the full alphabet's sum needs 2s > 1; below this, pure truncation
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +156,7 @@ class PressureSolverParams:
     power_iter_tol: float = 1e-10
     bisect_tol: float = 1e-4
     max_iter: int = 500
-    escalation: tuple[int, ...] = (100, 1_000, 10_000)
     tail_correction: bool = True
-    tail_min_s: float = 0.505  # stub needs 2s > 1; below this, pure truncation
     bracket: tuple[float, float] = (0.45, 1.0)
 
     def __post_init__(self):
@@ -174,7 +173,6 @@ DEFAULT_PARAMS = PressureSolverParams()
 class DimensionResult:
     s: float
     bracket: tuple[float, float]
-    alphabet_used: int
     branch: str
     diagnostics: tuple = ()
 
@@ -246,30 +244,25 @@ def _operator_parts(m: int):
     return x, w, y, rows, D
 
 
-def _stub_rows(N: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows at the tail stub's point y* = 1/(N+1+x)."""
-    m = len(x)
-    return _barycentric_rows(1.0 / (N + 1.0 + x), x, w, np.empty((m, m)))
-
-
 def _transfer_matrix(s: float, N: int, params: PressureSolverParams) -> np.ndarray:
-    x, w, y, rows, D = _operator_parts(params.grid_points)
-    n = min(N, _K)
+    x, _, y, rows, D = _operator_parts(params.grid_points)
+    full = params.tail_correction and s >= _TAIL_MIN_S  # every branch: N is not read
+    n = _K if full else min(N, _K)
     A = np.einsum("ai,aij->ij", y[:n] ** (2.0 * s), rows[:n])
-    if N > _K:  # sum over _K < a <= N of y^(2s) sum_k (y/h)^k D[k], with y = 1/(a+x)
-        sums = np.array([hurwitz_range(2.0 * s + k, _K + x, N + x) for k in range(_DEGREE + 1)])
+    if full or N > _K:  # sum over _K < a <= top of y^(2s) sum_k (y/h)^k D[k], with y = 1/(a+x)
+        top = math.inf if full else N + x
+        sums = np.array([hurwitz_range(2.0 * s + k, _K + x, top) for k in range(_DEGREE + 1)])
         A += (sums * (_K + 1.0) ** np.arange(_DEGREE + 1)[:, None]).T @ D
-    if params.tail_correction and s >= params.tail_min_s and N >= 50:
-        c = N + x  # tail over a >= N+1: base c + k with k >= 1
-        A += hurwitz_tail(2.0 * s, c)[:, None] * _stub_rows(N, x, w)
     return A
 
 
 def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_PARAMS) -> float:
-    """log of the leading eigenvalue of the (tail-corrected) truncated operator.
+    """log of the leading eigenvalue of the full-alphabet or the N-branch operator.
 
     Power iteration on the collocation matrix, stopping when successive
-    Rayleigh quotients differ by less than power_iter_tol (relative).
+    Rayleigh quotients differ by less than power_iter_tol (relative). A
+    matrix that is not finite, or a limit that is not positive, means the
+    grid cannot resolve the operator at this s: DomainError.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -277,7 +270,11 @@ def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_P
         raise DomainError("N must be <= 2**53")
     if not 0 < s < math.inf:
         raise DomainError(f"s must be positive and finite, got {s}")
-    A = _transfer_matrix(s, N, params)
+    unresolved = f"s = {s} is too large for the {params.grid_points}-point grid"
+    with np.errstate(invalid="ignore"):  # inf * 0 in the Euler-Maclaurin terms at huge s
+        A = _transfer_matrix(s, N, params)
+    if not np.isfinite(A).all():
+        raise DomainError(f"{unresolved}: the collocation matrix is not finite")
     f = np.ones(params.grid_points)
     f /= np.linalg.norm(f)
     trace = []
@@ -291,6 +288,8 @@ def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_P
         f = g / nrm
         trace.append(lam)
         if prev is not None and abs(lam - prev) <= params.power_iter_tol * max(1.0, abs(lam)):
+            if lam <= 0.0:
+                raise DomainError(f"{unresolved}: its leading eigenvalue is {lam:.3g}")
             return math.log(lam)
         prev = lam
     raise ConvergenceError(
@@ -327,20 +326,6 @@ def _root_at_alphabet(potential, log_B, N, params):
     return 0.5 * (lo + hi), (lo, hi), evals
 
 
-def _escalated_root(potential, log_B, params) -> DimensionResult:
-    diagnostics = []
-    prev = None
-    result = None
-    for N in params.escalation:
-        root, bracket, evals = _root_at_alphabet(potential, log_B, N, params)
-        diagnostics.append({"alphabet": N, "root": root, "evaluations": evals})
-        result = DimensionResult(root, bracket, N, "B_finite", tuple(diagnostics))
-        if prev is not None and abs(root - prev) < 2.0 * params.bisect_tol:
-            return result
-        prev = root
-    return result
-
-
 SET_POTENTIALS = {
     "E1": PotentialSpec.wang_wu(1),
     "E2": PotentialSpec.wang_wu(2),
@@ -358,18 +343,19 @@ def hausdorff_dim(
 
     B = 1 gives dimension 1 exactly; B = infinity gives 1/(1+b) exactly; in
     between the dimension is the root of P(s) = f(s) log B with f the set's
-    potential multiplier, solved by bisection with alphabet escalation until
-    two successive alphabets agree within 2 * bisect_tol.
+    potential multiplier, solved by bisection on params.bracket with the
+    pressure of the whole Gauss system (one operator, no alphabet to choose).
     """
     if set_id not in SET_POTENTIALS:
         raise DomainError(f"unknown set {set_id!r}; choose from {sorted(SET_POTENTIALS)}")
     gc = phi.growth_constants()
     if gc.log_B == 0.0:
-        return DimensionResult(1.0, (1.0, 1.0), 0, "B=1")
+        return DimensionResult(1.0, (1.0, 1.0), "B=1")
     if math.isinf(gc.log_B):
         val = 1.0 / (1.0 + gc.b)
-        return DimensionResult(val, (val, val), 0, "B=inf")
-    return _escalated_root(SET_POTENTIALS[set_id], gc.log_B, params)
+        return DimensionResult(val, (val, val), "B=inf")
+    root, bracket, evals = _root_at_alphabet(SET_POTENTIALS[set_id], gc.log_B, _MAX_N, params)
+    return DimensionResult(root, bracket, "B_finite", ({"root": root, "evaluations": evals},))
 
 
 def shulga_hussain_dims(
@@ -388,8 +374,7 @@ def shulga_hussain_dims(
     dims = []
     for i in range(len(A)):
         pot = PotentialSpec.affine_beta(u=log_betas[i + 1], v=log_betas[i])
-        res = _escalated_root(pot, 0.0, params)
-        dims.append(res.s)
+        dims.append(_root_at_alphabet(pot, 0.0, _MAX_N, params)[0])
     return dims, min(dims)
 
 
@@ -439,6 +424,7 @@ def s_m_oracle(
         raise ResourceLimitError("s_m oracle supports m in {1, 2, 3}")
     n_trunc = n_trunc or DEFAULT_SM_TRUNC[m]
     logq = _box_log_continuants(m, n_trunc)
+    a = np.arange(1, n_trunc + 1, dtype=float)
     log_B = math.log(B)
 
     def condition(s: float) -> bool:
@@ -447,7 +433,7 @@ def s_m_oracle(
             return False
         box = float(np.sum(np.exp(-t * logq)))
         zt = zeta(t)
-        part = float(np.sum(np.arange(1, n_trunc + 1, dtype=float) ** (-t)))
+        part = box if m == 1 else float(np.sum(a ** (-t)))  # q_1 = a: the box is Z(t)
         tail = zt**m - part**m
         return box + tail <= math.exp(m * potential.f(s) * log_B)
 

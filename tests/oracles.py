@@ -23,7 +23,7 @@ from cflab import pressure
 from cflab.cf import lebesgue_quotients
 from cflab.errors import DomainError, ResourceLimitError
 from cflab.mc import sample_rng
-from cflab.series import divisor_table, hurwitz_tail
+from cflab.series import divisor_table, hurwitz_tail, zeta
 
 
 @lru_cache(maxsize=64)
@@ -371,7 +371,7 @@ def collocation_matrix(s: float, N: int, params) -> np.ndarray:
 
     Chunks of about 4·10^6 row entries (976 branches at 64 points) bound its
     memory; at N <= 976 it is one einsum over all branches, as in the library's
-    explicit branches, and the same tail stub follows.
+    explicit branches.
     """
     x, w = pressure._cheb_nodes_weights(params.grid_points)
     m = len(x)
@@ -382,6 +382,48 @@ def collocation_matrix(s: float, N: int, params) -> np.ndarray:
         y = 1.0 / (a[:, None] + x[None, :])
         rows = barycentric_rows(y.reshape(-1), x, w).reshape(len(a), m, m)
         A += np.einsum("ai,aij->ij", y ** (2.0 * s), rows)
-    if params.tail_correction and s >= params.tail_min_s and N >= 50:
-        A += hurwitz_tail(2.0 * s, N + x)[:, None] * barycentric_rows(1.0 / (N + 1.0 + x), x, w)
     return A
+
+
+def tail_bracket(s: float, N: int, params) -> tuple[np.ndarray, np.ndarray]:
+    """Two N-branch matrices whose pressures bracket the whole Gauss system's, for 2s > 1.
+
+    The branches a > N add sum_{a>N} (a+x)^{-2s} f(1/(a+x)). The leading
+    eigenfunction f decreases on [0, 1], so f at those points lies between f
+    at the largest one, y* = 1/(N+1+x), and f(0). The lower matrix puts the
+    tail mass on the rows at y*; the upper one on the node x = 0.
+    """
+    x, w = pressure._cheb_nodes_weights(params.grid_points)
+    A = collocation_matrix(s, N, params)
+    mass = hurwitz_tail(2.0 * s, N + x)[:, None]
+    lower = A + mass * barycentric_rows(1.0 / (N + 1.0 + x), x, w)
+    upper = A + mass * (x == 0.0)  # the unit row of the node x = 0
+    return lower, upper
+
+
+def s_m_partial_zeta(B: float, m: int, n_trunc: int | None = None) -> float:
+    """pressure.s_m_oracle with the partial zeta sum Z(2s) over 1..n_trunc summed directly.
+
+    The library takes Z from the box sum at m = 1, where q_1 = a.
+    """
+    potential = pressure.PotentialSpec.g3()
+    n_trunc = n_trunc or pressure.DEFAULT_SM_TRUNC[m]
+    logq = pressure._box_log_continuants(m, n_trunc)
+
+    def condition(s: float) -> bool:
+        t = 2.0 * s
+        if t <= 1.0:
+            return False
+        box = float(np.sum(np.exp(-t * logq)))
+        part = float(np.sum(np.arange(1, n_trunc + 1, dtype=float) ** (-t)))
+        tail = zeta(t) ** m - part**m
+        return box + tail <= math.exp(m * potential.f(s) * math.log(B))
+
+    lo, hi = 0.5001, 8.0
+    while hi - lo > pressure.DEFAULT_PARAMS.bisect_tol:
+        mid = 0.5 * (lo + hi)
+        if condition(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -150,43 +150,64 @@ def test_c04_series_asymptotics():
 
 
 def test_c05_pressure_normalization():
-    p_by_n = {N: pr.transfer_pressure(1.0, N) for N in (100, 1000, 10000)}
-    in_range = -1e-3 < p_by_n[10000] <= 0.0
+    truncated = pr.PressureSolverParams(tail_correction=False)
+    p_by_n = {N: pr.transfer_pressure(1.0, N, truncated) for N in (100, 1000, 10000)}
     monotone = p_by_n[100] < p_by_n[1000] < p_by_n[10000] <= 0.0
+    p_full = pr.transfer_pressure(1.0, 1000)  # the whole Gauss system: N is not read
+    normalized = abs(p_full) <= 1e-10
     grid = [pr.transfer_pressure(s, 1000) for s in (0.6, 0.7, 0.8, 0.9)]
     decreasing = all(a > b for a, b in zip(grid, grid[1:]))
     _report(
         "05 pressure normalization",
-        in_range and monotone and decreasing,
-        f"P(1,1e4) = {p_by_n[10000]:.2e} in (-1e-3, 0]; monotone {monotone}; s-decreasing {decreasing}",
+        normalized and monotone and decreasing,
+        f"P(1) = {p_full:.2e} (|P| <= 1e-10); truncated P(1, N) monotone in N "
+        f"{[f'{p:.2e}' for p in p_by_n.values()]}: {monotone}; s-decreasing {decreasing}",
     )
 
 
-def test_c06_dimension_cross_oracles():
+def test_c06_dimension_cross_oracles(monkeypatch):
     start = time.monotonic()
-    params = pr.PressureSolverParams(escalation=(1000, 10000), bisect_tol=1e-4)
-    res = pr.hausdorff_dim("F3", GrowthFunction.exponential(2.0), params)
-    roots = [d["root"] for d in res.diagnostics]
-    escalation_gap = abs(roots[-1] - roots[0]) if len(roots) >= 2 else 0.0
+    params = pr.PressureSolverParams(bisect_tol=1e-4)
+    tol = params.bisect_tol
+    phi = GrowthFunction.exponential(2.0)
+    res = pr.hausdorff_dim("F3", phi, params)
+
+    def root(N, p):
+        return pr._root_at_alphabet(pr.SET_POTENTIALS["F3"], phi.growth_constants().log_B, N, p)[0]
+
+    # truncated alphabets approach the root from below
+    truncated = pr.PressureSolverParams(bisect_tol=tol, tail_correction=False)
+    root_3, root_4 = root(10**3, truncated), root(10**4, truncated)
+    truncation_ok = root_3 <= root_4 <= res.s + tol
+
+    # the branches a > 10^3 put on either side of oracles.tail_bracket pin the root from both sides
+    operator = pr._transfer_matrix
+    tail_roots = []
+    for side in (0, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(pr, "_transfer_matrix", lambda s, N, p: (
+                oracles.tail_bracket(s, N, p)[side] if s >= pr._TAIL_MIN_S else operator(s, N, p)))
+            tail_roots.append(root(10**3, params))
+    lower, upper = tail_roots
+    tail_gap = upper - lower
+    two_sided_ok = lower - tol <= res.s <= upper + tol and tail_gap < 2e-4
 
     s1 = pr.s_m_oracle(2.0, 1)
     s2 = pr.s_m_oracle(2.0, 2)
     bracket_ok = s1 >= s2 >= res.s - 1e-3
 
     x1, x2, x3 = (float(v) for v in pr.x_functions(res.s))
-    fast = pr.PressureSolverParams(escalation=(100, 1000), bisect_tol=1e-4)
-    dims, minimum = pr.shulga_hussain_dims(
-        [2.0**x1, 2.0**x2, 2.0**x3, 2.0**x1], fast
-    )
+    dims, minimum = pr.shulga_hussain_dims([2.0**x1, 2.0**x2, 2.0**x3, 2.0**x1], params)
     shulga_gap = abs(minimum - res.s)
 
-    lo_end = pr.hausdorff_dim("F3", GrowthFunction.exponential(1.05), fast)
-    hi_end = pr.hausdorff_dim("F3", GrowthFunction.exponential(1e6), fast)
+    lo_end = pr.hausdorff_dim("F3", GrowthFunction.exponential(1.05), params)
+    hi_end = pr.hausdorff_dim("F3", GrowthFunction.exponential(1e6), params)
     closed = pr.hausdorff_dim("F3", GrowthFunction.doubly_exponential(2, 3))
     half_ok = all(r >= 0.5 for r in (res.s, lo_end.s, hi_end.s, minimum, *dims))
 
     ok = (
-        escalation_gap < 2e-4
+        truncation_ok
+        and two_sided_ok
         and bracket_ok
         and shulga_gap < 3e-4
         and lo_end.s > 0.9
@@ -197,7 +218,9 @@ def test_c06_dimension_cross_oracles():
     _report(
         "06 dimension cross-oracles",
         ok,
-        f"dim(F3,B=2) = {res.s:.5f}; N=1e3 vs 1e4 gap {escalation_gap:.1e} (<2e-4); "
+        f"dim(F3,B=2) = {res.s:.5f}; truncated roots N=1e3 {root_3:.5f} <= N=1e4 {root_4:.5f} "
+        f"<= dim + tol: {truncation_ok}; N=1e3 tail bracket [{lower:.5f}, {upper:.5f}] holds dim: "
+        f"{two_sided_ok}, width {tail_gap:.1e} (<2e-4); "
         f"s1 = {s1:.4f} >= s2 = {s2:.4f} >= dim - 1e-3: {bracket_ok}; shulga gap {shulga_gap:.1e} (<3e-4); "
         f"dim(B=1.05) = {lo_end.s:.3f} (>0.9); dim(B=1e6) = {hi_end.s:.3f} (<0.55); all >= 1/2: {half_ok}; "
         f"B=inf exact 1/4: {closed.s == 0.25}; {time.monotonic()-start:.0f}s",

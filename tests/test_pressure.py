@@ -16,7 +16,7 @@ from cflab.growth import GrowthFunction
 import oracles
 
 TRUNCATED = pr.PressureSolverParams(tail_correction=False)
-FAST = pr.PressureSolverParams(escalation=(100, 1000), bisect_tol=1e-4)
+FAST = pr.PressureSolverParams(bisect_tol=1e-4)
 
 
 class TestAlgebra:
@@ -140,23 +140,66 @@ class TestTransferPressure:
         assert done.returncode == 1 and done.stderr.startswith("error[domain]")
         assert "Traceback" not in done.stderr and done.stdout == ""
 
+    @pytest.mark.parametrize("s", ["10", "1e5", "1e103"])
+    def test_cli_unresolved_large_s_exits_domain(self, s):
+        # at s = 10 and 1e5 the 64-point matrix has a negative leading eigenvalue;
+        # at 1e103 an Euler-Maclaurin term is inf * 0
+        done = _python("-m", "cflab.cli", "pressure", "--s", s)
+        assert done.returncode == 1 and done.stderr.startswith("error[domain]: s = ")
+        assert "64-point grid" in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert done.stdout == ""
+
+
+def _pressure_of(monkeypatch, A, s, params=pr.DEFAULT_PARAMS):
+    """transfer_pressure's power iteration run on the matrix A."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pr, "_transfer_matrix", lambda *_: A)
+        return pr.transfer_pressure(s, 1, params)
+
+
+class TestExactOracles:
+    """Values of the whole Gauss system and of a two-letter alphabet known in closed form."""
+
+    def test_pressure_vanishes_at_one(self):
+        assert abs(pr.transfer_pressure(1.0, 1000)) <= 1e-10
+
+    def test_derivative_at_one_is_minus_the_lyapunov_exponent(self):
+        h = 1e-4
+        slope = (pr.transfer_pressure(1.0 + h, 1000) - pr.transfer_pressure(1.0 - h, 1000)) / (2 * h)
+        assert abs(slope + math.pi**2 / (6 * math.log(2))) <= 1e-6
+
+    def test_dimension_of_the_two_letter_set(self):
+        # Jenkinson and Pollicott (2001): dim E_{1,2} = 0.5312805062772051...
+        lo, hi = 0.5, 0.6
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if pr.transfer_pressure(mid, 2, TRUNCATED) > 0.0 else (lo, mid)
+        assert abs(0.5 * (lo + hi) - 0.5312805062772051) <= 1e-10
+
 
 class TestCollocationRows:
     """One operator of _K explicit branches plus the Taylor-Hurwitz sum, built once per grid."""
 
     @pytest.mark.parametrize("N", [1, 50, 100, 200, 201, 1000, 10**4])
     def test_operator_matches_the_literal_matrix(self, monkeypatch, N):
-        for tail in (True, False):
-            params = pr.PressureSolverParams(tail_correction=tail)
-            for s in (0.45, 0.5, params.tail_min_s, 0.8284, 1.0):  # below and above the stub
-                want = oracles.collocation_matrix(s, N, params)
-                if N <= pr._K:
-                    assert np.array_equal(pr._transfer_matrix(s, N, params), want)
-                got = pr.transfer_pressure(s, N, params)
-                with monkeypatch.context() as patch:
-                    patch.setattr(pr, "_transfer_matrix", lambda *_: want)
-                    literal = pr.transfer_pressure(s, N, params)
-                assert abs(got - literal) <= 1e-14
+        for s in (0.45, 0.5, pr._TAIL_MIN_S, 0.8284, 1.0):
+            want = oracles.collocation_matrix(s, N, TRUNCATED)
+            if N <= pr._K:
+                assert np.array_equal(pr._transfer_matrix(s, N, TRUNCATED), want)
+            got = pr.transfer_pressure(s, N, TRUNCATED)
+            assert abs(got - _pressure_of(monkeypatch, want, s, TRUNCATED)) <= 1e-14
+        for s in (0.45, 0.5):  # below _TAIL_MIN_S the default operator is the truncated one
+            assert np.array_equal(pr._transfer_matrix(s, N, pr.DEFAULT_PARAMS),
+                                  pr._transfer_matrix(s, N, TRUNCATED))
+
+    @pytest.mark.parametrize("N", [50, 100, 1000])
+    def test_full_alphabet_lies_in_the_tail_bracket(self, monkeypatch, N):
+        for s in (pr._TAIL_MIN_S, 0.6, 0.8284, 1.0):
+            full = pr.transfer_pressure(s, N)
+            lower, upper = oracles.tail_bracket(s, N, pr.DEFAULT_PARAMS)
+            p_lower, p_upper = (_pressure_of(monkeypatch, A, s) for A in (lower, upper))
+            assert p_lower - 1e-12 <= full <= p_upper + 1e-12
 
     def test_single_evaluation_keeps_nothing(self):
         """Nothing outlives an evaluation but the cached operator parts."""
@@ -249,8 +292,8 @@ class TestBlockedRows:
                                   want[:short])
 
     @pytest.mark.parametrize("block", [7, 64, pr._BLOCK_ROWS])
-    def test_chunks_and_stub(self, monkeypatch, block):
-        """The _K branches' rows, built as one chunk, and the stub rows."""
+    def test_chunks(self, monkeypatch, block):
+        """The _K branches' rows, built as one chunk."""
         monkeypatch.setattr(pr, "_BLOCK_ROWS", block)
         pr._operator_parts.cache_clear()
         try:
@@ -260,14 +303,11 @@ class TestBlockedRows:
         want = oracles.barycentric_rows(y.reshape(-1), x, w).reshape(rows.shape)
         assert np.array_equal(rows, want)
         assert y[0, -1] == x[0] and np.count_nonzero(rows[0, -1]) == 1  # a = 1 at the node x = 0
-        for N in (1, 50, 1000, 10**4):
-            want = oracles.barycentric_rows(1.0 / (N + 1.0 + x), x, w)
-            assert np.array_equal(pr._stub_rows(N, x, w), want)
 
     @pytest.mark.parametrize("N", [100, 1000])
     def test_small_blocks_keep_the_matrix(self, monkeypatch, N):
         params = pr.DEFAULT_PARAMS
-        svals = (0.46, params.tail_min_s, 0.8)
+        svals = (0.46, pr._TAIL_MIN_S, 0.8)
         pr._operator_parts.cache_clear()
         want = [pr._transfer_matrix(s, N, params) for s in svals]
         monkeypatch.setattr(pr, "_BLOCK_ROWS", 7)
@@ -298,6 +338,11 @@ class TestSmOracle:
         s1 = pr.s_m_oracle(2.0, 1)
         s2 = pr.s_m_oracle(2.0, 2)
         assert s2 <= s1
+
+    def test_box_sum_replaces_the_partial_zeta_sum_at_m1(self):
+        for m in (1, 2, 3):
+            for B in (1.5, 2.0, 10.0, 100.0, 1000.0):
+                assert pr.s_m_oracle(B, m) == oracles.s_m_partial_zeta(B, m)
 
     def test_m_out_of_range(self):
         with pytest.raises(ResourceLimitError):
@@ -388,7 +433,7 @@ class TestBisectionTolerance:
         code = (
             "from cflab import pressure as pr\n"
             "from cflab.growth import GrowthFunction\n"
-            "p = pr.PressureSolverParams(bisect_tol=1e-17, escalation=(100,))\n"
+            "p = pr.PressureSolverParams(bisect_tol=1e-17)\n"
             "lo, hi = pr.hausdorff_dim('F3', GrowthFunction.exponential(2), p).bracket\n"
             "print(lo.hex(), hi.hex(), pr.s_m_oracle(2.0, 1, n_trunc=1000, params=p).hex())\n"
         )
