@@ -27,8 +27,8 @@ once per grid size and kept (_operator_parts), 6.6 MB at 64 points, in blocks
 of _BLOCK_ROWS rows that stay in cache. A grid whose _K rows would exceed
 _ROWS_BUDGET (64 MB, so more than 200 points) is refused before anything is
 allocated. At large s the grid no longer resolves (1+x)^{-2s}: a matrix that
-is not finite, or whose leading eigenvalue is not positive, is refused with
-a DomainError that names s and the grid.
+is not finite, or whose leading eigenvalue is zero or negative, is refused
+with a DomainError that names s and the grid.
 """
 
 from __future__ import annotations
@@ -261,8 +261,9 @@ def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_P
 
     Power iteration on the collocation matrix, stopping when successive
     Rayleigh quotients differ by less than power_iter_tol (relative). A
-    matrix that is not finite, or a limit that is not positive, means the
-    grid cannot resolve the operator at this s: DomainError.
+    matrix that is not finite, an iterate that collapses to zero, or a limit
+    that is not positive means the grid cannot resolve the operator at this
+    s: DomainError.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -284,7 +285,7 @@ def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_P
         lam = float(f @ g)
         nrm = float(np.linalg.norm(g))
         if nrm == 0.0:
-            raise ConvergenceError("power iteration collapsed to zero", trace)
+            raise DomainError(f"{unresolved}: power iteration collapsed to zero")
         f = g / nrm
         trace.append(lam)
         if prev is not None and abs(lam - prev) <= params.power_iter_tol * max(1.0, abs(lam)):

@@ -401,13 +401,13 @@ def tail_bracket(s: float, N: int, params) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def s_m_partial_zeta(B: float, m: int, n_trunc: int | None = None) -> float:
+def s_m_partial_zeta(B: float, m: int) -> float:
     """pressure.s_m_oracle with the partial zeta sum Z(2s) over 1..n_trunc summed directly.
 
     The library takes Z from the box sum at m = 1, where q_1 = a.
     """
     potential = pressure.PotentialSpec.g3()
-    n_trunc = n_trunc or pressure.DEFAULT_SM_TRUNC[m]
+    n_trunc = pressure.DEFAULT_SM_TRUNC[m]
     logq = pressure._box_log_continuants(m, n_trunc)
 
     def condition(s: float) -> bool:

@@ -140,10 +140,11 @@ class TestTransferPressure:
         assert done.returncode == 1 and done.stderr.startswith("error[domain]")
         assert "Traceback" not in done.stderr and done.stdout == ""
 
-    @pytest.mark.parametrize("s", ["10", "1e5", "1e103"])
+    @pytest.mark.parametrize("s", ["10", "1e5", "1e10", "1e103"])
     def test_cli_unresolved_large_s_exits_domain(self, s):
-        # at s = 10 and 1e5 the 64-point matrix has a negative leading eigenvalue;
-        # at 1e103 an Euler-Maclaurin term is inf * 0
+        # at s = 10 and 1e5 the 64-point matrix has a negative leading eigenvalue; at 1e10
+        # every entry but one underflows and power iteration collapses to zero; at 1e103
+        # an Euler-Maclaurin term is inf * 0
         done = _python("-m", "cflab.cli", "pressure", "--s", s)
         assert done.returncode == 1 and done.stderr.startswith("error[domain]: s = ")
         assert "64-point grid" in done.stderr
