@@ -14,8 +14,4 @@ class InsufficientDataError(DomainError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to converge; carries its iteration trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
+    """A solver found no bracket, or a numerical identity check failed."""

@@ -27,8 +27,9 @@ once per grid size and kept (_operator_parts), 6.6 MB at 64 points, in blocks
 of _BLOCK_ROWS rows that stay in cache. A grid whose _K rows would exceed
 _ROWS_BUDGET (64 MB, so more than 200 points) is refused before anything is
 allocated. At large s the grid no longer resolves (1+x)^{-2s}: a matrix that
-is not finite, or whose leading eigenvalue is zero or negative, is refused
-with a DomainError that names s and the grid.
+is not finite, or whose leading eigenvalue is zero, negative or not single
+(power iteration does not settle), is refused with a DomainError that names
+s and the grid.
 """
 
 from __future__ import annotations
@@ -261,9 +262,10 @@ def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_P
 
     Power iteration on the collocation matrix, stopping when successive
     Rayleigh quotients differ by less than power_iter_tol (relative). A
-    matrix that is not finite, an iterate that collapses to zero, or a limit
-    that is not positive means the grid cannot resolve the operator at this
-    s: DomainError.
+    matrix that is not finite, an iterate that collapses to zero, a limit
+    that is not positive, or no limit within max_iter steps (a complex or
+    +- pair of leading eigenvalues) means the grid cannot resolve the
+    operator at this s: DomainError.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -278,24 +280,20 @@ def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_P
         raise DomainError(f"{unresolved}: the collocation matrix is not finite")
     f = np.ones(params.grid_points)
     f /= np.linalg.norm(f)
-    trace = []
     prev = None
-    for it in range(params.max_iter):
+    for _ in range(params.max_iter):
         g = A @ f
         lam = float(f @ g)
         nrm = float(np.linalg.norm(g))
         if nrm == 0.0:
             raise DomainError(f"{unresolved}: power iteration collapsed to zero")
         f = g / nrm
-        trace.append(lam)
         if prev is not None and abs(lam - prev) <= params.power_iter_tol * max(1.0, abs(lam)):
             if lam <= 0.0:
                 raise DomainError(f"{unresolved}: its leading eigenvalue is {lam:.3g}")
             return math.log(lam)
         prev = lam
-    raise ConvergenceError(
-        f"power iteration did not converge in {params.max_iter} steps", trace
-    )
+    raise DomainError(f"{unresolved}: power iteration did not settle in {params.max_iter} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -383,24 +381,21 @@ def shulga_hussain_dims(
 # s_m oracle
 
 
-def _box_log_continuants(m: int, n_trunc: int) -> np.ndarray:
-    """log q_m over the box {1..n_trunc}^m via the closed continuant forms."""
-    a = np.arange(1, n_trunc + 1, dtype=float)
-    if m == 1:
-        q = a
-    elif m == 2:
-        q = a[:, None] * a[None, :] + 1.0  # q2(a1, a2) = a2 a1 + 1
-    elif m == 3:
-        a1 = a[:, None, None]
-        a2 = a[None, :, None]
-        a3 = a[None, None, :]
-        q = a3 * (a2 * a1 + 1.0) + a1  # q3 = a3 q2 + q1
-    else:
-        raise ResourceLimitError("s_m oracle supports m in {1, 2, 3}")
-    return np.log(q).reshape(-1)
-
-
 DEFAULT_SM_TRUNC = {1: 100_000, 2: 800, 3: 120}
+_LOG_DBL_MAX = math.log(np.finfo(float).max)  # math.exp overflows exactly above this
+
+
+def _continuant_multiset(m: int, n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """log of the distinct q2 = a1 a2 + 1 or q3 = a3 q2 + a1 over {1..n_trunc}^m, and their counts."""
+    a = np.arange(1, n_trunc + 1, dtype=np.int64)
+    q = np.multiply.outer(a, a)  # a1 a2, indexed (a1, a2)
+    q += 1
+    if m == 3:
+        q = np.multiply.outer(q, a)  # a3 q2, indexed (a1, a2, a3)
+        q += a[:, None, None]
+    counts = np.bincount(q.reshape(-1))
+    q = np.flatnonzero(counts != 0)  # the distinct q_m; nonzero is several times faster on a bool
+    return np.log(q.astype(float)), counts[q].astype(float)
 
 
 def s_m_oracle(
@@ -418,25 +413,38 @@ def s_m_oracle(
     the factor m so that (1/m) log of the condition reproduces the pressure
     equation as m grows; the tail bound makes the reported value an upper
     estimate, and s_m decreases toward the dimension root as m increases.
+
+    At m = 1, q_1 = a, so the box and its complement bound add up to zeta(2s)
+    exactly: the condition is zeta(2s) <= B^{f(s)}, and n_trunc is not read.
+    At m = 2, 3 the box is built once per call as the multiset of its integer
+    continuants (160,611 distinct q2 of 640,000 at n_trunc = 800; 421,302 q3
+    of 1,728,000 at 120), and each condition takes one power per distinct q_m,
+    weighted by its count. A bound B^{m f(s)} past the largest float is +inf:
+    the condition holds.
     """
     if B <= 1:
         raise DomainError("s_m oracle requires B > 1")
     if m not in (1, 2, 3):
         raise ResourceLimitError("s_m oracle supports m in {1, 2, 3}")
-    n_trunc = n_trunc or DEFAULT_SM_TRUNC[m]
-    logq = _box_log_continuants(m, n_trunc)
-    a = np.arange(1, n_trunc + 1, dtype=float)
     log_B = math.log(B)
+    if m > 1:
+        n_trunc = n_trunc or DEFAULT_SM_TRUNC[m]
+        logq, counts = _continuant_multiset(m, n_trunc)
+        terms = np.empty_like(logq)
+        a = np.arange(1, n_trunc + 1, dtype=float)
 
     def condition(s: float) -> bool:
         t = 2.0 * s
         if t <= 1.0:
             return False
-        box = float(np.sum(np.exp(-t * logq)))
-        zt = zeta(t)
-        part = box if m == 1 else float(np.sum(a ** (-t)))  # q_1 = a: the box is Z(t)
-        tail = zt**m - part**m
-        return box + tail <= math.exp(m * potential.f(s) * log_B)
+        lhs = zeta(t)
+        if m > 1:
+            np.multiply(logq, -t, out=terms)
+            np.exp(terms, out=terms)
+            np.multiply(terms, counts, out=terms)  # the box: one power per distinct q_m
+            lhs = float(np.sum(terms)) + (lhs**m - float(np.sum(a ** (-t))) ** m)
+        bound = m * potential.f(s) * log_B
+        return bound > _LOG_DBL_MAX or lhs <= math.exp(bound)
 
     lo, hi = 0.5001, 8.0
     if not condition(hi):

@@ -401,14 +401,30 @@ def tail_bracket(s: float, N: int, params) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def s_m_partial_zeta(B: float, m: int) -> float:
-    """pressure.s_m_oracle with the partial zeta sum Z(2s) over 1..n_trunc summed directly.
+def box_log_continuants(m: int, n_trunc: int) -> np.ndarray:
+    """log q_m over the box {1..n_trunc}^m, one entry per word, via the closed continuant forms."""
+    a = np.arange(1, n_trunc + 1, dtype=float)
+    if m == 1:
+        q = a
+    elif m == 2:
+        q = a[:, None] * a[None, :] + 1.0  # q2(a1, a2) = a2 a1 + 1
+    else:
+        a1 = a[:, None, None]
+        a2 = a[None, :, None]
+        a3 = a[None, None, :]
+        q = a3 * (a2 * a1 + 1.0) + a1  # q3 = a3 q2 + q1
+    return np.log(q).reshape(-1)
 
-    The library takes Z from the box sum at m = 1, where q_1 = a.
+
+def s_m_partial_zeta(B: float, m: int) -> float:
+    """pressure.s_m_oracle summing the box word by word and the partial zeta sum Z(2s) directly.
+
+    The library takes zeta(2s) alone at m = 1, where q_1 = a makes the box Z(2s),
+    and sums the box over distinct continuants at m = 2, 3.
     """
     potential = pressure.PotentialSpec.g3()
     n_trunc = pressure.DEFAULT_SM_TRUNC[m]
-    logq = pressure._box_log_continuants(m, n_trunc)
+    logq = box_log_continuants(m, n_trunc)
 
     def condition(s: float) -> bool:
         t = 2.0 * s

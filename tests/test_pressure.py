@@ -151,6 +151,16 @@ class TestTransferPressure:
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
         assert done.stdout == ""
 
+    @pytest.mark.parametrize("points, s", [("3", "3"), ("2", "6")])
+    def test_cli_unsettled_power_iteration_exits_domain(self, points, s):
+        # the 3-point matrix has a complex pair of leading eigenvalues at s = 3, the 2-point
+        # one a +- pair at s = 6: the Rayleigh quotient never settles
+        done = _python("-m", "cflab.cli", "pressure", "--grid-points", points, "--s", s)
+        assert done.returncode == 1 and done.stderr.startswith("error[domain]: s = ")
+        assert f"{points}-point grid" in done.stderr and "did not settle" in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert done.stdout == ""
+
 
 def _pressure_of(monkeypatch, A, s, params=pr.DEFAULT_PARAMS):
     """transfer_pressure's power iteration run on the matrix A."""
@@ -341,9 +351,32 @@ class TestSmOracle:
         assert s2 <= s1
 
     def test_box_sum_replaces_the_partial_zeta_sum_at_m1(self):
+        # the library takes zeta(2s) alone at m = 1 and the distinct continuants at m = 2, 3;
+        # the oracle sums every word of the box and the partial zeta sum directly
         for m in (1, 2, 3):
             for B in (1.5, 2.0, 10.0, 100.0, 1000.0):
                 assert pr.s_m_oracle(B, m) == oracles.s_m_partial_zeta(B, m)
+        for m in (1, 2):
+            for B in np.geomspace(1.001, 1e7, 20):
+                assert pr.s_m_oracle(float(B), m) == oracles.s_m_partial_zeta(float(B), m)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_continuant_multiset_is_the_box(self, m):
+        n_trunc = pr.DEFAULT_SM_TRUNC[m]
+        logq, counts = pr._continuant_multiset(m, n_trunc)
+        assert counts.sum() == n_trunc**m and np.all(np.diff(logq) > 0)
+        words = oracles.box_log_continuants(m, n_trunc)
+        for t in (1.2, 2.0, 8.0):
+            grouped = float(np.sum(counts * np.exp(-t * logq)))
+            exact = math.fsum(np.exp(-t * words))
+            assert abs(grouped - exact) <= 1e-15 * exact
+
+    def test_huge_B_bound_is_infinite(self):
+        # B^{m g3(8)} overflows a float from these B on; the condition then holds
+        for m, B in ((3, 6e4), (2, 2e7), (1, 2e14)):
+            assert 0.5 < pr.s_m_oracle(B, m) < 8.0
+        vals = [pr.s_m_oracle(B, 1) for B in (1e14, 2e14, 1e20, 1e100, 1e300)]
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_m_out_of_range(self):
         with pytest.raises(ResourceLimitError):
