@@ -3,7 +3,9 @@
 The pressure P(s) = P(T, -s log|T'|) is the log of the leading eigenvalue of
 the averaging operator (Lf)(x) = sum_a (a+x)^{-2s} f(1/(a+x)). Potentials with
 a constant extra term split off: P(T, -f(s) log B - s log|T'|) = P(s) -
-f(s) log B, so one spectral computation per s serves every target set.
+f(s) log B, so one spectral computation per s serves every target set; each
+set is its multiplier f in SET_POTENTIALS. One bisection (_bisect) finds the
+dimension roots on _BRACKET = (0.45, 1) and the s_m oracles' roots.
 
 Discretization: Chebyshev collocation with barycentric interpolation, power
 iteration with Rayleigh-quotient stopping. The operator's size does not
@@ -94,71 +96,14 @@ def wang_wu_f(ell: int, s):
 
 
 # ---------------------------------------------------------------------------
-# potentials
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Constant part of the potential added to -s log|T'|.
-
-    Families keyed to the target sets: wang_wu(ell) for E_ell, ttw for F1
-    (f = 3s-1), tz for F2 (f = 3s-1-s^2), g3 for F3, affine_beta(u, v) for
-    the lower-bound potentials -s*u + (1-s)*v with u = log beta_i,
-    v = log beta_{i-1}.
-    """
-
-    kind: str
-    ell: int = 1
-    u: float = 0.0
-    v: float = 0.0
-
-    @classmethod
-    def wang_wu(cls, ell: int) -> "PotentialSpec":
-        return cls("wang_wu", ell=ell)
-
-    @classmethod
-    def ttw(cls) -> "PotentialSpec":
-        return cls("ttw")
-
-    @classmethod
-    def tz(cls) -> "PotentialSpec":
-        return cls("tz")
-
-    @classmethod
-    def g3(cls) -> "PotentialSpec":
-        return cls("g3")
-
-    @classmethod
-    def affine_beta(cls, u: float, v: float) -> "PotentialSpec":
-        return cls("affine_beta", u=u, v=v)
-
-    def f(self, s: float) -> float:
-        """Multiplier of log B for the B-scaled families."""
-        if self.kind == "wang_wu":
-            return float(wang_wu_f(self.ell, s))
-        if self.kind == "ttw":
-            return 3.0 * s - 1.0
-        if self.kind == "tz":
-            return 3.0 * s - 1.0 - s * s
-        if self.kind == "g3":
-            return float(g3(s))
-        raise DomainError(f"potential {self.kind!r} has no log-B multiplier")
-
-    def offset(self, s: float, log_B: float) -> float:
-        """Constant term of the potential at parameter s."""
-        if self.kind == "affine_beta":
-            return -s * self.u + (1.0 - s) * self.v
-        return -self.f(s) * log_B
+# solver settings
 
 
 @dataclass(frozen=True)
 class PressureSolverParams:
     grid_points: int = 64
-    power_iter_tol: float = 1e-10
     bisect_tol: float = 1e-4
-    max_iter: int = 500
     tail_correction: bool = True
-    bracket: tuple[float, float] = (0.45, 1.0)
 
     def __post_init__(self):
         if self.grid_points < 2:
@@ -168,6 +113,9 @@ class PressureSolverParams:
 
 
 DEFAULT_PARAMS = PressureSolverParams()
+_POWER_ITER_TOL = 1e-10  # power iteration stops when Rayleigh quotients agree to this, relative
+_MAX_ITER = 500  # power iteration steps before the leading eigenvalue counts as unresolved
+_BRACKET = (0.45, 1.0)  # where the dimension roots are sought
 
 
 @dataclass(frozen=True)
@@ -175,7 +123,6 @@ class DimensionResult:
     s: float
     bracket: tuple[float, float]
     branch: str
-    diagnostics: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +208,9 @@ def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_P
     """log of the leading eigenvalue of the full-alphabet or the N-branch operator.
 
     Power iteration on the collocation matrix, stopping when successive
-    Rayleigh quotients differ by less than power_iter_tol (relative). A
+    Rayleigh quotients differ by less than _POWER_ITER_TOL (relative). A
     matrix that is not finite, an iterate that collapses to zero, a limit
-    that is not positive, or no limit within max_iter steps (a complex or
+    that is not positive, or no limit within _MAX_ITER steps (a complex or
     +- pair of leading eigenvalues) means the grid cannot resolve the
     operator at this s: DomainError.
     """
@@ -281,57 +228,63 @@ def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_P
     f = np.ones(params.grid_points)
     f /= np.linalg.norm(f)
     prev = None
-    for _ in range(params.max_iter):
+    for _ in range(_MAX_ITER):
         g = A @ f
         lam = float(f @ g)
         nrm = float(np.linalg.norm(g))
         if nrm == 0.0:
             raise DomainError(f"{unresolved}: power iteration collapsed to zero")
         f = g / nrm
-        if prev is not None and abs(lam - prev) <= params.power_iter_tol * max(1.0, abs(lam)):
+        if prev is not None and abs(lam - prev) <= _POWER_ITER_TOL * max(1.0, abs(lam)):
             if lam <= 0.0:
                 raise DomainError(f"{unresolved}: its leading eigenvalue is {lam:.3g}")
             return math.log(lam)
         prev = lam
-    raise DomainError(f"{unresolved}: power iteration did not settle in {params.max_iter} steps")
+    raise DomainError(f"{unresolved}: power iteration did not settle in {_MAX_ITER} steps")
 
 
 # ---------------------------------------------------------------------------
 # dimension roots
 
 
-def _pressure_gap(s, log_B, potential, N, params):
-    return transfer_pressure(s, N, params) + potential.offset(s, log_B)
-
-
-def _root_at_alphabet(potential, log_B, N, params):
-    lo, hi = params.bracket
-    g_lo = _pressure_gap(lo, log_B, potential, N, params)
-    g_hi = _pressure_gap(hi, log_B, potential, N, params)
-    evals = 2
-    if g_lo <= 0.0:
-        return lo, (lo, lo), evals  # root at or below the bracket floor
-    if g_hi > 0.0:
-        return hi, (hi, hi), evals  # pressure still positive at s = 1
-    while hi - lo > params.bisect_tol:
+def _bisect(holds, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi], keeping holds(hi) true and holds(lo) false, to width tol or adjacent floats."""
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # lo and hi are adjacent floats
             break
-        if _pressure_gap(mid, log_B, potential, N, params) > 0.0:
-            lo = mid
-        else:
+        if holds(mid):
             hi = mid
-        evals += 1
-    return 0.5 * (lo + hi), (lo, hi), evals
+        else:
+            lo = mid
+    return lo, hi
 
 
+def _root_at_alphabet(f, log_B, N, params):
+    """Root of P(s) - f(s) log B on _BRACKET, with the bracket it was bisected to."""
+
+    def gap(s):
+        return transfer_pressure(s, N, params) - f(s) * log_B
+
+    lo, hi = _BRACKET
+    g_lo, g_hi = gap(lo), gap(hi)
+    if g_lo <= 0.0:
+        return lo, (lo, lo)  # root at or below the bracket floor
+    if g_hi > 0.0:
+        return hi, (hi, hi)  # pressure still positive at s = 1
+    lo, hi = _bisect(lambda s: not gap(s) > 0.0, lo, hi, params.bisect_tol)
+    return 0.5 * (lo + hi), (lo, hi)
+
+
+# The multiplier f(s) of log B in each target set's potential: the Wang-Wu f_ell for
+# E_ell, 3s - 1 for F1, 3s - 1 - s^2 for F2 and g3 for F3.
 SET_POTENTIALS = {
-    "E1": PotentialSpec.wang_wu(1),
-    "E2": PotentialSpec.wang_wu(2),
-    "E3": PotentialSpec.wang_wu(3),
-    "F1": PotentialSpec.ttw(),
-    "F2": PotentialSpec.tz(),
-    "F3": PotentialSpec.g3(),
+    "E1": lambda s: float(wang_wu_f(1, s)),
+    "E2": lambda s: float(wang_wu_f(2, s)),
+    "E3": lambda s: float(wang_wu_f(3, s)),
+    "F1": lambda s: 3.0 * s - 1.0,
+    "F2": lambda s: 3.0 * s - 1.0 - s * s,
+    "F3": lambda s: float(g3(s)),
 }
 
 
@@ -342,7 +295,7 @@ def hausdorff_dim(
 
     B = 1 gives dimension 1 exactly; B = infinity gives 1/(1+b) exactly; in
     between the dimension is the root of P(s) = f(s) log B with f the set's
-    potential multiplier, solved by bisection on params.bracket with the
+    multiplier in SET_POTENTIALS, solved by bisection on _BRACKET with the
     pressure of the whole Gauss system (one operator, no alphabet to choose).
     """
     if set_id not in SET_POTENTIALS:
@@ -353,8 +306,8 @@ def hausdorff_dim(
     if math.isinf(gc.log_B):
         val = 1.0 / (1.0 + gc.b)
         return DimensionResult(val, (val, val), "B=inf")
-    root, bracket, evals = _root_at_alphabet(SET_POTENTIALS[set_id], gc.log_B, _MAX_N, params)
-    return DimensionResult(root, bracket, "B_finite", ({"root": root, "evaluations": evals},))
+    root, bracket = _root_at_alphabet(SET_POTENTIALS[set_id], gc.log_B, _MAX_N, params)
+    return DimensionResult(root, bracket, "B_finite")
 
 
 def shulga_hussain_dims(
@@ -363,17 +316,18 @@ def shulga_hussain_dims(
     """Dimensions d_i of the lower-bound construction with targets a_n ~ A_i^n.
 
     beta_{-1} = 1, beta_i = A_i beta_{i-1}; d_i is the root of
-    P(s) = s log beta_i - (1-s) log beta_{i-1}. Returns (d list, min d_i).
+    P(s) = s log beta_i - (1-s) log beta_{i-1}, that is f(s) = s u - (1-s) v
+    with u = log beta_i, v = log beta_{i-1} and log B = 1. Returns (d list, min d_i).
     """
     if not A or any(a <= 1 for a in A):
         raise DomainError("all A_i must exceed 1")
     log_betas = [0.0]
     for a in A:
         log_betas.append(log_betas[-1] + math.log(a))
-    dims = []
-    for i in range(len(A)):
-        pot = PotentialSpec.affine_beta(u=log_betas[i + 1], v=log_betas[i])
-        dims.append(_root_at_alphabet(pot, 0.0, _MAX_N, params)[0])
+    dims = [
+        _root_at_alphabet(lambda s, u=u, v=v: s * u - (1.0 - s) * v, 1.0, _MAX_N, params)[0]
+        for v, u in zip(log_betas, log_betas[1:])
+    ]
     return dims, min(dims)
 
 
@@ -398,28 +352,22 @@ def _continuant_multiset(m: int, n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
     return np.log(q.astype(float)), counts[q].astype(float)
 
 
-def s_m_oracle(
-    B: float,
-    m: int,
-    potential: PotentialSpec = PotentialSpec.g3(),
-    n_trunc: int | None = None,
-    params: PressureSolverParams = DEFAULT_PARAMS,
-) -> float:
+def s_m_oracle(B: float, m: int, params: PressureSolverParams = DEFAULT_PARAMS) -> float:
     """Finite-word upper oracle s_m(B) >= s_B for the dimension root.
 
-    Bisection on s of  sum_{words in N^m} q_m^{-2s} <= B^{m f(s)}, with the
-    box {1..n_trunc}^m summed exactly and the complement bounded above via
-    q_m >= a_1...a_m by zeta(2s)^m - Z(2s)^m. The per-word threshold carries
+    Bisection on s of  sum_{words in N^m} q_m^{-2s} <= B^{m g3(s)}, with the
+    box {1..n_trunc}^m (n_trunc = DEFAULT_SM_TRUNC[m]) summed exactly and the
+    complement bounded above via q_m >= a_1...a_m by zeta(2s)^m - Z(2s)^m. The per-word threshold carries
     the factor m so that (1/m) log of the condition reproduces the pressure
     equation as m grows; the tail bound makes the reported value an upper
     estimate, and s_m decreases toward the dimension root as m increases.
 
     At m = 1, q_1 = a, so the box and its complement bound add up to zeta(2s)
-    exactly: the condition is zeta(2s) <= B^{f(s)}, and n_trunc is not read.
+    exactly: the condition is zeta(2s) <= B^{g3(s)}, and no box is built.
     At m = 2, 3 the box is built once per call as the multiset of its integer
     continuants (160,611 distinct q2 of 640,000 at n_trunc = 800; 421,302 q3
     of 1,728,000 at 120), and each condition takes one power per distinct q_m,
-    weighted by its count. A bound B^{m f(s)} past the largest float is +inf:
+    weighted by its count. A bound B^{m g3(s)} past the largest float is +inf:
     the condition holds.
     """
     if B <= 1:
@@ -428,7 +376,7 @@ def s_m_oracle(
         raise ResourceLimitError("s_m oracle supports m in {1, 2, 3}")
     log_B = math.log(B)
     if m > 1:
-        n_trunc = n_trunc or DEFAULT_SM_TRUNC[m]
+        n_trunc = DEFAULT_SM_TRUNC[m]
         logq, counts = _continuant_multiset(m, n_trunc)
         terms = np.empty_like(logq)
         a = np.arange(1, n_trunc + 1, dtype=float)
@@ -443,20 +391,13 @@ def s_m_oracle(
             np.exp(terms, out=terms)
             np.multiply(terms, counts, out=terms)  # the box: one power per distinct q_m
             lhs = float(np.sum(terms)) + (lhs**m - float(np.sum(a ** (-t))) ** m)
-        bound = m * potential.f(s) * log_B
+        bound = m * float(g3(s)) * log_B
         return bound > _LOG_DBL_MAX or lhs <= math.exp(bound)
 
     lo, hi = 0.5001, 8.0
     if not condition(hi):
         raise ConvergenceError(f"s_m condition unsatisfied even at s = {hi}")
-    while hi - lo > params.bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # lo and hi are adjacent floats
-            break
-        if condition(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(condition, lo, hi, params.bisect_tol)
     return 0.5 * (lo + hi)
 
 

@@ -2,9 +2,11 @@
 
 Every infinite sum is reduced to a finite divisor-sieve head below the cut M
 plus zeta tails; zeta itself is direct summation plus a three-term
-Euler-Maclaurin correction (no special-function dependency). Real thresholds
-"product >= M" are interpreted on integers as v >= ceil(M); "product < M" as
-v <= ceil(M) - 1.
+Euler-Maclaurin correction (no special-function dependency). The sieve,
+divisor_table(k, limit), is a plain int64 array of d_k(0..limit), and one head
+sum_{v <= top} d_k(v) v^-t (_dirichlet_head) serves the power tails and the
+finite box sums. Real thresholds "product >= M" are interpreted on integers
+as v >= ceil(M); "product < M" as v <= ceil(M) - 1.
 """
 
 from __future__ import annotations
@@ -20,36 +22,22 @@ from .errors import DomainError, ResourceLimitError
 ZETA_TERMS = 100_000
 _GRID_BUDGET = 80_000_000  # bytes of one M grid, a list of floats at 32 bytes a point
 ZETA_ERR = 1e-13  # certified by the Euler-Maclaurin remainder at ZETA_TERMS
-EXACT = "exact-finite"
-HYBRID = "hybrid-tail"
+_SIEVE_BUDGET = 80_000_000  # largest k * limit of a divisor sieve: k - 1 passes over limit entries
 
 
 @dataclass(frozen=True)
 class SeriesValue:
     value: float
     abs_error_bound: float
-    method: str
 
     def __float__(self) -> float:
         return self.value
 
 
-class DivisorSieve:
-    """Table of d_k(v), the ordered k-factorizations of v, for 1 <= v <= limit."""
+def divisor_table(k: int, limit: int) -> np.ndarray:
+    """d_k(v), the ordered k-factorizations of v, at index v = 0..limit (int64, d_k(0) = 0).
 
-    def __init__(self, k: int, limit: int, table: np.ndarray):
-        self.k = k
-        self.limit = limit
-        self.table = table  # int64, index v (table[0] unused = 0)
-
-    def d(self, v: int) -> int:
-        if not 1 <= v <= self.limit:
-            raise DomainError(f"v out of range 1..{self.limit}")
-        return int(self.table[v])
-
-
-def divisor_table(k: int, limit: int, budget: int = 80_000_000) -> DivisorSieve:
-    """Exact d_k sieve via k-1 Dirichlet-convolution passes, O(k M log M).
+    Exact sieve via k-1 Dirichlet-convolution passes, O(k M log M).
 
     Each pass sets nxt[v] = sum over e | v of table[e], split at r = isqrt(M)
     into O(sqrt M) strided slice additions: every divisor e <= r adds
@@ -59,8 +47,10 @@ def divisor_table(k: int, limit: int, budget: int = 80_000_000) -> DivisorSieve:
     """
     if k < 1 or limit < 1:
         raise DomainError("k and limit must be >= 1")
-    if k * limit > budget:
-        raise ResourceLimitError(f"sieve of size k*limit = {k * limit} exceeds budget {budget}")
+    if k * limit > _SIEVE_BUDGET:
+        raise ResourceLimitError(
+            f"sieve of size k*limit = {k * limit} exceeds budget {_SIEVE_BUDGET}"
+        )
     r = math.isqrt(limit)
     table = np.ones(limit + 1, dtype=np.int64)
     table[0] = 0
@@ -74,7 +64,7 @@ def divisor_table(k: int, limit: int, budget: int = 80_000_000) -> DivisorSieve:
         table = nxt
     if k > 1 and limit >= 1 and int(table.max()) >= 1 << 62:
         raise ResourceLimitError("divisor counts overflow int64")
-    return DivisorSieve(k, limit, table)
+    return table
 
 
 @lru_cache(maxsize=256)
@@ -167,17 +157,16 @@ def series_overlap(r: int, j: int, M: float) -> SeriesValue:
     tail_j = series_block_tail(j, M)
     value = z2 ** (2 * r) * tail_j.value
     if cut > 1:
-        sieve_j = divisor_table(j, cut - 1)
-        sieve_r = divisor_table(r, cut - 1)
+        dj = divisor_table(j, cut - 1)[1:].astype(float)
+        dr = divisor_table(r, cut - 1)[1:].astype(float)
         v = np.arange(1, cut)
-        dj = sieve_j.table[1:cut].astype(float)
         prefix_r = np.zeros(cut)
-        prefix_r[1:] = np.cumsum(sieve_r.table[1:cut].astype(float) / v.astype(float) ** 2)
+        prefix_r[1:] = np.cumsum(dr / v.astype(float) ** 2)
         y_cut = np.ceil(M / v).astype(np.int64)  # W_r argument per v
         w = z2 ** r - prefix_r[np.minimum(y_cut - 1, cut - 1)]
         value += float(np.dot(dj / v.astype(float) ** 2, w ** 2))
     err = (2 * r + j + 2) * z2 ** (2 * r + j) * ZETA_ERR + 1e-14 * abs(value) + 1e-300
-    return SeriesValue(value, err, HYBRID)
+    return SeriesValue(value, err)
 
 
 def series_harmonic_box(ell: int, M: float) -> SeriesValue:
@@ -185,10 +174,8 @@ def series_harmonic_box(ell: int, M: float) -> SeriesValue:
     if ell < 1:
         raise DomainError("ell must be >= 1")
     top = _floor_top(M)
-    sieve = divisor_table(ell, top)
-    v = np.arange(1, top + 1, dtype=float)
-    value = float(np.dot(sieve.table[1:].astype(float), 1.0 / v))
-    return SeriesValue(value, 1e-14 * value * math.log(top + 2) + 1e-300, EXACT)
+    value = _dirichlet_head(ell, top, 1.0)
+    return SeriesValue(value, 1e-14 * value * math.log(top + 2) + 1e-300)
 
 
 def series_shifted(ell: int, M: float) -> SeriesValue:
@@ -214,13 +201,12 @@ def series_shifted(ell: int, M: float) -> SeriesValue:
         y = np.array([cut], dtype=np.int64)
         value = float(head_tail(y)[0])
     else:
-        sieve = divisor_table(ell - 1, cut - 1)
+        dw = divisor_table(ell - 1, cut - 1)[1:].astype(float)
         w = np.arange(1, cut)
-        dw = sieve.table[1:cut].astype(float)
         y = np.ceil(M / w).astype(np.int64)
         value = float(np.dot(dw / w.astype(float) ** 2, head_tail(y)))
     err = (ell + 2) * z2 ** ell * ZETA_ERR + 1e-14 * abs(value) + 1e-300
-    return SeriesValue(value, err, HYBRID)
+    return SeriesValue(value, err)
 
 
 def series_power_tail(k: int, M: float, t: float) -> SeriesValue:
@@ -232,18 +218,20 @@ def series_power_tail(k: int, M: float, t: float) -> SeriesValue:
     return _divisor_tail(k, M, t)
 
 
+def _dirichlet_head(k: int, top: int, t: float) -> float:
+    """sum_{v <= top} d_k(v)/v^t for top >= 1, from the sieve."""
+    d = divisor_table(k, top)[1:].astype(float)  # first: the sieve budget refuses a huge top
+    return float(np.dot(d, np.arange(1, top + 1, dtype=float) ** (-t)))
+
+
 def _divisor_tail(k: int, M: float, t: float) -> SeriesValue:
     """sum_{v >= ceil(M)} d_k(v)/v^t = zeta(t)^k minus the sieve head below the cut."""
     cut = _ceil_cut(M)
     zt = zeta(t)
     total = zt ** k
-    head = 0.0
-    if cut > 1:
-        sieve = divisor_table(k, cut - 1)
-        v = np.arange(1, cut, dtype=float)
-        head = float(np.dot(sieve.table[1:cut].astype(float), v ** (-t)))
+    head = _dirichlet_head(k, cut - 1, t) if cut > 1 else 0.0
     err = k * zt ** (k - 1) * ZETA_ERR + 1e-15 * (total + head) + 1e-300
-    return SeriesValue(total - head, err, HYBRID)
+    return SeriesValue(total - head, err)
 
 
 def series_power_box(ell: int, M: float, s: float) -> SeriesValue:
@@ -253,10 +241,8 @@ def series_power_box(ell: int, M: float, s: float) -> SeriesValue:
     if not 0 < s < 1:
         raise DomainError("box sums take s in (0, 1)")
     top = _floor_top(M)
-    sieve = divisor_table(ell, top)
-    v = np.arange(1, top + 1, dtype=float)
-    value = float(np.dot(sieve.table[1:].astype(float), v ** (-s)))
-    return SeriesValue(value, 1e-14 * value * math.log(top + 2) + 1e-300, EXACT)
+    value = _dirichlet_head(ell, top, s)
+    return SeriesValue(value, 1e-14 * value * math.log(top + 2) + 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +269,7 @@ class ScanResult:
 
 _REAL_KEYS = ("s", "t")  # every other params key is an integer
 
-# id -> (params keys, all required; default band for the top-decade ratios;
+# id -> (params keys, all required; band for the top-decade ratios;
 # SeriesValue at (M, params); predicted shape at (M, params)). The bands were
 # measured over M in [1e2, 1e6]; upper-bound-only claims (S2, S7) get wide
 # one-sided-ish bands since their ratios drift with log M.
@@ -350,24 +336,24 @@ def _scan_params(series_id: str, keys: tuple[str, ...], params: dict) -> dict:
     return {k: float(v) if k in _REAL_KEYS else int(v) for k, v in params.items()}
 
 
-def asymptotic_ratio_scan(
-    series_id: str, params: dict, m_grid, band: tuple[float, float] | None = None
-) -> ScanResult:
+def asymptotic_ratio_scan(series_id: str, params: dict, m_grid) -> ScanResult:
     """Evaluate a registered series along an M-grid against its predicted shape.
 
     `params` must hold exactly the keys the series takes. The band flag
     reports whether every ratio over the top decade of the grid stays inside
-    `band` (per-series defaults when not given).
+    the series' band. An M where the predicted shape is 0 (log M = 0 at M = 1,
+    or an underflow) has no ratio: DomainError.
     """
     if series_id not in _SCANS:
         raise DomainError(f"unknown series id {series_id!r}")
-    keys, default_band, evaluate, predict = _SCANS[series_id]
+    keys, band, evaluate, predict = _SCANS[series_id]
     params = _scan_params(series_id, keys, params)
-    band = band or default_band
     rows = []
     for M in m_grid:
         val = evaluate(float(M), params)
         pred = predict(float(M), params)
+        if pred == 0.0:
+            raise DomainError(f"series {series_id} has predicted shape 0 at M = {M!r}: no ratio")
         rows.append(ScanRow(float(M), val.value, val.abs_error_bound, pred, val.value / pred))
     top = max(r.M for r in rows)
     top_rows = [r for r in rows if r.M >= top / 10.0]

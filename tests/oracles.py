@@ -318,7 +318,7 @@ def quotient_cdf(m: int, r) -> object:
 
 def dirichlet_piltz(k: int, limit: int) -> int:
     """Exact summatory function D_k(M) = sum_{v <= M} d_k(v)."""
-    return int(divisor_table(k, limit).table.sum())
+    return int(divisor_table(k, limit).sum())
 
 
 def word_pressure_oracle(s: float, alphabet, n: int, budget: int = 10_000_000) -> float:
@@ -422,7 +422,6 @@ def s_m_partial_zeta(B: float, m: int) -> float:
     The library takes zeta(2s) alone at m = 1, where q_1 = a makes the box Z(2s),
     and sums the box over distinct continuants at m = 2, 3.
     """
-    potential = pressure.PotentialSpec.g3()
     n_trunc = pressure.DEFAULT_SM_TRUNC[m]
     logq = box_log_continuants(m, n_trunc)
 
@@ -433,7 +432,7 @@ def s_m_partial_zeta(B: float, m: int) -> float:
         box = float(np.sum(np.exp(-t * logq)))
         part = float(np.sum(np.arange(1, n_trunc + 1, dtype=float) ** (-t)))
         tail = zeta(t) ** m - part**m
-        return box + tail <= math.exp(m * potential.f(s) * math.log(B))
+        return box + tail <= math.exp(m * float(pressure.g3(s)) * math.log(B))
 
     lo, hi = 0.5001, 8.0
     while hi - lo > pressure.DEFAULT_PARAMS.bisect_tol:

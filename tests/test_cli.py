@@ -117,6 +117,21 @@ class TestSeries:
         )
         assert code == 2 and "resource" in err
 
+    @pytest.mark.parametrize("argv", [
+        "--id S1 --params ell=2 --M 1",
+        "--id S2 --params r=1,j=2 --M 1",
+        "--id S3 --params ell=1 --M 1",
+        "--id S5 --params ell=2,s=0.5 --M 1",
+        "--id S6 --params t=1.5 --M 1",
+        "--id S6 --params t=100 --M 1e6",  # M^(1-t) underflows
+        "--id S6 --params t=1e300 --M 10",
+    ])
+    def test_zero_predicted_shape_exits_domain(self, argv):
+        # log M = 0 at M = 1, or an underflow, leaves no ratio to report
+        done = _python("-m", "cflab.cli", "series", *argv.split())
+        assert done.returncode == 1 and done.stderr.startswith("error[domain]")
+        assert "Traceback" not in done.stderr and done.stdout == ""
+
 
 class TestEventsAndPressure:
     def test_events_csv(self, capsys):

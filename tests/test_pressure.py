@@ -431,6 +431,94 @@ class TestShulgaHussain:
             pr.shulga_hussain_dims([1.0, 2.0])
 
 
+# float.hex() of the solvers' results. The golden outputs reach the bisection only through
+# `dim F3 exp 2`; these pin every set, three bases, two tolerances, the lower-bound
+# construction and the s_m oracles, so a moved bracket, bisection step or potential fails here.
+# (set, base of phi = base^n, bisect_tol) -> (s, lo, hi) of hausdorff_dim
+DIM_PINS = {
+    ("E1", 1.5, 0.0001): ("0x1.bc20666666668p-1", "0x1.bc1c000000001p-1", "0x1.bc24ccccccccep-1"),
+    ("E1", 1.5, 1e-09): ("0x1.bc246f3900001p-1", "0x1.bc246f36ccccep-1", "0x1.bc246f3b33334p-1"),
+    ("E1", 2.0, 0.0001): ("0x1.9b9b99999999ap-1", "0x1.9b97333333333p-1", "0x1.9ba0000000000p-1"),
+    ("E1", 2.0, 1e-09): ("0x1.9b9d809500000p-1", "0x1.9b9d8092cccccp-1", "0x1.9b9d809733333p-1"),
+    ("E1", 50.0, 0.0001): ("0x1.1e2399999999ap-1", "0x1.1e1f333333334p-1", "0x1.1e28000000000p-1"),
+    ("E1", 50.0, 1e-09): ("0x1.1e244615ccccfp-1", "0x1.1e2446139999cp-1", "0x1.1e24461800002p-1"),
+    ("E2", 1.5, 0.0001): ("0x1.c2a8666666668p-1", "0x1.c2a4000000001p-1", "0x1.c2acccccccccep-1"),
+    ("E2", 1.5, 1e-09): ("0x1.c2a5d561ccccep-1", "0x1.c2a5d55f9999ap-1", "0x1.c2a5d56400001p-1"),
+    ("E2", 2.0, 0.0001): ("0x1.a7fb99999999ap-1", "0x1.a7f7333333333p-1", "0x1.a800000000000p-1"),
+    ("E2", 2.0, 1e-09): ("0x1.a7fb520a33333p-1", "0x1.a7fb520800000p-1", "0x1.a7fb520c66666p-1"),
+    ("E2", 50.0, 0.0001): ("0x1.3d1c666666666p-1", "0x1.3d18000000000p-1", "0x1.3d20cccccccccp-1"),
+    ("E2", 50.0, 1e-09): ("0x1.3d1ad5c033334p-1", "0x1.3d1ad5be00000p-1", "0x1.3d1ad5c266667p-1"),
+    ("E3", 1.5, 0.0001): ("0x1.c358666666666p-1", "0x1.c354000000000p-1", "0x1.c35cccccccccdp-1"),
+    ("E3", 1.5, 1e-09): ("0x1.c358140766666p-1", "0x1.c358140533332p-1", "0x1.c358140999999p-1"),
+    ("E3", 2.0, 0.0001): ("0x1.a9ce000000000p-1", "0x1.a9c9999999999p-1", "0x1.a9d2666666666p-1"),
+    ("E3", 2.0, 1e-09): ("0x1.a9cf636dcccccp-1", "0x1.a9cf636b99998p-1", "0x1.a9cf636ffffffp-1"),
+    ("E3", 50.0, 0.0001): ("0x1.4825333333332p-1", "0x1.4820cccccccccp-1", "0x1.4829999999999p-1"),
+    ("E3", 50.0, 1e-09): ("0x1.48270012ffffep-1", "0x1.48270010ccccbp-1", "0x1.4827001533332p-1"),
+    ("F1", 1.5, 0.0001): ("0x1.99f5333333332p-1", "0x1.99f0ccccccccbp-1", "0x1.99f9999999998p-1"),
+    ("F1", 1.5, 1e-09): ("0x1.99f8dbb433331p-1", "0x1.99f8dbb1ffffep-1", "0x1.99f8dbb666664p-1"),
+    ("F1", 2.0, 0.0001): ("0x1.7795333333334p-1", "0x1.7790ccccccccdp-1", "0x1.779999999999ap-1"),
+    ("F1", 2.0, 1e-09): ("0x1.77924b7433334p-1", "0x1.77924b7200000p-1", "0x1.77924b7666667p-1"),
+    ("F1", 50.0, 0.0001): ("0x1.1679333333334p-1", "0x1.1674ccccccccep-1", "0x1.167d99999999bp-1"),
+    ("F1", 50.0, 1e-09): ("0x1.167940689999bp-1", "0x1.1679406666668p-1", "0x1.1679406accccep-1"),
+    ("F2", 1.5, 0.0001): ("0x1.bd31333333332p-1", "0x1.bd2ccccccccccp-1", "0x1.bd35999999999p-1"),
+    ("F2", 1.5, 1e-09): ("0x1.bd2eb12b66665p-1", "0x1.bd2eb12933332p-1", "0x1.bd2eb12d99998p-1"),
+    ("F2", 2.0, 0.0001): ("0x1.9eb399999999ap-1", "0x1.9eaf333333333p-1", "0x1.9eb8000000000p-1"),
+    ("F2", 2.0, 1e-09): ("0x1.9eb110fc99999p-1", "0x1.9eb110fa66666p-1", "0x1.9eb110fecccccp-1"),
+    ("F2", 50.0, 0.0001): ("0x1.31bb99999999ap-1", "0x1.31b7333333334p-1", "0x1.31c0000000001p-1"),
+    ("F2", 50.0, 1e-09): ("0x1.31bb4a1966666p-1", "0x1.31bb4a1733333p-1", "0x1.31bb4a1b9999ap-1"),
+    ("F3", 1.5, 0.0001): ("0x1.c2a8666666668p-1", "0x1.c2a4000000001p-1", "0x1.c2acccccccccep-1"),
+    ("F3", 1.5, 1e-09): ("0x1.c2a9336766669p-1", "0x1.c2a9336533336p-1", "0x1.c2a933699999cp-1"),
+    ("F3", 2.0, 0.0001): ("0x1.a80d333333334p-1", "0x1.a808ccccccccdp-1", "0x1.a81199999999ap-1"),
+    ("F3", 2.0, 1e-09): ("0x1.a81019ea33333p-1", "0x1.a81019e800000p-1", "0x1.a81019ec66666p-1"),
+    ("F3", 50.0, 0.0001): ("0x1.4110666666666p-1", "0x1.410c000000000p-1", "0x1.4114cccccccccp-1"),
+    ("F3", 50.0, 1e-09): ("0x1.410d7b1433333p-1", "0x1.410d7b1200000p-1", "0x1.410d7b1666666p-1"),
+}
+# A -> (d_i, min d_i) of shulga_hussain_dims at the default tolerance
+SHULGA_PINS = {
+    (2.0,): (("0x1.9b9b99999999ap-1",), "0x1.9b9b99999999ap-1"),
+    (1.1,): (("0x1.ecc4666666666p-1",), "0x1.ecc4666666666p-1"),
+    (2.0, 4.0, 8.0): (
+        ("0x1.9b9b99999999ap-1", "0x1.565799999999ap-1", "0x1.337c666666666p-1"),
+        "0x1.337c666666666p-1",
+    ),
+}
+# (B, m) -> s_m_oracle(B, m)
+SM_PINS = {
+    (1.5, 1): "0x1.0c7eb2f9db22dp+0",
+    (1.5, 2): "0x1.d640a044d0138p-1",
+    (1.5, 3): "0x1.d21f23e0ded26p-1",
+    (2.0, 1): "0x1.d9db1d1eb851ep-1",
+    (2.0, 2): "0x1.b534bd25460a8p-1",
+    (2.0, 3): "0x1.b2dcbf318fc4ep-1",
+    (10.0, 1): "0x1.685c804b5dcc6p-1",
+    (10.0, 2): "0x1.62bc8535a8588p-1",
+    (10.0, 3): "0x1.62d30521ff2e4p-1",
+    (1000000.0, 1): "0x1.0e20cf2474538p-1",
+    (1000000.0, 2): "0x1.0e194f2b020c4p-1",
+    (1000000.0, 3): "0x1.0e20cf2474538p-1",
+}
+
+
+class TestSolverPins:
+    def test_hausdorff_dim(self):
+        for (set_id, base, tol), want in DIM_PINS.items():
+            res = pr.hausdorff_dim(
+                set_id, GrowthFunction.exponential(base), pr.PressureSolverParams(bisect_tol=tol)
+            )
+            assert res.branch == "B_finite"
+            got = (res.s.hex(), res.bracket[0].hex(), res.bracket[1].hex())
+            assert got == want, (set_id, base, tol)
+
+    def test_shulga_hussain_dims(self):
+        for A, (dims, low) in SHULGA_PINS.items():
+            got, got_low = pr.shulga_hussain_dims(list(A))
+            assert (tuple(d.hex() for d in got), got_low.hex()) == (dims, low), A
+
+    def test_s_m_oracle(self):
+        for (B, m), want in SM_PINS.items():
+            assert pr.s_m_oracle(B, m).hex() == want, (B, m)
+
+
 def _python(*args, address_space=None):
     """Run the interpreter on cflab in a child process that cannot hang the suite.
 
@@ -469,7 +557,7 @@ class TestBisectionTolerance:
             "from cflab.growth import GrowthFunction\n"
             "p = pr.PressureSolverParams(bisect_tol=1e-17)\n"
             "lo, hi = pr.hausdorff_dim('F3', GrowthFunction.exponential(2), p).bracket\n"
-            "print(lo.hex(), hi.hex(), pr.s_m_oracle(2.0, 1, n_trunc=1000, params=p).hex())\n"
+            "print(lo.hex(), hi.hex(), pr.s_m_oracle(2.0, 1, params=p).hex())\n"
         )
         done = _python("-c", code)
         assert done.returncode == 0, done.stderr
