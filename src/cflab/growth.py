@@ -41,7 +41,6 @@ class GrowthConstants:
 
     log_B: float
     log_b: float
-    horizon: int | None = None  # set when estimated numerically from a table
     B_exact: float | None = None
     b_exact: float | None = None
 
@@ -254,7 +253,7 @@ class GrowthFunction:
             log_b = min(
                 math.log(max(self.log_phi(n + 1), 1e-300)) / (n + 1) for n in tail
             )
-            return GrowthConstants(log_B, max(log_b, 0.0), horizon=m)
+            return GrowthConstants(log_B, max(log_b, 0.0))
         raise DomainError(f"unknown family {self.family!r}")
 
 

@@ -9,8 +9,9 @@ a time and carries only the (ell - 1) * d column tail between blocks, so a
 chunk's memory does not grow with the horizon, and only one depth block is
 alive at a time. Chunk results are folded in sample order. The step d applies
 to trimmed/khinchin; event kinds refuse d != 1. `cflab events` runs on the
-same scan (event_records): the dichotomy reducer, which then also records the
-two blocks j < k = tau_F of each sample's first F level.
+same scan (event_records): the dichotomy reducer, which also records the two
+blocks j < k = tau_F of each sample's first F level; j is the last E level
+before tau_F.
 
 The sampler's recursion r <- 1/(a + r) is sequential in depth, but it
 contracts at the Gauss map's Lyapunov rate pi^2/(6 log 2) per step. So each
@@ -71,7 +72,6 @@ class ExperimentConfig:
     seed: int = 0
     checkpoints: tuple[int, ...] = ()
     threads: int = 1
-    synthetic_p: Optional[float] = None  # chung_erdos test hook: iid coin events
 
     def validated(self) -> "ExperimentConfig":
         if self.kind not in KINDS:
@@ -88,10 +88,8 @@ class ExperimentConfig:
             raise DomainError("trimmed/khinchin checkpoints must be >= 2")
         if self.kind in ("dichotomy", "chung_erdos") and self.d != 1:
             raise DomainError("d applies only to trimmed/khinchin; events use consecutive blocks")
-        if self.kind == "dichotomy" and self.phi is None:
-            raise DomainError("dichotomy experiments need a growth function")
-        if self.kind == "chung_erdos" and self.phi is None and self.synthetic_p is None:
-            raise DomainError("chung_erdos needs a growth function or synthetic_p")
+        if self.kind in ("dichotomy", "chung_erdos") and self.phi is None:
+            raise DomainError(f"{self.kind} experiments need a growth function")
         return replace(self, checkpoints=cps)
 
 
@@ -297,41 +295,36 @@ def _events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
     value, from the few blocks whose floats lie within the band of the top.
 
     At the first F level n the record is k = n, and j is the one earlier block
-    that reaches phi(n): two would have made an earlier level F. So j is the
-    earliest block holding the exact top before n: the carried top, whose
-    start arg carries next to it, or the first block of the window reaching it.
+    that reaches phi(n): two would have made an earlier level F. That block is
+    the last E level before n. It reaches phi(n) >= phi(j), so it is an E
+    level, and an E level between j and n would have been an earlier F level.
+    So j is read off the E mask, which is exact inside the band.
     """
     ell, phi, N = cfg.ell, cfg.phi, cfg.horizon
     band = LOG_BAND + (ell + 1) * 2.0**-52  # see _doubtful
     out = np.zeros((4, count), dtype=np.int64)
     out[:2] = N + 1
     top = np.zeros(count)  # largest earlier block product, rounded past GIANT
-    arg = np.zeros(count, dtype=np.int64)  # 1-based start of the earliest block reaching top
     exact_top = {}  # the exact integer top of rows whose top reached GIANT
     for start, prod, qa in _depth_blocks(cfg, source, count):
         width = prod.shape[1]
         phi_win = phi.phi_array(start + width, first=start + 1)
-        later = start + width < N
+        levels = np.arange(start + 1, start + width + 1)
         for lo in range(0, count, _MASK_ROWS):
             rows = slice(lo, min(lo + _MASK_ROWS, count))
-            p, t, g, o = prod[rows], top[rows], arg[rows], out[:, rows]
-            pending = o[0] > start  # rows whose tau_F, and so j, is still to come
+            p, t, o = prod[rows], top[rows], out[:, rows]
             raw = p.copy() if ((p.max(axis=1) >= GIANT) | (t >= GIANT)).any() else None
             seen = {}  # row -> (c, top_before(row, c)) of its last call; calls come in column order
 
             def top_before(i, c):
-                """(exact top before column c of row i, the 1-based start of its earliest block)."""
-                c0, best = seen.get(i, (0, (exact_top.get(lo + i) or int(t[i]), int(g[i]))))
+                """The exact top before column c of row i."""
+                c0, best = seen.get(i, (0, exact_top.get(lo + i) or int(t[i])))
                 near = np.flatnonzero(_doubtful(raw[i, c0:c], p[i, c - 1] if c else t[i], band))
                 for j in (c0 + near).tolist():  # only blocks near the float top can hold it
-                    v = _exact(qa, lo + i, j, ell)
-                    if v > best[0]:  # ties keep the earlier start
-                        best = v, start + 1 + j
+                    best = max(best, _exact(qa, lo + i, j, ell))
                 seen[i] = c, best
                 return best
 
-            if later and pending.any():  # a later window may need arg
-                a = p.argmax(axis=1)  # each row's earliest largest product of the window
             e = p >= phi_win
             np.maximum.accumulate(p, axis=1, out=p)
             np.maximum(p, t[:, None], out=p)  # p[:, j] is now the top after block j
@@ -343,25 +336,18 @@ def _events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
                     e[i, c] = phi.meets_threshold(_exact(qa, lo + i, c, ell), start + 1 + c)
                 before = np.concatenate((t[:, None], p[:, :-1]), axis=1)
                 for i, c in np.argwhere(_doubtful(before, phi_win, band) & e).tolist():
-                    f[i, c] = phi.meets_threshold(top_before(i, c)[0], start + 1 + c)
+                    f[i, c] = phi.meets_threshold(top_before(i, c), start + 1 + c)
                 del before
             f &= e
             _fold_events(o, start, e, f)
-            for i in np.flatnonzero(pending & (o[0] <= start + width)).tolist():
-                c = o[0, i] - start - 1  # tau_F's column
-                r = p[i, c - 1] if c else t[i]  # the top before it
-                if r >= GIANT:
-                    seen.pop(i, None)  # F's calls may have passed c
-                    o[3, i] = top_before(i, c)[1]
-                else:  # exact: the carried top, or the first block where the running top reaches r
-                    o[3, i] = g[i] if t[i] >= r else start + 1 + np.searchsorted(p[i, :c], r)
-            if later:
+            e &= levels < o[0][:, None]  # E levels before tau_F: the last one is j
+            np.copyto(o[3], start + width - e[:, ::-1].argmax(axis=1), where=e.any(axis=1))
+            if start + width < N:
                 for i in np.flatnonzero(p[:, -1] >= GIANT).tolist():
-                    exact_top[lo + i], g[i] = top_before(i, width)
-                if pending.any():
-                    np.copyto(g, start + 1 + a, where=(p[:, -1] > t) & (p[:, -1] < GIANT))
+                    exact_top[lo + i] = top_before(i, width)
             t[:] = p[:, -1]
         del prod, qa, p, raw  # the next depth block is drawn without this one
+    out[3, out[0] > N] = 0  # no F level: the last E level is no j
     return out
 
 
@@ -429,9 +415,9 @@ def _gather(cfg: ExperimentConfig, stream_fn: Optional[StreamFn], reduce, shape,
 # dichotomy
 
 
-def _hitting_times(cfg: ExperimentConfig, stream_fn: Optional[StreamFn]):
-    events = _gather(cfg, stream_fn, _events, (4,), np.int64)
-    return events[0], events[1]
+def _event_table(cfg: ExperimentConfig, stream_fn: Optional[StreamFn] = None) -> np.ndarray:
+    """_events' (4, samples) table of a validated config: tau_F, tau_E, F count and j."""
+    return _gather(cfg, stream_fn, _events, (4,), np.int64)
 
 
 def run_dichotomy(
@@ -441,7 +427,7 @@ def run_dichotomy(
     cfg = config.validated()
     if cfg.kind != "dichotomy":
         raise DomainError("config.kind must be 'dichotomy'")
-    tau_f, tau_e = _hitting_times(cfg, stream_fn)
+    tau_f, tau_e = _event_table(cfg, stream_fn)[:2]
     return [
         {
             "n": n,
@@ -454,7 +440,7 @@ def run_dichotomy(
 
 def hitting_times(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (tau_F, tau_E) arrays; horizon+1 encodes no event."""
-    return _hitting_times(config.validated(), None)
+    return tuple(_event_table(config.validated())[:2])
 
 
 def event_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,7 +449,7 @@ def event_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.
     At the first F level n the two blocks are j < k = n; j is 0 where there
     is no F level.
     """
-    events = _gather(config.validated(), None, _events, (4,), np.int64)
+    events = _event_table(config.validated())
     return events[0], events[1], events[3]
 
 
@@ -523,13 +509,6 @@ def run_khinchin(
 # Chung-Erdos
 
 
-def _coin_count(cfg: ExperimentConfig, sample_id: int) -> int:
-    """Events of one sample under synthetic_p: iid coins, drawn a depth block at a time."""
-    rng, N = sample_rng(cfg.seed, sample_id), cfg.horizon
-    draws = (rng.random(min(_DEPTH_BLOCK, N - lo)) for lo in range(0, N, _DEPTH_BLOCK))
-    return sum(int(np.count_nonzero(u < cfg.synthetic_p)) for u in draws)
-
-
 @dataclass(frozen=True)
 class ChungErdosResult:
     lhs: float
@@ -547,17 +526,17 @@ def chung_erdos_check(
     Events are E_n = A_n(phi): the block at n and some earlier block both
     beat phi(n). The denominator includes the i = j diagonal (finite form):
     with c_s the number of events of sample s, sum_{i,j} #(E_i and E_j) =
-    sum_s c_s^2. With synthetic_p set, events are iid coins instead
-    (closed-form oracle).
+    sum_s c_s^2.
     """
     cfg = config.validated()
     if cfg.kind != "chung_erdos":
         raise DomainError("config.kind must be 'chung_erdos'")
-    if cfg.synthetic_p is None:
-        c = _gather(cfg, stream_fn, _events, (4,), np.int64)[2]
-    else:
-        c = np.array([_coin_count(cfg, sid) for sid in range(cfg.samples)])
-    S = cfg.samples
+    return _chung_erdos(_event_table(cfg, stream_fn)[2])
+
+
+def _chung_erdos(c: np.ndarray) -> ChungErdosResult:
+    """The check from c, each sample's number of events."""
+    S = len(c)
     lhs = int(np.count_nonzero(c)) / S
     sum_p = float(c.sum()) / S
     sum_pairs = float(sum(x * x for x in c.tolist())) / S
@@ -581,7 +560,6 @@ _CONFIG_KEYS = (
     "seed",
     "checkpoints",
     "threads",
-    "synthetic_p",
 )
 
 
@@ -602,8 +580,6 @@ def config_to_text(config: ExperimentConfig) -> str:
         fields["phi_family"] = cfg.phi.family
         params = cfg.phi.params if cfg.phi.family != "table" else cfg.phi.values
         fields["phi_params"] = ",".join(f"{p:.12g}" for p in params)
-    if cfg.synthetic_p is not None:
-        fields["synthetic_p"] = f"{cfg.synthetic_p:.12g}"
     return "".join(f"{k} = {fields[k]}\n" for k in sorted(fields))
 
 
@@ -638,7 +614,6 @@ def config_from_text(text: str) -> ExperimentConfig:
         seed=int(pairs.get("seed", 0)),
         checkpoints=checkpoints,
         threads=int(pairs.get("threads", 1)),
-        synthetic_p=float(pairs["synthetic_p"]) if "synthetic_p" in pairs else None,
     ).validated()
 
 

@@ -342,7 +342,7 @@ def asymptotic_ratio_scan(series_id: str, params: dict, m_grid) -> ScanResult:
     `params` must hold exactly the keys the series takes. The band flag
     reports whether every ratio over the top decade of the grid stays inside
     the series' band. An M where the predicted shape is 0 (log M = 0 at M = 1,
-    or an underflow) has no ratio: DomainError.
+    or an underflow) or past float range has no ratio: DomainError.
     """
     if series_id not in _SCANS:
         raise DomainError(f"unknown series id {series_id!r}")
@@ -351,7 +351,12 @@ def asymptotic_ratio_scan(series_id: str, params: dict, m_grid) -> ScanResult:
     rows = []
     for M in m_grid:
         val = evaluate(float(M), params)
-        pred = predict(float(M), params)
+        try:
+            pred = predict(float(M), params)
+        except OverflowError:
+            raise DomainError(
+                f"series {series_id} has predicted shape past float range at M = {M!r}: no ratio"
+            ) from None
         if pred == 0.0:
             raise DomainError(f"series {series_id} has predicted shape 0 at M = {M!r}: no ratio")
         rows.append(ScanRow(float(M), val.value, val.abs_error_bound, pred, val.value / pred))

@@ -8,7 +8,9 @@ the cylinders {a_1 = i, a_2 = j}; it uses neither the sampler nor the series
 module. The exact quotient law, the Dirichlet-Piltz sum, the word pressure,
 the column-at-a-time quotient sampler, the first terms of one scalar stream
 and the whole-array collocation rows are definitions and slow paths the
-library's fast paths are checked against.
+library's fast paths are checked against. Per-sample counts of iid coin
+events, drawn from the sampler's streams, feed the Chung-Erdos check its
+closed-form case.
 """
 
 from __future__ import annotations
@@ -226,6 +228,14 @@ def trimmed_centre_ell2(n: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Chung-Erdos closed forms for iid events
+
+
+def coin_counts(p: float, N: int, samples: int, seed: int) -> np.ndarray:
+    """Each sample's number of events when its N events are iid coins of probability p.
+
+    Sample s reads the N uniforms of its sampler stream, mc.sample_rng(seed, s).
+    """
+    return np.array([np.count_nonzero(sample_rng(seed, sid).random(N) < p) for sid in range(samples)])
 
 
 def coin_closed_forms(p: float, N: int) -> tuple[float, float]:

@@ -338,9 +338,7 @@ def test_c08c_trimmed_law_ell3_trend():
 
 def test_c09_chung_erdos():
     p, N, S = 0.3, 50, 10**5
-    synth = mc.chung_erdos_check(
-        mc.ExperimentConfig(kind="chung_erdos", horizon=N, samples=S, seed=5, synthetic_p=p)
-    )
+    synth = mc._chung_erdos(oracles.coin_counts(p, N, S, seed=5))
     lhs_cf, rhs_cf = oracles.coin_closed_forms(p, N)
     sigma_lhs = math.sqrt(lhs_cf * (1 - lhs_cf) / S)
     sigma_rhs = oracles.coin_rhs_sigma(p, N, S)

@@ -125,9 +125,11 @@ class TestSeries:
         "--id S6 --params t=1.5 --M 1",
         "--id S6 --params t=100 --M 1e6",  # M^(1-t) underflows
         "--id S6 --params t=1e300 --M 10",
+        "--id S5 --params ell=200,s=0.5 --M 10",  # log(M)^199 / 199! overflows
+        "--id S2 --params r=1,j=300 --M 100",  # log(M)^598 overflows
     ])
     def test_zero_predicted_shape_exits_domain(self, argv):
-        # log M = 0 at M = 1, or an underflow, leaves no ratio to report
+        # log M = 0 at M = 1, an underflow or an overflow leaves no ratio to report
         done = _python("-m", "cflab.cli", "series", *argv.split())
         assert done.returncode == 1 and done.stderr.startswith("error[domain]")
         assert "Traceback" not in done.stderr and done.stdout == ""
@@ -288,6 +290,16 @@ class TestExperimentCli:
             capsys, "experiment", "run", "--config", str(config), "--out", str(tmp_path / "o")
         )
         assert code == 1 and "CFLAB_THREADS" in err
+
+    def test_coin_key_is_unknown(self, tmp_path):
+        # iid coin events are a test oracle, not an experiment the config format can ask for
+        config = tmp_path / "coins.cfg"
+        config.write_text("kind = chung_erdos\nhorizon = 50\nsamples = 10\nsynthetic_p = 0.3\n")
+        done = _python("-m", "cflab.cli", "experiment", "run", "--config", str(config),
+                       "--out", str(tmp_path / "out"))
+        assert done.returncode == 1 and "unknown config key 'synthetic_p'" in done.stderr
+        assert "Traceback" not in done.stderr and done.stdout == ""
+        assert not (tmp_path / "out").exists()
 
 
 BAD_INPUTS = [

@@ -129,7 +129,6 @@ class TestGrowthConstants:
         vals = [2.0 * 1.5**n for n in range(300)]
         gc = GrowthFunction.table(vals).growth_constants()
         assert gc.log_B == pytest.approx(math.log(1.5), rel=1e-2)
-        assert gc.horizon == 300
 
     def test_table_insufficient(self):
         with pytest.raises(InsufficientDataError):

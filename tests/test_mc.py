@@ -1,9 +1,11 @@
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cflab import blocks, cf, mc
 from cflab.errors import DomainError
@@ -99,6 +101,8 @@ class TestConfig:
         with pytest.raises(DomainError):
             mc.ExperimentConfig(kind="dichotomy", horizon=10).validated()  # no phi
         with pytest.raises(DomainError):
+            mc.ExperimentConfig(kind="chung_erdos", horizon=10).validated()  # no phi
+        with pytest.raises(DomainError):
             mc.ExperimentConfig(kind="trimmed", horizon=10, checkpoints=(1,)).validated()
 
 
@@ -189,7 +193,7 @@ class TestDepthBlockStreaming:
         ]
         for stream_fn, phi, ell, horizon in giants:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon, samples=8)
-            tau_f, tau_e = mc._hitting_times(cfg.validated(), stream_fn)
+            tau_f, tau_e = mc._event_table(cfg.validated(), stream_fn)[:2]
             for sid in range(8):
                 word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
                 want = reference_hits(word, ell, phi, horizon)
@@ -230,7 +234,7 @@ class TestDepthBlockStreaming:
         for stream_fn, phi, ell, horizon in giants:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                       samples=8).validated()
-            got = mc._gather(cfg, stream_fn, mc._events, (4,), np.int64)
+            got = mc._event_table(cfg, stream_fn)
             for sid in range(8):
                 word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
                 earlier += check(word, ell, phi, horizon, got[0, sid], got[3, sid])
@@ -261,7 +265,7 @@ class TestDepthBlockStreaming:
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                   samples=samples).validated()
         assert mc._chunk_ranges(cfg) == [(0, samples)]
-        got = mc._gather(cfg, stream_fn, mc._events, (4,), np.int64)
+        got = mc._event_table(cfg, stream_fn)
         for sid in range(samples):
             word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
             want = reference_hits(word, ell, phi, horizon) + (oracles.brute_F_count(word, ell, phi, horizon),)
@@ -299,7 +303,7 @@ class TestDepthBlockStreaming:
 
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                   samples=3).validated()
-        got = mc._gather(cfg, stream_fn, mc._events, (4,), np.int64)
+        got = mc._event_table(cfg, stream_fn)
         for sid in range(3):
             word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
             hit = blocks.first_F_event(word, ell, phi, horizon)
@@ -307,6 +311,40 @@ class TestDepthBlockStreaming:
                 oracles.brute_F_count(word, ell, phi, horizon), hit[1].j if hit else 0)
             assert tuple(got[:, sid].tolist()) == want, sid
         assert got[1, 1] <= horizon  # the planted row has an E level
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        depth=st.sampled_from([3, 7]),
+        ell=st.sampled_from([1, 2, 3]),
+        phi=st.sampled_from([GrowthFunction.exponential(2), GrowthFunction.power_log(1, 2),
+                             GrowthFunction.table([2.0**60] * 70)]),
+        horizon=st.integers(1, 70),
+        plants=st.lists(st.dictionaries(
+            st.integers(1, 72),
+            st.one_of(st.integers(2, 9), st.sampled_from([2**30 - 1, 2**30, 2**30 + 1, 2**31]),
+                      st.integers(1, 62).map(lambda k: 2**k)),
+            max_size=6), min_size=1, max_size=4),
+    )
+    def test_planted_words_match_detectors(self, depth, ell, phi, horizon, plants):
+        """Rows of ones with a few planted quotients; some near 2^30, so products pass 2^53."""
+
+        def stream_fn(sid, length):
+            row = np.ones(length)
+            for n, a in plants[sid].items():
+                if n <= length:
+                    row[n - 1] = a
+            return row
+
+        cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
+                                  samples=len(plants)).validated()
+        with mock.patch.object(mc, "_DEPTH_BLOCK", depth):
+            got = mc._event_table(cfg, stream_fn)
+        for sid in range(len(plants)):
+            word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
+            hit = blocks.first_F_event(word, ell, phi, horizon)
+            want = reference_hits(word, ell, phi, horizon) + (
+                oracles.brute_F_count(word, ell, phi, horizon), hit[1].j if hit else 0)
+            assert tuple(got[:, sid].tolist()) == want, sid
 
     def test_nan_or_inf_phi_is_always_doubtful(self):
         band = mc.LOG_BAND + 3 * 2.0**-52
@@ -332,15 +370,13 @@ class TestDepthBlockStreaming:
             kind="chung_erdos", ell=2, phi=GrowthFunction.power_log(1, 1), horizon=1600,
             samples=12, seed=3,
         )
-        coins = mc.ExperimentConfig(kind="chung_erdos", horizon=1600, samples=12, seed=4,
-                                    synthetic_p=0.01)
         trimmed = mc.ExperimentConfig(
             kind="trimmed", ell=3, d=2, horizon=1600, samples=5, seed=8,
             checkpoints=(5, 700, 777, 778, 1600),
         )
-        want = (mc.chung_erdos_check(ce), mc.chung_erdos_check(coins), mc.run_trimmed(trimmed))
+        want = (mc.chung_erdos_check(ce), mc.run_trimmed(trimmed))
         monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
-        got = (mc.chung_erdos_check(ce), mc.chung_erdos_check(coins), mc.run_trimmed(trimmed))
+        got = (mc.chung_erdos_check(ce), mc.run_trimmed(trimmed))
         assert got == want
 
     def test_tail_longer_than_a_depth_block(self, monkeypatch):
@@ -484,10 +520,7 @@ class TestTrimmedKhinchin:
 class TestChungErdos:
     def test_synthetic_closed_form(self):
         p, N, S = 0.3, 50, 10**5
-        cfg = mc.ExperimentConfig(
-            kind="chung_erdos", horizon=N, samples=S, seed=5, synthetic_p=p,
-        )
-        res = mc.chung_erdos_check(cfg)
+        res = mc._chung_erdos(oracles.coin_counts(p, N, S, seed=5))
         lhs_cf, rhs_cf = oracles.coin_closed_forms(p, N)
         sigma_lhs = math.sqrt(lhs_cf * (1 - lhs_cf) / S)
         sigma_rhs = oracles.coin_rhs_sigma(p, N, S)
