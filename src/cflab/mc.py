@@ -1,17 +1,18 @@
 """Seeded, reproducible Monte Carlo experiments at desk scale.
 
-Sampling is exact Lebesgue via the conditional quotient law; every sample
-owns a Philox stream keyed by (seed, sample_id), so trajectories are
-independent of chunking and thread scheduling and results are byte-identical
-for identical (config, seed, version). Every kind is a reducer over one scan,
-_depth_blocks, which draws a chunk of samples _DEPTH_BLOCK quotient columns at
-a time and carries only the (ell - 1) * d column tail between blocks, so a
-chunk's memory does not grow with the horizon, and only one depth block is
-alive at a time. Chunk results are folded in sample order. The step d applies
-to trimmed/khinchin; event kinds refuse d != 1. `cflab events` runs on the
-same scan (event_records): the dichotomy reducer, which also records the two
-blocks j < k = tau_F of each sample's first F level; j is the last E level
-before tau_F.
+Sampling is exact Lebesgue via the conditional quotient law. Sample sid reads
+the Philox stream keyed by (seed, sid), sample_rng(seed, sid); a sampler reads
+all its samples' streams through one Philox whose state it resets per sample
+(KeyedStreams). So trajectories are independent of chunking and thread
+scheduling, and results are byte-identical for identical (config, seed,
+version). Every kind is a reducer over one scan, _depth_blocks, which draws a
+chunk of samples _DEPTH_BLOCK quotient columns at a time and carries only the
+(ell - 1) * d column tail between blocks, so a chunk's memory does not grow
+with the horizon, and only one depth block is alive at a time. Chunk results
+are folded in sample order. The step d applies to trimmed/khinchin; event
+kinds refuse d != 1. `cflab events` runs on the same scan (event_records):
+the dichotomy reducer, which also records the two blocks j < k = tau_F of
+each sample's first F level; j is the last E level before tau_F.
 
 The sampler's recursion r <- 1/(a + r) is sequential in depth, but it
 contracts at the Gauss map's Lyapunov rate pi^2/(6 log 2) per step. So each
@@ -113,6 +114,34 @@ def sample_rng(seed: int, sample_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class KeyedStreams:
+    """The uniforms of sample_rng(seed, sid), for any sid, from one Philox.
+
+    Building a keyed Philox costs about 20 us (numpy first gathers OS entropy
+    the key then overrides); resetting the state of one costs a few. Philox
+    bumps its counter before each block of 4 raws, so key (seed, sid), counter
+    drawn // 4 and an empty buffer, then drawn % 4 raws skipped, stand where
+    sample_rng(seed, sid) stands after `drawn` uniforms: Generator.random is
+    (raw >> 11) 2^-53, one raw per uniform.
+    """
+
+    def __init__(self, seed: int):
+        self._key = seed & (2**64 - 1)
+        self._bitgen = np.random.Philox()
+        self._gen = np.random.Generator(self._bitgen)
+
+    def fill(self, sample_id: int, drawn: int, out: np.ndarray) -> None:
+        """out <- the uniforms drawn, drawn + 1, .. of sample_id's stream."""
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [drawn // 4, 0, 0, 0], "key": [self._key, sample_id]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        if drawn % 4:
+            self._bitgen.random_raw(drawn % 4)
+        self._gen.random(out=out)
+
+
 def _advance(u, r, a, tmp, tmp2) -> None:
     """a = ceil((1 + r) u / (1 - u)) and r = 1 / (a + r), elementwise; a may alias u or tmp2.
 
@@ -129,16 +158,19 @@ def _advance(u, r, a, tmp, tmp2) -> None:
 
 
 class QuotientSampler:
-    """Streaming quotient matrix: one Philox stream per sample, drawn in blocks.
+    """Streaming quotient matrix over the streams sample_rng(seed, sid), drawn in blocks.
 
-    Uniform draws are consumed contiguously per sample in fixed-size depth
-    blocks, so a sample's row never depends on chunk boundaries or on how
-    many columns a caller requests at a time.
+    Uniform draws are consumed contiguously per sample in depth blocks, so a
+    sample's row never depends on chunk boundaries or on how many columns a
+    caller requests at a time. Every row has drawn the same number of
+    uniforms, so one count resumes all of them through one KeyedStreams.
     """
 
     def __init__(self, seed: int, sample_ids: Sequence[int]):
-        self._rngs = [sample_rng(seed, sid) for sid in sample_ids]
-        self.count = len(self._rngs)
+        self._streams = KeyedStreams(seed)
+        self._ids = list(sample_ids)
+        self._drawn = 0  # uniforms each row has drawn
+        self.count = len(self._ids)
         self._r = np.zeros(self.count)
 
     def next_block(self, depth: int) -> np.ndarray:
@@ -155,8 +187,8 @@ class QuotientSampler:
         out = np.empty((count, depth))
         # lanes[t, i, k] is column k * width + t of sample i: its uniform, then its quotient
         lanes = np.empty((width, count, tiles))
-        for i, (row, rng) in enumerate(zip(out, self._rngs)):
-            rng.random(out=row)
+        for i, (row, sid) in enumerate(zip(out, self._ids)):
+            self._streams.fill(sid, self._drawn, row)
             if full:
                 np.maximum(row[:full].reshape(tiles - 1, width).T, _TINY, out=lanes[:, i, :-1])
             np.maximum(row[full:], _TINY, out=lanes[:last, i, -1])
@@ -181,6 +213,7 @@ class QuotientSampler:
         out[:, :full].reshape(count, tiles - 1, width).transpose(2, 0, 1)[...] = lanes[:, :, :-1]
         out[:, full:] = lanes[:last, :, -1].T
         self._r = r[:, -1].copy()
+        self._drawn += depth
         return out
 
 

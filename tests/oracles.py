@@ -24,7 +24,7 @@ import numpy as np
 from cflab import pressure
 from cflab.cf import lebesgue_quotients
 from cflab.errors import DomainError, ResourceLimitError
-from cflab.mc import sample_rng
+from cflab.mc import KeyedStreams, sample_rng
 from cflab.series import divisor_table, hurwitz_tail, zeta
 
 
@@ -233,9 +233,15 @@ def trimmed_centre_ell2(n: int) -> float:
 def coin_counts(p: float, N: int, samples: int, seed: int) -> np.ndarray:
     """Each sample's number of events when its N events are iid coins of probability p.
 
-    Sample s reads the N uniforms of its sampler stream, mc.sample_rng(seed, s).
+    Sample s reads the N uniforms of its sampler stream, mc.sample_rng(seed, s),
+    through the sampler's kernel, mc.KeyedStreams.
     """
-    return np.array([np.count_nonzero(sample_rng(seed, sid).random(N) < p) for sid in range(samples)])
+    streams, u = KeyedStreams(seed), np.empty(N)
+    counts = np.empty(samples, dtype=np.int64)
+    for sid in range(samples):
+        streams.fill(sid, 0, u)
+        counts[sid] = np.count_nonzero(u < p)
+    return counts
 
 
 def coin_closed_forms(p: float, N: int) -> tuple[float, float]:

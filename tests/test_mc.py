@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cflab import blocks, cf, mc
 from cflab.errors import DomainError
@@ -131,6 +131,7 @@ class TestSamplingEngine:
     @pytest.mark.parametrize("samples, cuts", [
         (3, (7, 50, 43, 1)),  # below one tile, and depth 1
         (2, (700, 256, 10_002)),  # ragged last tiles around one whole tile
+        (3, (1, 2, 3, 5)),  # blocks resume at every drawn % 4 residue: 0, 1, 3, 2
     ])
     def test_tiled_sampler_is_column_recursion(self, monkeypatch, warmup, samples, cuts):
         monkeypatch.setattr(mc, "_WARMUP", warmup)
@@ -139,6 +140,49 @@ class TestSamplingEngine:
         for depth in cuts:
             assert np.array_equal(tiled.next_block(depth), column.next_block(depth)), depth
             assert np.array_equal(tiled._r, column._r), depth
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.sampled_from([-1, 0, 2**63 + 5, 2**64 - 1]),
+        sid=st.integers(0, 2**40),
+        cuts=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+    )
+    @example(seed=-1, sid=2**40, cuts=[1, 1, 1, 1, 5])  # every drawn % 4 residue, then a wrap
+    def test_keyed_streams_are_sample_rng(self, seed, sid, cuts):
+        want = mc.sample_rng(seed, sid).random(sum(cuts))
+        streams = mc.KeyedStreams(seed)
+        drawn = 0
+        for n in cuts:
+            got = np.empty(n)
+            streams.fill(sid, drawn, got)
+            assert np.array_equal(got, want[drawn : drawn + n]), (drawn, n)
+            drawn += n
+
+    @staticmethod
+    def _count_philox(monkeypatch) -> list:
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        return built
+
+    def test_one_philox_per_sampler(self, monkeypatch):
+        built = self._count_philox(monkeypatch)
+        sampler = mc.QuotientSampler(1, range(1000))
+        sampler.next_block(7)
+        sampler.next_block(50)
+        assert len(built) <= 1
+
+    def test_one_philox_per_chunk(self, monkeypatch):
+        cfg = mc.ExperimentConfig(kind="chung_erdos", phi=PHI2, horizon=20, samples=1000, seed=9)
+        chunks = len(mc._chunk_ranges(cfg.validated()))
+        built = self._count_philox(monkeypatch)
+        mc.chung_erdos_check(cfg)
+        assert len(built) <= chunks
 
     def test_sampler_peak_bytes_per_quotient(self):
         # the uniforms and one tiled copy of them: two samples x depth float arrays
