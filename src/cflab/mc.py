@@ -16,18 +16,21 @@ each sample's first F level; j is the last E level before tau_F.
 
 The sampler's recursion r <- 1/(a + r) is sequential in depth, but it
 contracts at the Gauss map's Lyapunov rate pi^2/(6 log 2) per step. So each
-depth block is cut into tiles of about _TILE columns, every tile but the
-first starts from r = 0 warmed up on the tail of the tile before, and all
-samples x tiles run as one wide recursion. A tile is kept only when its
-warmed-up start equals the true end of the tile before, and is recomputed
-from that end otherwise: the rows are bitwise the column-at-a-time ones.
+depth block is cut into tiles of at most about _TILE columns, or into more,
+down to _WARMUP columns, until samples x tiles reaches about _LANES. Every
+tile but the first starts from r = 0 warmed up on the last _WARMUP uniforms
+of the tile before, and all samples x tiles run as one wide recursion over
+tile-major lanes, so each step reads one contiguous run. A tile is kept only
+when its warmed-up start equals the true end of the tile before, and is
+recomputed from that end otherwise: the rows are bitwise the column-at-a-time
+ones.
 
-Comparisons "block product >= phi(n)" run in value space, for a group of rows
-at once: thresholds are the float values of phi on the depth block's levels
-(correctly rounded where phi is exact, so ties count), and block products are
-exact in float64 below 2^53. Past it float64 still decides, except within a
-band of phi (_doubtful) where GrowthFunction.meets_threshold judges the exact
-integer.
+Comparisons "block product >= phi(n)" run in value space, for a group of
+about _MASK_CELLS rows x levels at once: thresholds are the float values of
+phi on the depth block's levels (correctly rounded where phi is exact, so
+ties count), and block products are exact in float64 below 2^53. Past it
+float64 still decides, except within a band of phi (_doubtful) where
+GrowthFunction.meets_threshold judges the exact integer.
 """
 
 from __future__ import annotations
@@ -52,12 +55,13 @@ PRNG_NAME = "philox4x64 keyed by (seed, sample_id)"
 GIANT = 2.0**53  # float64 stops being exact on integers here
 KHINCHIN_EPS = (0.1, 0.25)
 _DEPTH_BLOCK = 16_384  # quotient columns drawn per step of every experiment
-_TILE = 256  # about this many columns per tile of the sampler's wide recursion
-_WARMUP = 64  # uniforms a tile's start warms up on; at 32, 0 of 129,024 tiles were recomputed
+_TILE = 256  # at most about this many columns per tile of the sampler's wide recursion
+_LANES = 4096  # samples x tiles the recursion aims to run at once, where tiles of _WARMUP columns allow
+_WARMUP = 32  # uniforms a tile's start warms up on; 2 of 381,120 tiles in perfbench's inputs recomputed
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive uniform: a = 1, as the law puts at u = 0
-_MASK_ROWS = 16  # rows whose E/F masks are built at once
+_MASK_CELLS = 16 * _DEPTH_BLOCK  # rows x levels whose E/F masks are built at once
 _CHUNK_BUDGET = 128_000_000  # peak bytes of one worker chunk
-_BYTES_PER_QUOTIENT = 25  # peak bytes per quotient of a depth block, any kind: at most 24.4 measured
+_BYTES_PER_QUOTIENT = 25  # peak bytes per quotient of a depth block, any kind: at most 24.5 measured
 
 KINDS = ("dichotomy", "trimmed", "khinchin", "chung_erdos")
 
@@ -176,43 +180,45 @@ class QuotientSampler:
     def next_block(self, depth: int) -> np.ndarray:
         """Next `depth` quotient columns, shape (samples, depth), float64.
 
-        Tile 0 starts from the carried r, tile k >= 1 from r = 0 warmed up on
-        the last _WARMUP uniforms of tile k - 1 (see the module docstring).
+        The rows are filled whole and clamped into the lanes in one pass; the
+        shape sets the tiles (see the module docstring). Tile 0 starts from
+        the carried r, tile k >= 1 from r = 0 warmed up on the last _WARMUP
+        uniforms of tile k - 1.
         """
         count = self.count
-        tiles = -(-depth // _TILE)
+        tiles = max(-(-depth // _TILE), min(-(-_LANES // count), depth // max(_WARMUP, 1)))
         width = -(-depth // tiles)  # columns of every tile; the last one may hold fewer
+        tiles = -(-depth // width)  # so that the last tile is not empty
         last = depth - (tiles - 1) * width
         full = depth - last
         out = np.empty((count, depth))
-        # lanes[t, i, k] is column k * width + t of sample i: its uniform, then its quotient
-        lanes = np.empty((width, count, tiles))
-        for i, (row, sid) in enumerate(zip(out, self._ids)):
+        for row, sid in zip(out, self._ids):
             self._streams.fill(sid, self._drawn, row)
-            if full:
-                np.maximum(row[:full].reshape(tiles - 1, width).T, _TINY, out=lanes[:, i, :-1])
-            np.maximum(row[full:], _TINY, out=lanes[:last, i, -1])
-        r = np.zeros((count, tiles))
-        r[:, 0] = self._r
-        tmp, tmp2 = np.empty((2, count, tiles))
+        # lanes[t, k, i] is column k * width + t of sample i: its uniform, then its quotient
+        lanes = np.empty((width, tiles, count))
+        np.maximum(out[:, :full].reshape(count, tiles - 1, width).T, _TINY, out=lanes[:, :-1])
+        np.maximum(out[:, full:].T, _TINY, out=lanes[:last, -1])
+        r = np.zeros((tiles, count))
+        r[0] = self._r
+        tmp, tmp2 = np.empty((2, tiles, count))
         for t in range(max(width - _WARMUP, 0), width if tiles > 1 else 0):
-            _advance(lanes[t, :, :-1], r[:, 1:], tmp2[:, :-1], tmp[:, :-1], tmp2[:, :-1])
-        start = r[:, 1:].copy()
+            _advance(lanes[t, :-1], r[1:], tmp2[:-1], tmp[:-1], tmp2[:-1])
+        start = r[1:].copy()
         for t in range(width):
             k = tiles if t < last else tiles - 1  # the last tile has ended
-            _advance(lanes[t, :, :k], r[:, :k], lanes[t, :, :k], tmp[:, :k], tmp2[:, :k])
-        for k in range(1, tiles):  # r[:, k] is now tile k's end from its warmed-up start
-            wrong = np.flatnonzero(start[:, k - 1] != r[:, k - 1])
+            _advance(lanes[t, :k], r[:k], lanes[t, :k], tmp[:k], tmp2[:k])
+        for k in range(1, tiles):  # r[k] is now tile k's end from its warmed-up start
+            wrong = np.flatnonzero(start[k - 1] != r[k - 1])
             if wrong.size:
-                rk = r[wrong, k - 1]
+                rk = r[k - 1, wrong]
                 for t, col in enumerate(range(k * width, min(k * width + width, depth))):
                     u = np.maximum(out[wrong, col], _TINY)
                     _advance(u, rk, u, np.empty_like(u), np.empty_like(u))
-                    lanes[t, wrong, k] = u
-                r[wrong, k] = rk
-        out[:, :full].reshape(count, tiles - 1, width).transpose(2, 0, 1)[...] = lanes[:, :, :-1]
-        out[:, full:] = lanes[:last, :, -1].T
-        self._r = r[:, -1].copy()
+                    lanes[t, k, wrong] = u
+                r[k, wrong] = rk
+        out[:, :full].reshape(count, tiles - 1, width)[...] = lanes[:, :-1].T
+        out[:, full:] = lanes[:last, -1].T
+        self._r = r[-1].copy()
         self._drawn += depth
         return out
 
@@ -343,8 +349,9 @@ def _events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
         width = prod.shape[1]
         phi_win = phi.phi_array(start + width, first=start + 1)
         levels = np.arange(start + 1, start + width + 1)
-        for lo in range(0, count, _MASK_ROWS):
-            rows = slice(lo, min(lo + _MASK_ROWS, count))
+        group = max(1, _MASK_CELLS // width)
+        for lo in range(0, count, group):
+            rows = slice(lo, min(lo + group, count))
             p, t, o = prod[rows], top[rows], out[:, rows]
             raw = p.copy() if ((p.max(axis=1) >= GIANT) | (t >= GIANT)).any() else None
             seen = {}  # row -> (c, top_before(row, c)) of its last call; calls come in column order

@@ -342,12 +342,15 @@ _LOG_DBL_MAX = math.log(np.finfo(float).max)  # math.exp overflows exactly above
 def _continuant_multiset(m: int, n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
     """log of the distinct q2 = a1 a2 + 1 or q3 = a3 q2 + a1 over {1..n_trunc}^m, and their counts."""
     a = np.arange(1, n_trunc + 1, dtype=np.int64)
-    q = np.multiply.outer(a, a)  # a1 a2, indexed (a1, a2)
-    q += 1
-    if m == 3:
-        q = np.multiply.outer(q, a)  # a3 q2, indexed (a1, a2, a3)
+    if m == 2:  # a divisor-count sieve on q2 = k j + 1: the pairs (k, j >= k) and (j, k), a square once
+        counts = np.zeros(n_trunc * n_trunc + 2, dtype=np.int32)  # counts <= n_trunc; int64 is twice the traffic
+        for k in range(1, n_trunc + 1):
+            counts[k * k + 1 : k * n_trunc + 2 : k] += 2
+        counts[a * a + 1] -= 1
+    else:
+        q = np.multiply.outer(np.multiply.outer(a, a) + 1, a)  # a3 q2, indexed (a1, a2, a3)
         q += a[:, None, None]
-    counts = np.bincount(q.reshape(-1))
+        counts = np.bincount(q.reshape(-1))
     q = np.flatnonzero(counts != 0)  # the distinct q_m; nonzero is several times faster on a bool
     return np.log(q.astype(float)), counts[q].astype(float)
 

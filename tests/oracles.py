@@ -432,6 +432,16 @@ def box_log_continuants(m: int, n_trunc: int) -> np.ndarray:
     return np.log(q).reshape(-1)
 
 
+def continuant_multiset_outer(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """pressure._continuant_multiset at m = 2 by one bincount over every word's q2 = a1 a2 + 1."""
+    a = np.arange(1, n_trunc + 1, dtype=np.int64)
+    q = np.multiply.outer(a, a)  # a1 a2, indexed (a1, a2)
+    q += 1
+    counts = np.bincount(q.reshape(-1))
+    q = np.flatnonzero(counts)
+    return np.log(q.astype(float)), counts[q].astype(float)
+
+
 def s_m_partial_zeta(B: float, m: int) -> float:
     """pressure.s_m_oracle summing the box word by word and the partial zeta sum Z(2s) directly.
 

@@ -127,19 +127,25 @@ class TestSamplingEngine:
         joined = np.concatenate(parts, axis=1)
         assert np.array_equal(joined, mc.sample_quotient_block(1, [0, 1], 100))
 
-    @pytest.mark.parametrize("warmup", [64, 1, 0])  # 1 and 0 recompute (almost) every tile
+    @pytest.mark.parametrize("warmup", [64, 32, 1, 0])  # 1 and 0 recompute (almost) every tile, 64 and 32 none
     @pytest.mark.parametrize("samples, cuts", [
         (3, (7, 50, 43, 1)),  # below one tile, and depth 1
         (2, (700, 256, 10_002)),  # ragged last tiles around one whole tile
         (3, (1, 2, 3, 5)),  # blocks resume at every drawn % 4 residue: 0, 1, 3, 2
+        (40, (250, 37, 1, 100)),  # shallow and wide: several tiles of fewer than _TILE columns
     ])
     def test_tiled_sampler_is_column_recursion(self, monkeypatch, warmup, samples, cuts):
         monkeypatch.setattr(mc, "_WARMUP", warmup)
+        recomputed = []  # per _advance call: a recomputed column, the only 1-D calls
+        advance = mc._advance
+        monkeypatch.setattr(mc, "_advance", lambda u, *rest: recomputed.append(u.ndim == 1) or advance(u, *rest))
         tiled = mc.QuotientSampler(5, range(samples))
         column = oracles.ColumnQuotientSampler(5, range(samples))
         for depth in cuts:
             assert np.array_equal(tiled.next_block(depth), column.next_block(depth)), depth
             assert np.array_equal(tiled._r, column._r), depth
+        # a warm-up on the wrong tile would still give the right rows, by recomputing them
+        assert any(recomputed) == (warmup < 32), sum(recomputed)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -390,6 +396,30 @@ class TestDepthBlockStreaming:
                 oracles.brute_F_count(word, ell, phi, horizon), hit[1].j if hit else 0)
             assert tuple(got[:, sid].tolist()) == want, sid
 
+    @pytest.mark.parametrize("depth", [7, 777])
+    def test_mask_groups_are_invisible(self, monkeypatch, depth):
+        """The event table does not depend on how many rows share a mask group.
+
+        Giant products and carried exact tops are indexed lo + i within a group:
+        one row per group, about three, and the whole chunk give one table.
+        """
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
+        giants = [
+            (near_power_stream, GrowthFunction.exponential(2), 1, 1000),
+            (powers_of_two_stream, GIANT_TABLE, 3, 2000),
+            (rare_giant_stream, GrowthFunction.power_log(1, 2), 1, 2000),
+        ]
+        for stream_fn, phi, ell, horizon in giants:
+            cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
+                                      samples=8).validated()
+            tables = []
+            for cells in (1, 3 * depth, 10**9):  # 3 * depth: 3 rows, more in a short last block
+                monkeypatch.setattr(mc, "_MASK_CELLS", cells)
+                tables.append(mc._event_table(cfg, stream_fn))
+            assert np.array_equal(tables[0], tables[1]), stream_fn.__name__
+            assert np.array_equal(tables[0], tables[2]), stream_fn.__name__
+            assert np.count_nonzero(tables[0][2]), stream_fn.__name__  # some F levels to index
+
     def test_nan_or_inf_phi_is_always_doubtful(self):
         band = mc.LOG_BAND + 3 * 2.0**-52
         x = np.array([2.0**60, math.inf, 2.0**60, 2.0**60, 2.0, 2.0**60])
@@ -460,16 +490,22 @@ class TestDepthBlockStreaming:
             peaks.append(traced_peak(lambda: mc.chung_erdos_check(cfg)))
         assert peaks[2] <= 1.1 * peaks[1], peaks
 
-    @pytest.mark.parametrize("kind", ["trimmed", "khinchin", "dichotomy"])
-    def test_one_depth_block_alive_at_a_time(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind, samples, depth", [  # deep, then shallow and wide
+        pytest.param(kind, samples, depth, id=kind + suffix)
+        for samples, depth, suffix in ((64, 4096, ""), (512, 512, "-512x512"))
+        for kind in ("trimmed", "khinchin", "dichotomy")
+    ])
+    def test_one_depth_block_alive_at_a_time(self, monkeypatch, kind, samples, depth):
         """A chunk of several depth blocks peaks within _BYTES_PER_QUOTIENT of one block."""
-        monkeypatch.setattr(mc, "_DEPTH_BLOCK", 4096)
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
         run = {"trimmed": mc.run_trimmed, "khinchin": mc.run_khinchin, "dichotomy": mc.run_dichotomy}[kind]
         cfg = mc.ExperimentConfig(kind=kind, ell=2, phi=GrowthFunction.power_log(3, 2),
-                                  horizon=3 * 4096, samples=64, seed=1)
+                                  horizon=3 * depth, samples=samples, seed=1)
+        assert mc._chunk_ranges(cfg.validated()) == [(0, samples)]
+        assert mc._MASK_CELLS // depth >= samples  # every row in one mask group
         run(cfg)  # warms up caches
         peak = traced_peak(lambda: run(cfg))
-        assert peak <= mc._BYTES_PER_QUOTIENT * 64 * 4096, peak / (64 * 4096)
+        assert peak <= mc._BYTES_PER_QUOTIENT * samples * depth, peak / (samples * depth)
 
     def test_chunk_budget_counts_the_carried_tail(self, monkeypatch):
         """A tail of (ell - 1) d columns longer than a depth block counts against the chunk budget."""

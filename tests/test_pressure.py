@@ -371,6 +371,12 @@ class TestSmOracle:
             exact = math.fsum(np.exp(-t * words))
             assert abs(grouped - exact) <= 1e-15 * exact
 
+    @pytest.mark.parametrize("n_trunc", [1, 2, 3, 7, 64, 333, 800])
+    def test_continuant_sieve_is_the_bincount(self, n_trunc):
+        got = pr._continuant_multiset(2, n_trunc)
+        want = oracles.continuant_multiset_outer(n_trunc)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_huge_B_bound_is_infinite(self):
         # B^{m g3(8)} overflows a float from these B on; the condition then holds
         for m, B in ((3, 6e4), (2, 2e7), (1, 2e14)):
