@@ -87,10 +87,6 @@ def cmd_events(args) -> int:
     rows = []
     if args.samples > 0:
         cf.check_word_budget(args.horizon + args.ell - 1)  # cf.take's bound, kept for compatibility
-        if args.horizon < 1:
-            raise DomainError("horizon must be >= 1")
-        if args.ell < 1:
-            raise DomainError("ell must be >= 1")
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=args.ell, phi=phi, horizon=args.horizon,
                                   samples=args.samples, seed=args.seed)
         if phi.family == growth.TABLE and len(phi.values) < args.horizon:
@@ -119,7 +115,7 @@ def _events_within_table(cfg):
     no event past the table.
     """
     table = len(cfg.phi.values)
-    tau_f, tau_e, first_j = mc.event_records(dataclasses.replace(cfg, horizon=table))
+    tau_f, tau_e, first_j = mc.event_records(dataclasses.replace(cfg, horizon=table, checkpoints=()))
     open_f, open_e = tau_f > table, tau_e > table
     if open_f.any():
         two_f, two_e = mc.hitting_times(dataclasses.replace(cfg, phi=growth.GrowthFunction.power_log(0, 0)))

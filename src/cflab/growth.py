@@ -17,6 +17,7 @@ from .errors import DomainError, InsufficientDataError
 
 LOG2 = math.log(2.0)
 LOG_BAND = 1e-9  # meets_threshold decides in log space outside this band
+_TABLE_LIMINF_VALUES = 2000  # a table's liminf estimates read its first values up to here
 
 POWERLOG = "powerlog"
 EXPONENTIAL = "exp"
@@ -86,6 +87,8 @@ class GrowthFunction:
     @classmethod
     def table(cls, values) -> "GrowthFunction":
         vals = tuple(float(v) for v in values)
+        if not vals:
+            raise DomainError("table needs at least one value")
         if any(v < 2 for v in vals):
             raise DomainError("table values must be >= 2")
         if any(b < a for a, b in zip(vals, vals[1:])):
@@ -232,7 +235,7 @@ class GrowthFunction:
         return gap >= 0
 
     # -- analysis -----------------------------------------------------------
-    def growth_constants(self, horizon: int = 2000) -> GrowthConstants:
+    def growth_constants(self) -> GrowthConstants:
         """Closed-form (B, b) for parametric families; running liminf for tables."""
         if self.family == POWERLOG:
             return GrowthConstants(0.0, 0.0, B_exact=1.0, b_exact=1.0)
@@ -247,7 +250,7 @@ class GrowthFunction:
         if self.family == TABLE:
             if len(self.values) < 100:
                 raise InsufficientDataError("table needs >= 100 values for liminf estimates")
-            m = min(len(self.values), horizon)
+            m = min(len(self.values), _TABLE_LIMINF_VALUES)
             tail = range(m // 2, m)
             log_B = min(self.log_phi(n + 1) / (n + 1) for n in tail)
             log_b = min(

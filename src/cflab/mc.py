@@ -40,7 +40,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
 from typing import Callable, Optional, Sequence, TextIO
@@ -61,13 +61,15 @@ _WARMUP = 32  # uniforms a tile's start warms up on; 2 of 381,120 tiles in perfb
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive uniform: a = 1, as the law puts at u = 0
 _MASK_CELLS = 16 * _DEPTH_BLOCK  # rows x levels whose E/F masks are built at once
 _CHUNK_BUDGET = 128_000_000  # peak bytes of one worker chunk
-_BYTES_PER_QUOTIENT = 25  # peak bytes per quotient of a depth block, any kind: at most 24.5 measured
+_BYTES_PER_QUOTIENT = 25  # peak bytes per quotient of a depth block >= 256 columns, any kind: 24.5 measured
 
 KINDS = ("dichotomy", "trimmed", "khinchin", "chung_erdos")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment's inputs, checked when built; checkpoints become sorted, unique, (horizon,) if none."""
+
     kind: str
     ell: int = 1
     d: int = 1
@@ -78,15 +80,13 @@ class ExperimentConfig:
     checkpoints: tuple[int, ...] = ()
     threads: int = 1
 
-    def validated(self) -> "ExperimentConfig":
+    def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown experiment kind {self.kind!r}")
-        if self.samples < 1:
-            raise DomainError("samples must be >= 1")
-        if self.ell < 1 or self.d < 1 or self.horizon < 1 or self.threads < 1:
-            raise DomainError("ell, d, horizon, threads must be >= 1")
-        cps = self.checkpoints or (self.horizon,)
-        cps = tuple(sorted(set(int(c) for c in cps)))
+        for name in ("samples", "horizon", "ell", "d", "threads"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1")
+        cps = tuple(sorted(set(int(c) for c in self.checkpoints or (self.horizon,))))
         if cps[0] < 1 or cps[-1] > self.horizon:
             raise DomainError("checkpoints must lie in [1, horizon]")
         if self.kind in ("trimmed", "khinchin") and cps[0] < 2:
@@ -95,7 +95,7 @@ class ExperimentConfig:
             raise DomainError("d applies only to trimmed/khinchin; events use consecutive blocks")
         if self.kind in ("dichotomy", "chung_erdos") and self.phi is None:
             raise DomainError(f"{self.kind} experiments need a growth function")
-        return replace(self, checkpoints=cps)
+        object.__setattr__(self, "checkpoints", cps)
 
 
 @dataclass(frozen=True)
@@ -223,18 +223,9 @@ class QuotientSampler:
         return out
 
 
-def sample_quotient_block(
-    seed: int, sample_ids: Sequence[int], length: int
-) -> np.ndarray:
+def sample_quotient_block(seed: int, sample_ids: Sequence[int], length: int) -> np.ndarray:
     """Quotient rows (float64 integers) for the given samples."""
-    sampler = QuotientSampler(seed, sample_ids)
-    parts = []
-    pos = 0
-    while pos < length:
-        depth = min(_DEPTH_BLOCK, length - pos)
-        parts.append(sampler.next_block(depth))
-        pos += depth
-    return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+    return QuotientSampler(seed, sample_ids).next_block(length)
 
 
 StreamFn = Callable[[int, int], np.ndarray]
@@ -420,7 +411,10 @@ def _chunk(cfg: ExperimentConfig, rows, reduce, rng_range: tuple[int, int]) -> n
 
 
 def _chunk_ranges(cfg: ExperimentConfig) -> list[tuple[int, int]]:
-    """Sample ranges of at most 512 whose depth blocks, with the tail carried past them, fit _CHUNK_BUDGET."""
+    """Sample ranges of at most 512 whose depth blocks, with the tail carried past them, fit _CHUNK_BUDGET.
+
+    _BYTES_PER_QUOTIENT holds from 256 columns deep; the 512-row cap keeps a shallower chunk under 1 MB.
+    """
     span = (cfg.ell - 1) * cfg.d
     width = min(_DEPTH_BLOCK, cfg.horizon + span) + span
     size = max(1, min(512, _CHUNK_BUDGET // (_BYTES_PER_QUOTIENT * width)))
@@ -456,7 +450,7 @@ def _gather(cfg: ExperimentConfig, stream_fn: Optional[StreamFn], reduce, shape,
 
 
 def _event_table(cfg: ExperimentConfig, stream_fn: Optional[StreamFn] = None) -> np.ndarray:
-    """_events' (4, samples) table of a validated config: tau_F, tau_E, F count and j."""
+    """_events' (4, samples) table: tau_F, tau_E, F count and j."""
     return _gather(cfg, stream_fn, _events, (4,), np.int64)
 
 
@@ -464,23 +458,22 @@ def run_dichotomy(
     config: ExperimentConfig, stream_fn: Optional[StreamFn] = None
 ) -> list[dict]:
     """Per-checkpoint fractions of samples whose F/E hitting time is <= n."""
-    cfg = config.validated()
-    if cfg.kind != "dichotomy":
+    if config.kind != "dichotomy":
         raise DomainError("config.kind must be 'dichotomy'")
-    tau_f, tau_e = _event_table(cfg, stream_fn)[:2]
+    tau_f, tau_e = _event_table(config, stream_fn)[:2]
     return [
         {
             "n": n,
             "fraction_hit_F": float(np.mean(tau_f <= n)),
             "fraction_hit_E": float(np.mean(tau_e <= n)),
         }
-        for n in cfg.checkpoints
+        for n in config.checkpoints
     ]
 
 
 def hitting_times(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (tau_F, tau_E) arrays; horizon+1 encodes no event."""
-    return tuple(_event_table(config.validated())[:2])
+    return tuple(_event_table(config)[:2])
 
 
 def event_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -489,7 +482,7 @@ def event_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.
     At the first F level n the two blocks are j < k = n; j is 0 where there
     is no F level.
     """
-    events = _event_table(config.validated())
+    events = _event_table(config)
     return events[0], events[1], events[3]
 
 
@@ -507,13 +500,12 @@ def run_trimmed(
     config: ExperimentConfig, stream_fn: Optional[StreamFn] = None
 ) -> list[dict]:
     """Summary statistics of (S_{n,ell} - max block)/(n log^ell n) per checkpoint."""
-    cfg = config.validated()
-    if cfg.kind != "trimmed":
+    if config.kind != "trimmed":
         raise DomainError("config.kind must be 'trimmed'")
-    sums, maxes = _gather_trajectories(cfg, stream_fn)
+    sums, maxes = _gather_trajectories(config, stream_fn)
     rows = []
-    for i, n in enumerate(cfg.checkpoints):
-        norm = (sums[i] - maxes[i]) / (n * math.log(n) ** cfg.ell)
+    for i, n in enumerate(config.checkpoints):
+        norm = (sums[i] - maxes[i]) / (n * math.log(n) ** config.ell)
         rows.append(
             {
                 "n": n,
@@ -530,14 +522,13 @@ def run_khinchin(
     config: ExperimentConfig, stream_fn: Optional[StreamFn] = None
 ) -> list[dict]:
     """Fractions of samples outside eps of the weak-law constant 1/(ell log 2)."""
-    cfg = config.validated()
-    if cfg.kind != "khinchin":
+    if config.kind != "khinchin":
         raise DomainError("config.kind must be 'khinchin'")
-    target = 1.0 / (cfg.ell * math.log(2.0))
-    sums, _ = _gather_trajectories(cfg, stream_fn)
+    target = 1.0 / (config.ell * math.log(2.0))
+    sums, _ = _gather_trajectories(config, stream_fn)
     rows = []
-    for i, n in enumerate(cfg.checkpoints):
-        ratio = sums[i] / (n * math.log(n) ** cfg.ell)
+    for i, n in enumerate(config.checkpoints):
+        ratio = sums[i] / (n * math.log(n) ** config.ell)
         row = {"n": n}
         for eps in KHINCHIN_EPS:
             row[f"outside_{eps}"] = float(np.mean(np.abs(ratio - target) >= eps))
@@ -568,10 +559,9 @@ def chung_erdos_check(
     with c_s the number of events of sample s, sum_{i,j} #(E_i and E_j) =
     sum_s c_s^2.
     """
-    cfg = config.validated()
-    if cfg.kind != "chung_erdos":
+    if config.kind != "chung_erdos":
         raise DomainError("config.kind must be 'chung_erdos'")
-    return _chung_erdos(_event_table(cfg, stream_fn)[2])
+    return _chung_erdos(_event_table(config, stream_fn)[2])
 
 
 def _chung_erdos(c: np.ndarray) -> ChungErdosResult:
@@ -589,41 +579,24 @@ def _chung_erdos(c: np.ndarray) -> ChungErdosResult:
 # ---------------------------------------------------------------------------
 # config files, hashing, persistence
 
-_CONFIG_KEYS = (
-    "kind",
-    "ell",
-    "d",
-    "phi_family",
-    "phi_params",
-    "horizon",
-    "samples",
-    "seed",
-    "checkpoints",
-    "threads",
-)
-
-
 def config_to_text(config: ExperimentConfig) -> str:
-    """Canonical flat key = value form (sorted keys), the hashing input."""
-    cfg = config.validated()
-    fields: dict[str, str] = {
-        "kind": cfg.kind,
-        "ell": str(cfg.ell),
-        "d": str(cfg.d),
-        "horizon": str(cfg.horizon),
-        "samples": str(cfg.samples),
-        "seed": str(cfg.seed),
-        "checkpoints": ",".join(str(c) for c in cfg.checkpoints),
-        "threads": str(cfg.threads),
-    }
-    if cfg.phi is not None:
-        fields["phi_family"] = cfg.phi.family
-        params = cfg.phi.params if cfg.phi.family != "table" else cfg.phi.values
-        fields["phi_params"] = ",".join(f"{p:.12g}" for p in params)
-    return "".join(f"{k} = {fields[k]}\n" for k in sorted(fields))
+    """Canonical flat key = value form (sorted keys), the hashing input; phi is phi_family and phi_params."""
+    pairs: dict[str, str] = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name == "checkpoints":
+            pairs[f.name] = ",".join(str(c) for c in value)
+        elif f.name != "phi":
+            pairs[f.name] = str(value)
+        elif value is not None:
+            pairs["phi_family"] = value.family
+            pairs["phi_params"] = ",".join(f"{p:.12g}" for p in value.params or value.values)
+    return "".join(f"{k} = {pairs[k]}\n" for k in sorted(pairs))
 
 
 def config_from_text(text: str) -> ExperimentConfig:
+    """The config that config_to_text's form sets; a key left out keeps its dataclass default."""
+    types = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "phi"}
     pairs: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -633,28 +606,25 @@ def config_from_text(text: str) -> ExperimentConfig:
             raise DomainError(f"bad config line: {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in types and key not in ("phi_family", "phi_params"):
             raise DomainError(f"unknown config key {key!r}")
         pairs[key] = value.strip()
     if "kind" not in pairs:
         raise DomainError("config must set kind")
-    phi = None
+    args = {}
     if "phi_family" in pairs:
-        phi = GrowthFunction.from_spec(pairs["phi_family"], pairs.get("phi_params", ""))
-    checkpoints = tuple(
-        int(x) for x in pairs.get("checkpoints", "").split(",") if x.strip()
-    )
-    return ExperimentConfig(
-        kind=pairs["kind"],
-        ell=int(pairs.get("ell", 1)),
-        d=int(pairs.get("d", 1)),
-        phi=phi,
-        horizon=int(pairs.get("horizon", 1000)),
-        samples=int(pairs.get("samples", 100)),
-        seed=int(pairs.get("seed", 0)),
-        checkpoints=checkpoints,
-        threads=int(pairs.get("threads", 1)),
-    ).validated()
+        args["phi"] = GrowthFunction.from_spec(pairs["phi_family"], pairs.get("phi_params", ""))
+    try:
+        for key, value in pairs.items():
+            if key == "checkpoints":
+                args[key] = tuple(int(x) for x in value.split(",") if x.strip())
+            elif types.get(key) == "int":
+                args[key] = int(value)
+            elif key in types:
+                args[key] = value
+    except ValueError:
+        raise DomainError(f"config key {key!r} takes integers, got {value!r}") from None
+    return ExperimentConfig(**args)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -695,7 +665,6 @@ def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> RunManifest:
     """Run the configured experiment and persist CSV results plus a manifest."""
-    cfg = config.validated()
     os.makedirs(out_dir, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     run = {
@@ -703,17 +672,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> RunManifest:
         "trimmed": run_trimmed,
         "khinchin": run_khinchin,
         "chung_erdos": lambda c: [asdict(chung_erdos_check(c))],
-    }[cfg.kind]
-    rows = run(cfg)  # dicts whose keys are the CSV columns in order
+    }[config.kind]
+    rows = run(config)  # dicts whose keys are the CSV columns in order
     header = list(rows[0])
     data = [list(r.values()) for r in rows]
-    csv_name = f"{cfg.kind}.csv"
+    csv_name = f"{config.kind}.csv"
     write_atomic(os.path.join(out_dir, csv_name), lambda fh: write_csv(fh, header, data))
     finished = datetime.now(timezone.utc).isoformat()
     manifest = RunManifest(
-        config_hash=config_hash(cfg),
+        config_hash=config_hash(config),
         tool_version=__version__,
-        seed=cfg.seed,
+        seed=config.seed,
         prng=PRNG_NAME,
         started_at=started,
         finished_at=finished,
@@ -721,5 +690,5 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> RunManifest:
     )
     manifest_text = json.dumps(manifest.__dict__, indent=2, sort_keys=True, default=list) + "\n"
     write_atomic(os.path.join(out_dir, "manifest.json"), lambda fh: fh.write(manifest_text))
-    write_atomic(os.path.join(out_dir, "config.txt"), lambda fh: fh.write(config_to_text(cfg)))
+    write_atomic(os.path.join(out_dir, "config.txt"), lambda fh: fh.write(config_to_text(config)))
     return manifest

@@ -25,13 +25,12 @@ N-branch matrix bitwise for N <= _K; above that the pressures differ by at
 most 1.4e-15 (measured for N from 201 to 10^4 and s from 0.45 to 1).
 
 The rows for a <= _K and the D_k depend on neither s nor N: they are built
-once per grid size and kept (_operator_parts), 6.6 MB at 64 points, in blocks
-of _BLOCK_ROWS rows that stay in cache. A grid whose _K rows would exceed
-_ROWS_BUDGET (64 MB, so more than 200 points) is refused before anything is
-allocated. At large s the grid no longer resolves (1+x)^{-2s}: a matrix that
-is not finite, or whose leading eigenvalue is zero, negative or not single
-(power iteration does not settle), is refused with a DomainError that names
-s and the grid.
+once per grid size and kept (_operator_parts), 6.6 MB at 64 points. A grid
+whose _K rows would exceed _ROWS_BUDGET (64 MB, so more than 200 points) is
+refused before anything is allocated. At large s the grid no longer resolves
+(1+x)^{-2s}: a matrix that is not finite, or whose leading eigenvalue is zero,
+negative or not single (power iteration does not settle), is refused with a
+DomainError that names s and the grid.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ _K = 200  # branches with explicit rows; the rest enter through the Taylor-Hurwi
 _DEGREE = 10  # degree in y/h of the rows of the branches a > _K
 _MAX_N = 2**53  # the alphabet enters as the float N + x, exact up to here
 _ROWS_BUDGET = 64_000_000  # bytes of the _K branches' rows
-_BLOCK_ROWS = 2_048  # rows built at a time: 1 MB at 64 points, held in L2
 _TAIL_MIN_S = 0.505  # the full alphabet's sum needs 2s > 1; below this, pure truncation
 
 
@@ -143,26 +141,20 @@ def _cheb_nodes_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _barycentric_rows(y: np.ndarray, x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Interpolation row vectors into out, shape (len(y), m): row p maps node values to f(y[p]).
 
-    Built _BLOCK_ROWS rows at a time, so a block's differences stay in cache in
-    one scratch array. Every entry takes the whole-array build's operations:
-    w / (y - x), then a division by the row sum. A y on a node divides by a zero
-    difference, which makes its row sum inf or NaN; only those rows are checked
-    for a node, and one that has one becomes its unit row.
+    out takes w / (y - x) in place, then a division by the row sum. A y on a
+    node divides by a zero difference, an inf entry that makes its row sum inf
+    or NaN; only those rows are checked for a node, and one that has one
+    becomes its unit row.
     """
-    d = np.empty((min(_BLOCK_ROWS, len(y)), len(x)))
-    sums = np.empty((len(d), 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, len(y), _BLOCK_ROWS):
-            rows = out[lo : lo + _BLOCK_ROWS]
-            k = len(rows)
-            np.subtract(y[lo : lo + k, None], x[None, :], out=d[:k])
-            np.divide(w[None, :], d[:k], out=rows)
-            rows /= np.sum(rows, axis=1, keepdims=True, out=sums[:k])
-            odd = np.flatnonzero(~np.isfinite(sums[:k, 0]))
-            if len(odd):
-                hit = d[odd] == 0.0
-                exact = hit.any(axis=1)
-                rows[odd[exact]] = hit[exact]
+        np.subtract(y[:, None], x[None, :], out=out)
+        np.divide(w[None, :], out, out=out)
+        sums = np.sum(out, axis=1, keepdims=True)
+        odd = np.flatnonzero(~np.isfinite(sums[:, 0]))
+        hit = np.isinf(out[odd])
+        out /= sums
+    exact = hit.any(axis=1)
+    out[odd[exact]] = hit[exact]
     return out
 
 

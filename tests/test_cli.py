@@ -302,6 +302,13 @@ class TestExperimentCli:
         assert not (tmp_path / "out").exists()
 
 
+# a table phi needs a value: refused where the table is built, before the horizon is cut to it
+EMPTY_TABLE = [
+    ["events", "--ell", "1", "--phi-family", "table", "--phi-params", ",", "--horizon", "5",
+     "--samples", "2"],
+    ["phi", "--family", "table", "--params", ","],
+]
+
 BAD_INPUTS = [
     ["phi", "--family", "exp", "--params", "1,2"],
     ["phi", "--family", "powerlog", "--params", "x"],
@@ -333,6 +340,7 @@ BAD_INPUTS = [
     ["experiment", "run", "--config", "dichotomy_d3.cfg", "--out", "out"],
     ["experiment", "run", "--config", "chung_erdos_d2.cfg", "--out", "out"],
     ["experiment", "report", "--dir", "missing"],
+    *EMPTY_TABLE,
 ]
 
 # configs the cases above read; event kinds use consecutive blocks, so d != 1 is refused
@@ -349,6 +357,25 @@ def test_bad_input_exits_domain(capsys, argv, tmp_path, monkeypatch):
         (tmp_path / name).write_text(text)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and err.startswith("error[domain]") and out == ""
+
+
+@pytest.mark.parametrize("line, key, value", [
+    ("ell = abc", "ell", "abc"), ("ell = 2.5", "ell", "2.5"),
+    ("checkpoints = 10,x", "checkpoints", "10,x"), ("seed =", "seed", ""),
+])
+def test_non_integer_config_value_names_the_key(capsys, tmp_path, line, key, value):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"kind = khinchin\nhorizon = 100\n{line}\n")
+    code, out, err = run_cli(capsys, "experiment", "run", "--config", str(config),
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err == f"error[domain]: config key {key!r} takes integers, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", EMPTY_TABLE, ids=lambda argv: argv[0])
+def test_empty_table_is_refused_where_built(capsys, argv):
+    assert run_cli(capsys, *argv) == (1, "", "error[domain]: table needs at least one value\n")
 
 
 HUGE_INPUTS = [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -73,7 +74,7 @@ class TestConfig:
         )
         text = mc.config_to_text(cfg)
         back = mc.config_from_text(text)
-        assert back == cfg.validated()
+        assert back == cfg
         assert mc.config_hash(back) == mc.config_hash(cfg)
 
     def test_text_is_sorted_flat(self):
@@ -95,15 +96,45 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            mc.ExperimentConfig(kind="nope").validated()
+            mc.ExperimentConfig(kind="nope")
         with pytest.raises(DomainError):
-            mc.ExperimentConfig(kind="dichotomy", horizon=10, checkpoints=(20,)).validated()
+            mc.ExperimentConfig(kind="dichotomy", horizon=10, checkpoints=(20,))
         with pytest.raises(DomainError):
-            mc.ExperimentConfig(kind="dichotomy", horizon=10).validated()  # no phi
+            mc.ExperimentConfig(kind="dichotomy", horizon=10)  # no phi
         with pytest.raises(DomainError):
-            mc.ExperimentConfig(kind="chung_erdos", horizon=10).validated()  # no phi
+            mc.ExperimentConfig(kind="chung_erdos", horizon=10)  # no phi
         with pytest.raises(DomainError):
-            mc.ExperimentConfig(kind="trimmed", horizon=10, checkpoints=(1,)).validated()
+            mc.ExperimentConfig(kind="trimmed", horizon=10, checkpoints=(1,))
+
+    def test_one_message_per_count_field_in_order(self):
+        for bad, name in ((dict(samples=0, horizon=0), "samples"), (dict(horizon=-1, ell=0), "horizon"),
+                          (dict(ell=0, d=0), "ell"), (dict(d=0, threads=0), "d"),
+                          (dict(threads=0), "threads")):
+            with pytest.raises(DomainError, match=f"^{name} must be >= 1$"):
+                mc.ExperimentConfig(kind="khinchin", **bad)
+
+    def test_checkpoints_normalised_when_built(self):
+        assert mc.ExperimentConfig(kind="khinchin", horizon=50).checkpoints == (50,)
+        cfg = mc.ExperimentConfig(kind="khinchin", horizon=50, checkpoints=(50, 7, 7, 20))
+        assert cfg.checkpoints == (7, 20, 50)
+        assert dataclasses.replace(cfg, horizon=60).checkpoints == (7, 20, 50)
+
+    def test_replace_is_checked(self):
+        cfg = mc.ExperimentConfig(kind="khinchin", horizon=50, checkpoints=(10, 50))
+        for bad in (dict(horizon=20), dict(samples=0), dict(kind="coins"), dict(checkpoints=(1,))):
+            with pytest.raises(DomainError):
+                dataclasses.replace(cfg, **bad)
+        with pytest.raises(DomainError, match="need a growth function"):
+            dataclasses.replace(cfg, kind="dichotomy")
+
+    def test_keys_left_out_take_the_dataclass_defaults(self):
+        assert mc.config_from_text("kind = trimmed\n") == mc.ExperimentConfig(kind="trimmed")
+        keys = {line.split(" = ")[0] for line in
+                mc.config_to_text(mc.ExperimentConfig(kind="dichotomy", phi=PHI2)).splitlines()}
+        fields = {f.name for f in dataclasses.fields(mc.ExperimentConfig)}
+        assert keys == fields - {"phi"} | {"phi_family", "phi_params"}
+        with pytest.raises(DomainError, match="unknown config key 'phi'"):
+            mc.config_from_text("kind = dichotomy\nphi = powerlog\n")
 
 
 class TestSamplingEngine:
@@ -185,7 +216,7 @@ class TestSamplingEngine:
 
     def test_one_philox_per_chunk(self, monkeypatch):
         cfg = mc.ExperimentConfig(kind="chung_erdos", phi=PHI2, horizon=20, samples=1000, seed=9)
-        chunks = len(mc._chunk_ranges(cfg.validated()))
+        chunks = len(mc._chunk_ranges(cfg))
         built = self._count_philox(monkeypatch)
         mc.chung_erdos_check(cfg)
         assert len(built) <= chunks
@@ -243,7 +274,7 @@ class TestDepthBlockStreaming:
         ]
         for stream_fn, phi, ell, horizon in giants:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon, samples=8)
-            tau_f, tau_e = mc._event_table(cfg.validated(), stream_fn)[:2]
+            tau_f, tau_e = mc._event_table(cfg, stream_fn)[:2]
             for sid in range(8):
                 word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
                 want = reference_hits(word, ell, phi, horizon)
@@ -283,7 +314,7 @@ class TestDepthBlockStreaming:
         ]
         for stream_fn, phi, ell, horizon in giants:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
-                                      samples=8).validated()
+                                      samples=8)
             got = mc._event_table(cfg, stream_fn)
             for sid in range(8):
                 word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
@@ -313,7 +344,7 @@ class TestDepthBlockStreaming:
             return row
 
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
-                                  samples=samples).validated()
+                                  samples=samples)
         assert mc._chunk_ranges(cfg) == [(0, samples)]
         got = mc._event_table(cfg, stream_fn)
         for sid in range(samples):
@@ -352,7 +383,7 @@ class TestDepthBlockStreaming:
             return row
 
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
-                                  samples=3).validated()
+                                  samples=3)
         got = mc._event_table(cfg, stream_fn)
         for sid in range(3):
             word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
@@ -386,7 +417,7 @@ class TestDepthBlockStreaming:
             return row
 
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
-                                  samples=len(plants)).validated()
+                                  samples=len(plants))
         with mock.patch.object(mc, "_DEPTH_BLOCK", depth):
             got = mc._event_table(cfg, stream_fn)
         for sid in range(len(plants)):
@@ -411,7 +442,7 @@ class TestDepthBlockStreaming:
         ]
         for stream_fn, phi, ell, horizon in giants:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
-                                      samples=8).validated()
+                                      samples=8)
             tables = []
             for cells in (1, 3 * depth, 10**9):  # 3 * depth: 3 rows, more in a short last block
                 monkeypatch.setattr(mc, "_MASK_CELLS", cells)
@@ -490,22 +521,35 @@ class TestDepthBlockStreaming:
             peaks.append(traced_peak(lambda: mc.chung_erdos_check(cfg)))
         assert peaks[2] <= 1.1 * peaks[1], peaks
 
-    @pytest.mark.parametrize("kind, samples, depth", [  # deep, then shallow and wide
+    @pytest.mark.parametrize("kind, samples, depth", [  # deep, then shallow and wide, then shallower
         pytest.param(kind, samples, depth, id=kind + suffix)
-        for samples, depth, suffix in ((64, 4096, ""), (512, 512, "-512x512"))
+        for samples, depth, suffix in ((64, 4096, ""), (512, 512, "-512x512"), (512, 64, "-512x64"),
+                                       (100, 250, "-100x250"))
         for kind in ("trimmed", "khinchin", "dichotomy")
     ])
     def test_one_depth_block_alive_at_a_time(self, monkeypatch, kind, samples, depth):
-        """A chunk of several depth blocks peaks within _BYTES_PER_QUOTIENT of one block."""
+        """A chunk of several depth blocks peaks within _BYTES_PER_QUOTIENT of one block.
+
+        Besides the block, a chunk holds per row the (ell - 1) d column tail
+        and at most 16 eight-byte values: the sampler's r and sample id (a
+        list slot and an int), the running sums and maxima or the top and 4
+        event columns, the chunk's and _gather's result columns and a few
+        per-row temporaries. A broadcasting ufunc may also fill one numpy
+        buffer of np.getbufsize() float64s. These count below 256 columns,
+        where they pass _BYTES_PER_QUOTIENT.
+        """
         monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
         run = {"trimmed": mc.run_trimmed, "khinchin": mc.run_khinchin, "dichotomy": mc.run_dichotomy}[kind]
         cfg = mc.ExperimentConfig(kind=kind, ell=2, phi=GrowthFunction.power_log(3, 2),
                                   horizon=3 * depth, samples=samples, seed=1)
-        assert mc._chunk_ranges(cfg.validated()) == [(0, samples)]
+        assert mc._chunk_ranges(cfg) == [(0, samples)]
         assert mc._MASK_CELLS // depth >= samples  # every row in one mask group
         run(cfg)  # warms up caches
         peak = traced_peak(lambda: run(cfg))
-        assert peak <= mc._BYTES_PER_QUOTIENT * samples * depth, peak / (samples * depth)
+        bound = mc._BYTES_PER_QUOTIENT * samples * depth
+        if depth < 256:
+            bound += 8 * ((cfg.ell - 1) * cfg.d + 16) * samples + 8 * np.getbufsize()
+        assert peak <= bound, peak / (samples * depth)
 
     def test_chunk_budget_counts_the_carried_tail(self, monkeypatch):
         """A tail of (ell - 1) d columns longer than a depth block counts against the chunk budget."""
@@ -513,7 +557,7 @@ class TestDepthBlockStreaming:
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", 400_000)  # one chunk of all 64 rows peaks at 490 KB
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=301, phi=GrowthFunction.power_log(1, 1),
                                   horizon=10, samples=64, seed=3)
-        assert len(mc._chunk_ranges(cfg.validated())) > 1
+        assert len(mc._chunk_ranges(cfg)) > 1
         mc.run_dichotomy(cfg)  # warms up caches
         assert traced_peak(lambda: mc.run_dichotomy(cfg)) <= mc._CHUNK_BUDGET
 
@@ -521,7 +565,7 @@ class TestDepthBlockStreaming:
         for kind, samples, horizon, ell in (("dichotomy", 256, 10**4, 3), ("trimmed", 16, 2 * 10**4, 2)):
             cfg = mc.ExperimentConfig(kind=kind, ell=ell, horizon=horizon, samples=samples,
                                       phi=PHI2)
-            assert mc._chunk_ranges(cfg.validated()) == [(0, samples)]
+            assert mc._chunk_ranges(cfg) == [(0, samples)]
 
 
 class TestDichotomy:
@@ -591,7 +635,7 @@ class TestTrimmedKhinchin:
             kind="trimmed", ell=2, d=3, horizon=50, samples=2, seed=5,
             checkpoints=(50,),
         )
-        sums, _ = mc._gather_trajectories(cfg.validated(), None)
+        sums, _ = mc._gather_trajectories(cfg, None)
         for sid in range(2):
             word = cf.take(cf.lebesgue_quotients(mc.sample_rng(5, sid)), 50 + 3)
             assert int(sums[0][sid]) == blocks.progression_sum(word, 2, 3, 50)
@@ -694,6 +738,21 @@ class TestPersistence:
         mc.run_experiment(self._config(threads=1), str(a))
         mc.run_experiment(self._config(threads=3), str(b))
         assert (a / "dichotomy.csv").read_bytes() == (b / "dichotomy.csv").read_bytes()
+
+    def test_process_pool_matches_inline(self, tmp_path, monkeypatch):
+        """600 samples make 2 chunks; threads = 2 runs them in a real pool of 2 workers."""
+        made = []
+        pool = mc.ProcessPoolExecutor
+        monkeypatch.setattr(mc, "ProcessPoolExecutor",
+                            lambda max_workers: made.append(max_workers) or pool(max_workers))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = mc.ExperimentConfig(kind="trimmed", ell=2, horizon=300, samples=600, seed=5)
+        assert len(mc._chunk_ranges(cfg)) == 2
+        a, b = tmp_path / "t1", tmp_path / "t2"
+        mc.run_experiment(cfg, str(a))
+        mc.run_experiment(dataclasses.replace(cfg, threads=2), str(b))
+        assert made == [2]
+        assert (a / "trimmed.csv").read_bytes() == (b / "trimmed.csv").read_bytes()
 
     def test_manifest_and_config_written(self, tmp_path):
         import json

@@ -285,27 +285,24 @@ class TestCollocationRows:
 
 
 class TestBlockedRows:
-    """The rows are built in blocks of _BLOCK_ROWS; every entry is the whole-array build's."""
+    """The rows, built whole-array in place, are the oracle's; a y on a node gives a unit row."""
 
     @pytest.mark.parametrize("m", [2, 3, 64])
-    def test_nodes_on_block_boundaries(self, monkeypatch, m):
-        monkeypatch.setattr(pr, "_BLOCK_ROWS", 7)
+    def test_nodes_on_block_boundaries(self, m):
         x, w = pr._cheb_nodes_weights(m)
         y = np.random.default_rng(m).random(7 * 5 + 3)
-        on_node = [0, 6, 7, 13, 14, 20, 36, 37]  # first and last rows of blocks, ragged last block
+        on_node = [0, 6, 7, 13, 14, 20, 36, 37]  # the first and last rows, and rows in between
         y[on_node] = x[np.arange(len(on_node)) % m]
         got = pr._barycentric_rows(y, x, w, np.empty((len(y), m)))
         want = oracles.barycentric_rows(y, x, w)
         assert np.array_equal(got, want)
         assert all(np.count_nonzero(got[p]) == 1 for p in on_node)
-        for short in (1, 6, 7, 8):  # fewer rows than one block, and exactly one
+        for short in (1, 6, 7, 8):  # a single row, and a few
             assert np.array_equal(pr._barycentric_rows(y[:short], x, w, np.empty((short, m))),
                                   want[:short])
 
-    @pytest.mark.parametrize("block", [7, 64, pr._BLOCK_ROWS])
-    def test_chunks(self, monkeypatch, block):
+    def test_chunks(self):
         """The _K branches' rows, built as one chunk."""
-        monkeypatch.setattr(pr, "_BLOCK_ROWS", block)
         pr._operator_parts.cache_clear()
         try:
             x, w, y, rows, _ = pr._operator_parts(64)
@@ -316,12 +313,12 @@ class TestBlockedRows:
         assert y[0, -1] == x[0] and np.count_nonzero(rows[0, -1]) == 1  # a = 1 at the node x = 0
 
     @pytest.mark.parametrize("N", [100, 1000])
-    def test_small_blocks_keep_the_matrix(self, monkeypatch, N):
+    def test_small_blocks_keep_the_matrix(self, N):
+        """Rebuilt operator parts give the same matrix bitwise."""
         params = pr.DEFAULT_PARAMS
         svals = (0.46, pr._TAIL_MIN_S, 0.8)
         pr._operator_parts.cache_clear()
         want = [pr._transfer_matrix(s, N, params) for s in svals]
-        monkeypatch.setattr(pr, "_BLOCK_ROWS", 7)
         pr._operator_parts.cache_clear()
         try:
             for s, default in zip(svals, want):
