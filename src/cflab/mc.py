@@ -14,6 +14,16 @@ kinds refuse d != 1. `cflab events` runs on the same scan (event_records):
 the dichotomy reducer, which also records the two blocks j < k = tau_F of
 each sample's first F level; j is the last E level before tau_F.
 
+run_dichotomy, hitting_times and event_records read only tau_F, tau_E and
+j, which are settled once a row meets its first F level. In their scan a
+row leaves once it has tau_F, and a chunk ends when no row is left: for
+divergent phi almost every row meets an F level, and early. The scan draws
+_FIRST_BLOCK columns first, then twice the last block's quotients over the
+rows left, up to _DEPTH_BLOCK columns, so the few rows that settle late
+cost about one more block, not the whole chunk's. A reducer that reads
+every level's F, as chung_erdos_check does, scans the whole horizon in
+_DEPTH_BLOCK steps, and so do trimmed and khinchin.
+
 The sampler's recursion r <- 1/(a + r) is sequential in depth, but it
 contracts at the Gauss map's Lyapunov rate pi^2/(6 log 2) per step. So each
 depth block is cut into tiles of at most about _TILE columns, or into more,
@@ -48,13 +58,14 @@ from typing import Callable, Optional, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .growth import LOG_BAND, GrowthFunction
 
 PRNG_NAME = "philox4x64 keyed by (seed, sample_id)"
 GIANT = 2.0**53  # float64 stops being exact on integers here
 KHINCHIN_EPS = (0.1, 0.25)
 _DEPTH_BLOCK = 16_384  # quotient columns drawn per step of every experiment
+_FIRST_BLOCK = 256  # first step of a scan that may stop at tau_F; it doubles up to _DEPTH_BLOCK
 _TILE = 256  # at most about this many columns per tile of the sampler's wide recursion
 _LANES = 4096  # samples x tiles the recursion aims to run at once, where tiles of _WARMUP columns allow
 _WARMUP = 32  # uniforms a tile's start warms up on; 2 of 381,120 tiles in perfbench's inputs recomputed
@@ -91,6 +102,14 @@ class ExperimentConfig:
             raise DomainError("checkpoints must lie in [1, horizon]")
         if self.kind in ("trimmed", "khinchin") and cps[0] < 2:
             raise DomainError("trimmed/khinchin checkpoints must be >= 2")
+        for n in cps if self.kind in ("trimmed", "khinchin") else ():
+            try:
+                norm = n * math.log(n) ** self.ell  # run_trimmed's and run_khinchin's normaliser
+            except OverflowError:
+                norm = math.inf
+            if not 0.0 < norm < math.inf:
+                raise DomainError(f"normaliser n log^ell n is not a positive finite float at "
+                                  f"n = {n}, ell = {self.ell}")
         if self.kind in ("dichotomy", "chung_erdos") and self.d != 1:
             raise DomainError("d applies only to trimmed/khinchin; events use consecutive blocks")
         if self.kind in ("dichotomy", "chung_erdos") and self.phi is None:
@@ -207,20 +226,32 @@ class QuotientSampler:
         for t in range(width):
             k = tiles if t < last else tiles - 1  # the last tile has ended
             _advance(lanes[t, :k], r[:k], lanes[t, :k], tmp[:k], tmp2[:k])
-        for k in range(1, tiles):  # r[k] is now tile k's end from its warmed-up start
-            wrong = np.flatnonzero(start[k - 1] != r[k - 1])
-            if wrong.size:
-                rk = r[k - 1, wrong]
-                for t, col in enumerate(range(k * width, min(k * width + width, depth))):
-                    u = np.maximum(out[wrong, col], _TINY)
-                    _advance(u, rk, u, np.empty_like(u), np.empty_like(u))
-                    lanes[t, k, wrong] = u
-                r[k, wrong] = rk
+        # r[k] is now tile k's end from its warmed-up start; missed[k - 1] marks the
+        # rows whose tile k did not start at the true end of tile k - 1
+        missed = start != r[:-1]
+        k = 0  # tiles up to k are right
+        while (later := np.flatnonzero(missed[k:].any(axis=1))).size:
+            k += int(later[0]) + 1
+            wrong = np.flatnonzero(missed[k - 1])
+            rk = r[k - 1, wrong]
+            for t, col in enumerate(range(k * width, min(k * width + width, depth))):
+                u = np.maximum(out[wrong, col], _TINY)
+                _advance(u, rk, u, np.empty_like(u), np.empty_like(u))
+                lanes[t, k, wrong] = u
+            r[k, wrong] = rk
+            if k < tiles - 1:  # tile k's end moved: check tile k + 1's start again
+                missed[k] = start[k] != r[k]
         out[:, :full].reshape(count, tiles - 1, width)[...] = lanes[:, :-1].T
         out[:, full:] = lanes[:last, -1].T
         self._r = r[-1].copy()
         self._drawn += depth
         return out
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Draw later blocks for these of the current rows only (indices, ascending)."""
+        self._ids = [self._ids[i] for i in rows.tolist()]
+        self._r = self._r[rows]
+        self.count = len(self._ids)
 
 
 def sample_quotient_block(seed: int, sample_ids: Sequence[int], length: int) -> np.ndarray:
@@ -232,7 +263,7 @@ StreamFn = Callable[[int, int], np.ndarray]
 
 
 class _ForcedStream:
-    """QuotientSampler's next_block over the rows stream_fn(sample_id, length), held whole."""
+    """QuotientSampler's next_block and keep over the rows stream_fn(sample_id, length), held whole."""
 
     def __init__(self, stream_fn: StreamFn, length: int, sample_ids: Sequence[int]):
         self._rows = np.vstack([stream_fn(sid, length) for sid in sample_ids])
@@ -243,6 +274,9 @@ class _ForcedStream:
     def next_block(self, depth: int) -> np.ndarray:
         self._fed += depth
         return self._rows[:, self._fed - depth : self._fed]
+
+    def keep(self, rows: np.ndarray) -> None:
+        self._rows = self._rows[rows]
 
 
 def _block_prods(qa: np.ndarray, ell: int, d: int, n_starts: int) -> np.ndarray:
@@ -257,7 +291,7 @@ def _block_prods(qa: np.ndarray, ell: int, d: int, n_starts: int) -> np.ndarray:
     return prod
 
 
-def _depth_blocks(cfg: ExperimentConfig, source, count: int):
+def _depth_blocks(cfg: ExperimentConfig, source, count: int, live=None):
     """(start, prod, qa) per depth block of one chunk's rows, drawn from source.
 
     prod[:, j] is the product of the block at 0-based start start + j, over
@@ -265,13 +299,22 @@ def _depth_blocks(cfg: ExperimentConfig, source, count: int):
     into the next block keeps products spanning a boundary available. The
     tail is a copy, so once the caller drops prod and qa (and every view of
     them) before asking for the next block, only one depth block is alive.
+    Blocks draw _DEPTH_BLOCK columns. With live, a scan that may end early:
+    after each block, live() gives the mask of the rows just yielded that
+    still need more; later blocks draw only those, and the scan ends when
+    none is left. Such a scan draws _FIRST_BLOCK columns first, then twice
+    the last block's quotients over the rows left, up to _DEPTH_BLOCK
+    columns, so neither a whole _DEPTH_BLOCK nor the rows already settled
+    are drawn for the few rows that settle late.
     """
     N, ell, d = cfg.horizon, cfg.ell, cfg.d
     span = (ell - 1) * d
     tail = np.empty((count, 0))
     done = 0  # block starts yielded so far
+    size = _DEPTH_BLOCK if live is None else min(_FIRST_BLOCK, _DEPTH_BLOCK)
     while done < N:
-        qa = source.next_block(min(_DEPTH_BLOCK, N + span - done - tail.shape[1]))
+        qa = source.next_block(min(size, N + span - done - tail.shape[1]))
+        size = min(2 * size, _DEPTH_BLOCK)
         if tail.shape[1]:
             qa = np.concatenate([tail, qa], axis=1)
         tail = qa[:, max(qa.shape[1] - span, 0) :].copy()  # all of qa while it is shorter than span
@@ -279,6 +322,15 @@ def _depth_blocks(cfg: ExperimentConfig, source, count: int):
         if starts > 0:
             yield done, _block_prods(qa, ell, d, starts), qa
             done += starts
+            if live is not None and done < N:
+                keep = live()
+                left = np.count_nonzero(keep)
+                if not left:
+                    return
+                if left < len(keep):
+                    source.keep(np.flatnonzero(keep))
+                    tail = tail[keep]
+                    size = min(-(-size * len(keep) // left), _DEPTH_BLOCK)  # as many quotients, fewer rows
         del qa
 
 
@@ -314,8 +366,14 @@ def _fold_events(out: np.ndarray, start: int, e: np.ndarray, f: np.ndarray) -> N
     out[2] += np.count_nonzero(f, axis=1)
 
 
-def _events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
+def _events(cfg: ExperimentConfig, source, count: int, until_hit: bool = False) -> np.ndarray:
     """Per row: tau_F, tau_E (horizon + 1 encodes none), the number of F levels and j (0 for none).
+
+    With until_hit a row leaves the scan once it has tau_F <= horizon, and the
+    scan draws growing depth blocks over the rows left (_depth_blocks' live)
+    and ends when none is. tau_E <= tau_F, as an F level is an E level, and j
+    is fixed at tau_F, so tau_F, tau_E and j are the full scan's; the F count
+    then covers only the levels scanned.
 
     phi, evaluated on each depth block's levels only, is non-decreasing: block
     n qualifies at its level iff prod >= phi(n) (E), and besides it an earlier
@@ -332,17 +390,30 @@ def _events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
     """
     ell, phi, N = cfg.ell, cfg.phi, cfg.horizon
     band = LOG_BAND + (ell + 1) * 2.0**-52  # see _doubtful
-    out = np.zeros((4, count), dtype=np.int64)
-    out[:2] = N + 1
+    table = np.zeros((4, count), dtype=np.int64)
+    table[:2] = N + 1
+    out, scanned = table, np.arange(count)  # the rows still scanned: their results, their columns of table
     top = np.zeros(count)  # largest earlier block product, rounded past GIANT
     exact_top = {}  # the exact integer top of rows whose top reached GIANT
-    for start, prod, qa in _depth_blocks(cfg, source, count):
+
+    def live():
+        """Keep scanning the rows without tau_F; table holds the others' final results."""
+        nonlocal out, scanned, top, exact_top
+        keep = out[0] > N
+        if not keep.all():
+            table[:, scanned] = out
+            at = np.cumsum(keep) - 1  # a kept row's index among the rows kept
+            out, scanned, top = out[:, keep], scanned[keep], top[keep]
+            exact_top = {int(at[i]): x for i, x in exact_top.items() if keep[i]}
+        return keep
+
+    for start, prod, qa in _depth_blocks(cfg, source, count, live if until_hit else None):
         width = prod.shape[1]
         phi_win = phi.phi_array(start + width, first=start + 1)
         levels = np.arange(start + 1, start + width + 1)
         group = max(1, _MASK_CELLS // width)
-        for lo in range(0, count, group):
-            rows = slice(lo, min(lo + group, count))
+        for lo in range(0, len(scanned), group):
+            rows = slice(lo, lo + group)
             p, t, o = prod[rows], top[rows], out[:, rows]
             raw = p.copy() if ((p.max(axis=1) >= GIANT) | (t >= GIANT)).any() else None
             seen = {}  # row -> (c, top_before(row, c)) of its last call; calls come in column order
@@ -378,8 +449,9 @@ def _events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
                     exact_top[lo + i] = top_before(i, width)
             t[:] = p[:, -1]
         del prod, qa, p, raw  # the next depth block is drawn without this one
-    out[3, out[0] > N] = 0  # no F level: the last E level is no j
-    return out
+    table[:, scanned] = out
+    table[3, table[0] > N] = 0  # no F level: the last E level is no j
+    return table
 
 
 def _sums_and_maxes(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
@@ -414,10 +486,14 @@ def _chunk_ranges(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     """Sample ranges of at most 512 whose depth blocks, with the tail carried past them, fit _CHUNK_BUDGET.
 
     _BYTES_PER_QUOTIENT holds from 256 columns deep; the 512-row cap keeps a shallower chunk under 1 MB.
+    A config one row of which does not fit is refused.
     """
     span = (cfg.ell - 1) * cfg.d
     width = min(_DEPTH_BLOCK, cfg.horizon + span) + span
-    size = max(1, min(512, _CHUNK_BUDGET // (_BYTES_PER_QUOTIENT * width)))
+    if _BYTES_PER_QUOTIENT * width > _CHUNK_BUDGET:
+        raise ResourceLimitError(f"one sample's depth block and (ell - 1) d = {span} column tail "
+                                 f"exceed the {_CHUNK_BUDGET}-byte chunk budget")
+    size = min(512, _CHUNK_BUDGET // (_BYTES_PER_QUOTIENT * width))
     return [(lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size)]
 
 
@@ -450,8 +526,18 @@ def _gather(cfg: ExperimentConfig, stream_fn: Optional[StreamFn], reduce, shape,
 
 
 def _event_table(cfg: ExperimentConfig, stream_fn: Optional[StreamFn] = None) -> np.ndarray:
-    """_events' (4, samples) table: tau_F, tau_E, F count and j."""
+    """_events' (4, samples) table: tau_F, tau_E, F count and j, over the whole horizon."""
     return _gather(cfg, stream_fn, _events, (4,), np.int64)
+
+
+def _first_events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
+    """_events' tau_F, tau_E and j, from a scan that ends once every row has tau_F."""
+    return _events(cfg, source, count, until_hit=True)[[0, 1, 3]]
+
+
+def _first_event_table(cfg: ExperimentConfig, stream_fn: Optional[StreamFn] = None) -> np.ndarray:
+    """The (3, samples) table tau_F, tau_E, j: rows 0, 1 and 3 of _event_table."""
+    return _gather(cfg, stream_fn, _first_events, (3,), np.int64)
 
 
 def run_dichotomy(
@@ -460,7 +546,7 @@ def run_dichotomy(
     """Per-checkpoint fractions of samples whose F/E hitting time is <= n."""
     if config.kind != "dichotomy":
         raise DomainError("config.kind must be 'dichotomy'")
-    tau_f, tau_e = _event_table(config, stream_fn)[:2]
+    tau_f, tau_e = _first_event_table(config, stream_fn)[:2]
     return [
         {
             "n": n,
@@ -471,19 +557,22 @@ def run_dichotomy(
     ]
 
 
-def hitting_times(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+def hitting_times(
+    config: ExperimentConfig, stream_fn: Optional[StreamFn] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (tau_F, tau_E) arrays; horizon+1 encodes no event."""
-    return tuple(_event_table(config)[:2])
+    return tuple(_first_event_table(config, stream_fn)[:2])
 
 
-def event_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def event_records(
+    config: ExperimentConfig, stream_fn: Optional[StreamFn] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample (tau_F, tau_E, j) arrays; horizon+1 encodes no event.
 
     At the first F level n the two blocks are j < k = n; j is 0 where there
     is no F level.
     """
-    events = _event_table(config)
-    return events[0], events[1], events[3]
+    return tuple(_first_event_table(config, stream_fn))
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +697,8 @@ def config_from_text(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in types and key not in ("phi_family", "phi_params"):
             raise DomainError(f"unknown config key {key!r}")
+        if key in pairs:
+            raise DomainError(f"repeated config key {key!r}")
         pairs[key] = value.strip()
     if "kind" not in pairs:
         raise DomainError("config must set kind")
@@ -664,7 +755,11 @@ def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> RunManifest:
-    """Run the configured experiment and persist CSV results plus a manifest."""
+    """Run the configured experiment and persist CSV results plus a manifest.
+
+    out_dir is made only once the chunks are known to fit their budget.
+    """
+    _chunk_ranges(config)  # raises ResourceLimitError before anything is written
     os.makedirs(out_dir, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     run = {

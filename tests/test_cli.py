@@ -373,6 +373,40 @@ def test_non_integer_config_value_names_the_key(capsys, tmp_path, line, key, val
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    # log(10)^1000 passes float range: run_trimmed's normaliser would raise OverflowError
+    ("kind = trimmed\nell = 1000\nhorizon = 10\nsamples = 2\n",
+     "normaliser n log^ell n is not a positive finite float at n = 10, ell = 1000"),
+    # 2 log(2)^3000 underflows to 0: the ratio would divide by zero
+    ("kind = khinchin\nell = 3000\nhorizon = 10\ncheckpoints = 2,10\n",
+     "normaliser n log^ell n is not a positive finite float at n = 2, ell = 3000"),
+    ("kind = khinchin\nsamples = 10\nsamples = 20\n", "repeated config key 'samples'"),
+], ids=["overflow", "underflow", "repeated-key"])
+def test_config_refused_before_output(capsys, tmp_path, text, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    code, out, err = run_cli(capsys, "experiment", "run", "--config", str(config),
+                             "--out", str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", f"error[domain]: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_row_past_chunk_budget_exits_resource(tmp_path):
+    """One row's (ell - 1) column tail, 8e7 bytes at ell = 10^7, is past the chunk budget.
+
+    It is refused before the --out directory is made, and before any block
+    is drawn: the child may map only 1 GiB.
+    """
+    config = tmp_path / "huge.cfg"
+    config.write_text("kind = dichotomy\nell = 10000000\nhorizon = 10\nsamples = 1\n"
+                      "phi_family = powerlog\nphi_params = 1,2\n")
+    done = _python("-m", "cflab.cli", "experiment", "run", "--config", str(config),
+                   "--out", str(tmp_path / "out"), address_space=2**30)
+    assert done.returncode == 2 and done.stderr.startswith("error[resource]"), done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", EMPTY_TABLE, ids=lambda argv: argv[0])
 def test_empty_table_is_refused_where_built(capsys, argv):
     assert run_cli(capsys, *argv) == (1, "", "error[domain]: table needs at least one value\n")

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cflab import blocks, cf, mc
-from cflab.errors import DomainError
+from cflab.errors import DomainError, ResourceLimitError
 from cflab.growth import GrowthFunction
 
 import oracles
@@ -42,6 +43,13 @@ def rare_giant_stream(sid, length):
 
 
 GIANT_TABLE = GrowthFunction.table([2.0 ** (168 + n // 400) for n in range(2000)])
+
+# forced streams of giant products: exact ties with 2^n past 2^53, and a giant carried across blocks
+GIANT_STREAMS = [
+    (near_power_stream, GrowthFunction.exponential(2), 1, 1000),
+    (powers_of_two_stream, GIANT_TABLE, 3, 2000),
+    (rare_giant_stream, GrowthFunction.power_log(1, 2), 1, 2000),
+]
 
 
 def reference_hits(word, ell, phi, horizon):
@@ -127,6 +135,31 @@ class TestConfig:
         with pytest.raises(DomainError, match="need a growth function"):
             dataclasses.replace(cfg, kind="dichotomy")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(DomainError, match="^repeated config key 'samples'$"):
+            mc.config_from_text("kind = khinchin\nsamples = 10\nsamples = 20\n")
+
+    def test_normaliser_past_float_range_refused(self):
+        for kind in ("trimmed", "khinchin"):
+            with pytest.raises(DomainError, match="at n = 10, ell = 1000$"):
+                mc.ExperimentConfig(kind=kind, ell=1000, horizon=10, samples=2)
+            with pytest.raises(DomainError, match="at n = 2, ell = 3000$"):
+                mc.ExperimentConfig(kind=kind, ell=3000, horizon=10, checkpoints=(2, 10))
+            cfg = mc.ExperimentConfig(kind=kind, ell=300, horizon=10)  # 10 log(10)^300 < DBL_MAX
+            with pytest.raises(DomainError, match="normaliser"):
+                dataclasses.replace(cfg, ell=1000)
+        # the event kinds have no normaliser
+        mc.ExperimentConfig(kind="dichotomy", ell=1000, horizon=10, phi=PHI2)
+
+    def test_row_past_chunk_budget_refused(self, monkeypatch):
+        cfg = mc.ExperimentConfig(kind="dichotomy", ell=301, horizon=10, phi=PHI2)
+        width = min(mc._DEPTH_BLOCK, cfg.horizon + 300) + 300
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", mc._BYTES_PER_QUOTIENT * width)
+        assert mc._chunk_ranges(cfg)[0] == (0, 1)
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", mc._BYTES_PER_QUOTIENT * width - 1)
+        with pytest.raises(ResourceLimitError, match="300 column tail"):
+            mc._chunk_ranges(cfg)
+
     def test_keys_left_out_take_the_dataclass_defaults(self):
         assert mc.config_from_text("kind = trimmed\n") == mc.ExperimentConfig(kind="trimmed")
         keys = {line.split(" = ")[0] for line in
@@ -157,6 +190,13 @@ class TestSamplingEngine:
         parts = [sampler.next_block(7), sampler.next_block(50), sampler.next_block(43)]
         joined = np.concatenate(parts, axis=1)
         assert np.array_equal(joined, mc.sample_quotient_block(1, [0, 1], 100))
+
+    def test_kept_rows_resume_their_streams(self):
+        sampler = mc.QuotientSampler(1, range(5))
+        first = sampler.next_block(7)
+        sampler.keep(np.array([1, 3]))
+        joined = np.concatenate([first[[1, 3]], sampler.next_block(50)], axis=1)
+        assert np.array_equal(joined, mc.sample_quotient_block(1, [1, 3], 57))
 
     @pytest.mark.parametrize("warmup", [64, 32, 1, 0])  # 1 and 0 recompute (almost) every tile, 64 and 32 none
     @pytest.mark.parametrize("samples, cuts", [
@@ -266,13 +306,7 @@ class TestDepthBlockStreaming:
                 stream = cf.lebesgue_quotients(mc.sample_rng(seed, sid))
                 want = reference_hits(cf.take(stream, horizon + ell - 1), ell, phi, horizon)
                 assert (tau_f[sid], tau_e[sid]) == want, (phi, ell, sid)
-        # giant products: exact ties with 2^n past 2^53, and a giant carried across blocks
-        giants = [
-            (near_power_stream, GrowthFunction.exponential(2), 1, 1000),
-            (powers_of_two_stream, GIANT_TABLE, 3, 2000),
-            (rare_giant_stream, GrowthFunction.power_log(1, 2), 1, 2000),
-        ]
-        for stream_fn, phi, ell, horizon in giants:
+        for stream_fn, phi, ell, horizon in GIANT_STREAMS:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon, samples=8)
             tau_f, tau_e = mc._event_table(cfg, stream_fn)[:2]
             for sid in range(8):
@@ -307,12 +341,7 @@ class TestDepthBlockStreaming:
             for sid in range(samples):
                 word = cf.take(cf.lebesgue_quotients(mc.sample_rng(seed, sid)), horizon + ell - 1)
                 earlier += check(word, ell, phi, horizon, tau_f[sid], first_j[sid])
-        giants = [
-            (near_power_stream, GrowthFunction.exponential(2), 1, 1000),
-            (powers_of_two_stream, GIANT_TABLE, 3, 2000),
-            (rare_giant_stream, GrowthFunction.power_log(1, 2), 1, 2000),
-        ]
-        for stream_fn, phi, ell, horizon in giants:
+        for stream_fn, phi, ell, horizon in GIANT_STREAMS:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                       samples=8)
             got = mc._event_table(cfg, stream_fn)
@@ -427,6 +456,137 @@ class TestDepthBlockStreaming:
                 oracles.brute_F_count(word, ell, phi, horizon), hit[1].j if hit else 0)
             assert tuple(got[:, sid].tolist()) == want, sid
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        depth=st.sampled_from([3, 7, 40]),
+        first=st.sampled_from([1, 2, 5, 64]),
+        ell=st.sampled_from([1, 2, 3]),
+        phi=st.sampled_from([GrowthFunction.exponential(2), GrowthFunction.power_log(1, 2),
+                             GrowthFunction.table([2.0**60] * 400)]),
+        horizon=st.integers(1, 400),
+        words=st.one_of(
+            st.sampled_from(range(len(GIANT_STREAMS))),
+            st.lists(st.dictionaries(
+                st.integers(1, 72),
+                st.one_of(st.integers(2, 9), st.sampled_from([2**30 - 1, 2**30 + 1, 2**31]),
+                          st.integers(1, 62).map(lambda k: 2**k)),
+                max_size=6), min_size=1, max_size=4),
+        ),
+    )
+    def test_stopped_scan_is_the_full_scan(self, depth, first, ell, phi, horizon, words):
+        """event_records and hitting_times end once every row of a chunk has tau_F.
+
+        They equal rows 0, 1 and 3 of the full scan's table, on planted rows of
+        ones (some rows hit early, some late or never) and on the giant streams
+        (an index into GIANT_STREAMS, which sets its own phi and ell).
+        """
+        if isinstance(words, int):
+            stream_fn, phi, ell, _ = GIANT_STREAMS[words]
+            samples = 8
+        else:
+            def stream_fn(sid, length):
+                row = np.ones(length)
+                for n, a in words[sid].items():
+                    if n <= length:
+                        row[n - 1] = a
+                return row
+            samples = len(words)
+        cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
+                                  samples=samples)
+        with mock.patch.object(mc, "_DEPTH_BLOCK", depth), mock.patch.object(mc, "_FIRST_BLOCK", first):
+            full = mc._event_table(cfg, stream_fn)
+            records = mc.event_records(cfg, stream_fn)
+            times = mc.hitting_times(cfg, stream_fn)
+        assert np.array_equal(np.array(records), full[[0, 1, 3]])
+        assert np.array_equal(np.array(times), full[:2])
+
+    def test_block_schedules(self, monkeypatch):
+        """A scan that may stop draws _FIRST_BLOCK, then doubles to _DEPTH_BLOCK; the others do not grow."""
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", 100)
+        monkeypatch.setattr(mc, "_FIRST_BLOCK", 10)
+        depths = []
+        next_block = mc.QuotientSampler.next_block
+        monkeypatch.setattr(mc.QuotientSampler, "next_block",
+                            lambda self, depth: depths.append(depth) or next_block(self, depth))
+        never = GrowthFunction.table([1e15] * 500)  # no row meets an F level: no stop
+        runs = [
+            (mc.event_records, mc.ExperimentConfig(kind="dichotomy", ell=3, phi=never, horizon=500,
+                                                   samples=2), [10, 20, 40, 80, 100, 100, 100, 52]),
+            (mc.chung_erdos_check, mc.ExperimentConfig(kind="chung_erdos", ell=3, phi=never,
+                                                       horizon=250, samples=2), [100, 100, 52]),
+            (mc.run_trimmed, mc.ExperimentConfig(kind="trimmed", ell=3, d=2, horizon=250,
+                                                 samples=2), [100, 100, 54]),
+            (mc.run_khinchin, mc.ExperimentConfig(kind="khinchin", ell=2, horizon=250,
+                                                  samples=2), [100, 100, 51]),
+        ]
+        for run, cfg, want in runs:
+            depths.clear()
+            run(cfg)
+            assert depths == want, (cfg.kind, depths)
+        monkeypatch.setattr(mc, "_FIRST_BLOCK", 1000)  # capped at _DEPTH_BLOCK
+        depths.clear()
+        mc.event_records(runs[0][1])
+        assert depths == [100] * 5 + [2], depths
+
+    def test_settled_rows_leave_the_scan(self, monkeypatch):
+        """A row with tau_F is no longer drawn; the rows left draw twice the last block's quotients.
+
+        Rows 0 and 2 have tau_F = 2, row 3 has tau_F = 201 and row 1 none. The
+        first block draws 10 columns of 4 rows, the next 40 of the 2 rows left
+        (80 quotients), then 80 and 100 (capped at _DEPTH_BLOCK); after the
+        block of levels 131-230 only row 1 is left, for the rest of the horizon.
+        """
+        monkeypatch.setattr(mc, "_DEPTH_BLOCK", 100)
+        monkeypatch.setattr(mc, "_FIRST_BLOCK", 10)
+        plants = [{1: 10**6, 2: 10**6}, {}, {1: 10**6, 2: 10**6}, {200: 10**6, 201: 10**6}]
+
+        def stream_fn(sid, length):
+            row = np.ones(length)
+            for n, a in plants[sid].items():
+                row[n - 1] = a
+            return row
+
+        shapes = []
+        next_block = mc._ForcedStream.next_block
+
+        def record(self, depth):
+            block = next_block(self, depth)
+            shapes.append(block.shape)
+            return block
+
+        monkeypatch.setattr(mc._ForcedStream, "next_block", record)
+        cfg = mc.ExperimentConfig(kind="dichotomy", ell=1, phi=PHI2, horizon=500, samples=4)
+        tau_f, tau_e, first_j = mc.event_records(cfg, stream_fn)
+        assert shapes == [(4, 10), (2, 40), (2, 80), (2, 100), (1, 100), (1, 100), (1, 70)], shapes
+        assert tau_f.tolist() == [2, 501, 2, 201] and first_j.tolist() == [1, 0, 1, 200]
+        assert np.array_equal(mc._event_table(cfg, stream_fn)[[0, 1, 3]], [tau_f, tau_e, first_j])
+
+    def test_stopped_scan_draws_the_first_block_for_settled_rows(self, monkeypatch):
+        """At c07's shape a row with tau_F in the first block draws that block only; chung_erdos draws the horizon."""
+        drawn = collections.Counter()
+        fill = mc.KeyedStreams.fill
+
+        def count(self, sid, d, out):
+            drawn[sid] += out.size
+            fill(self, sid, d, out)
+
+        monkeypatch.setattr(mc.KeyedStreams, "fill", count)
+        c07 = mc.ExperimentConfig(kind="dichotomy", ell=3, phi=GrowthFunction.power_log(1, 2),
+                                  horizon=10**5, samples=1000, seed=42)
+        tau_f, _ = mc.hitting_times(c07)
+        assert tau_f.max() <= c07.horizon  # every row meets an F level
+        late = tau_f > mc._FIRST_BLOCK - 2  # past the first block's levels
+        assert 0 < late.sum() < 10, late.sum()
+        for sid in range(c07.samples):
+            if late[sid]:
+                assert mc._FIRST_BLOCK < drawn[sid] <= c07.horizon + 2, (sid, drawn[sid])
+            else:
+                assert drawn[sid] == mc._FIRST_BLOCK, (sid, drawn[sid])
+        drawn.clear()
+        ce = dataclasses.replace(c07, kind="chung_erdos", horizon=20_000, samples=3, checkpoints=())
+        mc.chung_erdos_check(ce)
+        assert sum(drawn.values()) == ce.samples * (ce.horizon + 2)
+
     @pytest.mark.parametrize("depth", [7, 777])
     def test_mask_groups_are_invisible(self, monkeypatch, depth):
         """The event table does not depend on how many rows share a mask group.
@@ -435,12 +595,7 @@ class TestDepthBlockStreaming:
         one row per group, about three, and the whole chunk give one table.
         """
         monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
-        giants = [
-            (near_power_stream, GrowthFunction.exponential(2), 1, 1000),
-            (powers_of_two_stream, GIANT_TABLE, 3, 2000),
-            (rare_giant_stream, GrowthFunction.power_log(1, 2), 1, 2000),
-        ]
-        for stream_fn, phi, ell, horizon in giants:
+        for stream_fn, phi, ell, horizon in GIANT_STREAMS:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                       samples=8)
             tables = []
@@ -498,20 +653,27 @@ class TestDepthBlockStreaming:
 
     @pytest.mark.parametrize("kind", ["dichotomy", "chung_erdos"])
     def test_one_sample_peak_flat_in_horizon(self, monkeypatch, kind):
+        """The dichotomy row meets no F level, so its scan does not stop: it streams every block."""
         monkeypatch.setattr(mc, "_DEPTH_BLOCK", 256)
         run = {"dichotomy": mc.run_dichotomy, "chung_erdos": mc.chung_erdos_check}[kind]
+        phi = {"dichotomy": GrowthFunction.table([1e15] * 16 * 256),  # no three quotients reach it
+               "chung_erdos": GrowthFunction.power_log(1, 2)}[kind]
+        depths = []
+        next_block = mc.QuotientSampler.next_block
         peaks = []
         for horizon in (4 * 256, 4 * 256, 16 * 256):  # the first run warms up caches
-            cfg = mc.ExperimentConfig(
-                kind=kind, ell=3, phi=GrowthFunction.power_log(1, 2), horizon=horizon,
-                samples=1, seed=2,
-            )
+            cfg = mc.ExperimentConfig(kind=kind, ell=3, phi=phi, horizon=horizon, samples=1, seed=2)
+            with mock.patch.object(mc.QuotientSampler, "next_block",
+                                   lambda self, depth: depths.append(depth) or next_block(self, depth)):
+                run(cfg)
+            assert len(depths) > 4 and set(depths[:-1]) == {256}, depths
+            depths.clear()
             peaks.append(traced_peak(lambda: run(cfg)))
         assert peaks[2] <= 1.1 * peaks[1], peaks
 
     def test_chung_erdos_peak_flat_in_chunks(self, monkeypatch):
         monkeypatch.setattr(mc, "_DEPTH_BLOCK", 256)
-        monkeypatch.setattr(mc, "_CHUNK_BUDGET", 1)  # one sample per chunk
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", mc._BYTES_PER_QUOTIENT * 256)  # one 256-column row per chunk
         peaks = []
         for samples in (2, 2, 16):  # the first run warms up caches
             cfg = mc.ExperimentConfig(
