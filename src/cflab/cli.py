@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -225,7 +226,14 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process and shared by every main() call.
+
+    Reuse carries nothing over between calls: parse_args returns a fresh Namespace
+    each time, the subcommands' defaults never change, and help and errors are
+    formatted when printed. Callers must not modify the parser.
+    """
     parser = _Parser(prog="cflab", description=__doc__.split("\n\n`events`")[0])
     parser.add_argument("--version", action="version", version=f"cflab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

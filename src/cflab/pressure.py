@@ -22,7 +22,10 @@ where the full sum diverges as s -> 1/2, and with tail_correction=False, the
 operator is the literal truncated one over a <= N: the sum runs over _K < a
 <= N, a difference of two Hurwitz tails. That matrix equals the literal
 N-branch matrix bitwise for N <= _K; above that the pressures differ by at
-most 1.4e-15 (measured for N from 201 to 10^4 and s from 0.45 to 1).
+most 1.4e-15 (measured for N from 201 to 10^4 and s from 0.45 to 1). So a
+dimension root bisected below _TAIL_MIN_S is the truncated operator's, too low
+for every finite B > 1, whose true root exceeds 1/2: it is refused with a
+DomainError.
 
 The rows for a <= _K and the D_k depend on neither s nor N: they are built
 once per grid size and kept (_operator_parts), 6.6 MB at 64 points. A grid
@@ -261,10 +264,15 @@ def _root_at_alphabet(f, log_B, N, params):
     lo, hi = _BRACKET
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo <= 0.0:
-        return lo, (lo, lo)  # root at or below the bracket floor
-    if g_hi > 0.0:
+        hi = lo  # root at or below the bracket floor
+    elif g_hi > 0.0:
         return hi, (hi, hi)  # pressure still positive at s = 1
-    lo, hi = _bisect(lambda s: not gap(s) > 0.0, lo, hi, params.bisect_tol)
+    else:
+        lo, hi = _bisect(lambda s: not gap(s) > 0.0, lo, hi, params.bisect_tol)
+    if lo < _TAIL_MIN_S:
+        raise DomainError(
+            f"dimension root not resolved: bisected to [{lo:.6g}, {hi:.6g}], below s = "
+            f"{_TAIL_MIN_S}, where the solver has only the truncated operator")
     return 0.5 * (lo + hi), (lo, hi)
 
 
@@ -289,6 +297,8 @@ def hausdorff_dim(
     between the dimension is the root of P(s) = f(s) log B with f the set's
     multiplier in SET_POTENTIALS, solved by bisection on _BRACKET with the
     pressure of the whole Gauss system (one operator, no alphabet to choose).
+    A root bisected below _TAIL_MIN_S, where that operator is not used, is a
+    DomainError.
     """
     if set_id not in SET_POTENTIALS:
         raise DomainError(f"unknown set {set_id!r}; choose from {sorted(SET_POTENTIALS)}")

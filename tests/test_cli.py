@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import sys
 
 import jsonschema
 import pytest
@@ -12,7 +13,11 @@ from test_pressure import _python
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    """cli.main in this process: exit code (--help and --version exit by SystemExit), stdout, stderr."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -90,6 +95,27 @@ class TestDim:
         jsonschema.validate(payload, load_schema("dim"))
         assert 0.5 < payload["s"] < 1.0
         assert payload["branch"] == "B_finite" and payload["hi"] - payload["lo"] <= 2e-4
+
+    @pytest.mark.parametrize("set_id, base", [
+        ("E1", "1500"), ("E1", "2000"), ("E1", "1e4"), ("E3", "1e12"),
+        ("E1", "1e8"),  # gap <= 0 already at the bracket floor, s = 0.45
+    ])
+    def test_root_below_the_whole_operator_exits_domain(self, capsys, set_id, base):
+        # for finite B > 1 the root exceeds 1/2; below s = 0.505 the solver has only the
+        # truncated operator, whose roots there were printed with exit 0 (0.499 to 0.45)
+        code, out, err = run_cli(capsys, "dim", "--set", set_id, "--phi-family", "exp",
+                                 "--phi-params", base)
+        assert code == 1 and out == ""
+        assert err.startswith("error[domain]: dimension root not resolved") and "0.505" in err
+
+    def test_root_above_the_refusal_keeps_its_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "dim", "--set", "E1", "--phi-family", "exp",
+                               "--phi-params", "1000")
+        assert code == 0
+        assert out == (
+            '{\n  "set": "E1",\n  "s": 0.514553833008,\n  "lo": 0.514520263672,\n'
+            '  "hi": 0.514587402344,\n  "branch": "B_finite"\n}\n'
+        )
 
 
 class TestSeries:
@@ -443,3 +469,52 @@ class TestErrorsAndHelp:
         out = capsys.readouterr().out
         for flag in ("--set", "--phi-family", "--phi-params", "--tol"):
             assert flag in out
+
+
+HELP_ARGV = [[], ["expand"], ["phi"], ["events"], ["series"], ["pressure"], ["dim"],
+             ["experiment"], ["experiment", "run"], ["experiment", "report"]]
+# stdout of `cflab ... --help` at COLUMNS=80, from fresh interpreters before the parser was
+# built once per process; argparse words its help differently on other Python versions
+HELP_FILE = os.path.join(os.path.dirname(__file__), "help", "py3.11.txt")
+
+
+class TestParserReuse:
+    """main() parses every argv with one parser; nothing carries over from one call to the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_namespace_holds_only_its_own_command(self):
+        parser = cli.build_parser()
+        events = parser.parse_args(["events", "--ell", "1", "--phi-family", "exp",
+                                    "--phi-params", "2", "--horizon", "9", "--seed", "3"])
+        dim = parser.parse_args(["dim", "--set", "F3", "--phi-family", "exp", "--phi-params", "2"])
+        assert (events.horizon, events.seed, events.fn) == (9, 3, cli.cmd_events)
+        assert not hasattr(dim, "horizon") and not hasattr(dim, "seed")
+        assert dim.fn is cli.cmd_dim and dim.tol == 1e-4
+
+    def test_calls_in_one_process_match_fresh_interpreters(self, capsys):
+        calls = [
+            ["events", "--ell", "1", "--phi-family", "powerlog", "--phi-params", "1,2",
+             "--horizon", "60", "--seed", "9", "--samples", "5", "--bogus"],
+            ["--version"],
+            ["events", "--ell", "1", "--phi-family", "powerlog", "--phi-params", "1,2",
+             "--horizon", "60", "--seed", "4", "--samples", "3"],
+        ]
+        here = [(code, out.encode(), err.encode()) for code, out, err in
+                (run_cli(capsys, *argv) for argv in calls)]
+        fresh = [_python("-m", "cflab.cli", *argv, text=False) for argv in calls]
+        assert here == [(d.returncode, d.stdout, d.stderr) for d in fresh]
+        assert [code for code, _, _ in here] == [1, 0, 0]
+        assert here[0][2].startswith(b"error[domain]: ")
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help text recorded on Python 3.11")
+    def test_help_bytes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = []
+        for argv in HELP_ARGV:
+            code, out, err = run_cli(capsys, *argv, "--help")
+            assert code == 0 and err == ""
+            got.append(f"=== cflab {' '.join([*argv, '--help'])}\n{out}")
+        with open(HELP_FILE, encoding="utf-8", newline="") as fh:
+            assert "".join(got) == fh.read()

@@ -117,6 +117,13 @@ class TestTransferPressure:
             v1000 = pr.transfer_pressure(0.8, 1000, params)
             assert v1000 >= v100 - 1e-12
 
+    def test_gauss_kuzmin_wirsing_eigenvalue(self):
+        # the Gauss operator's second eigenvalue, -0.30366... (Wirsing), through the explicit
+        # rows, the Taylor-Hurwitz tail and the barycentric rows at once
+        ev = np.linalg.eigvals(pr._transfer_matrix(1.0, pr._MAX_N, pr.DEFAULT_PARAMS))
+        second = ev[np.argsort(-np.abs(ev))[1]]
+        assert abs(second - -0.3036630028987326586) <= 1e-14
+
     def test_word_oracle_agreement(self):
         # the two-point difference of word counts extracts the n -> infinity
         # limit (the raw n = 14 value carries an O(1/n) bias of ~0.03)
@@ -522,12 +529,13 @@ class TestSolverPins:
             assert pr.s_m_oracle(B, m).hex() == want, (B, m)
 
 
-def _python(*args, address_space=None):
+def _python(*args, address_space=None, text=True):
     """Run the interpreter on cflab in a child process that cannot hang the suite.
 
     `address_space` caps the child's virtual memory in bytes, so a budget
     check that fails to refuse a huge allocation ends in MemoryError there
     instead of exhausting the machine's memory.
+    With text=False the output is bytes, line ends as written.
     """
     src = os.path.dirname(os.path.dirname(pr.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
@@ -536,7 +544,7 @@ def _python(*args, address_space=None):
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env,
+        [sys.executable, *args], capture_output=True, text=text, timeout=60, env=env,
         preexec_fn=cap if address_space else None,
     )
 
