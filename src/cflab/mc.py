@@ -22,7 +22,7 @@ _FIRST_BLOCK columns first, then twice the last block's quotients over the
 rows left, up to _DEPTH_BLOCK columns, so the few rows that settle late
 cost about one more block, not the whole chunk's. A reducer that reads
 every level's F, as chung_erdos_check does, scans the whole horizon in
-_DEPTH_BLOCK steps, and so do trimmed and khinchin.
+_DEPTH_BLOCK steps; trimmed and khinchin do so up to the last checkpoint.
 
 The sampler's recursion r <- 1/(a + r) is sequential in depth, but it
 contracts at the Gauss map's Lyapunov rate pi^2/(6 log 2) per step. So each
@@ -50,7 +50,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from typing import Callable, Optional, Sequence, TextIO
@@ -454,25 +454,38 @@ def _events(cfg: ExperimentConfig, source, count: int, until_hit: bool = False) 
     return table
 
 
-def _sums_and_maxes(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
-    """Running block-product sum (out[0]) and maximum (out[1]) per checkpoint and row."""
-    cps = cfg.checkpoints
+def _checkpoint_sums(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
+    """Block-product sum S_n (out[0]) and trimmed sum S_n - M_n (out[1]) per checkpoint and row.
+
+    The scan ends at the last checkpoint. Each depth block is cut at the checkpoints inside it,
+    and each segment gives per row one sum s and one max m (reduceat). Across segments S, the
+    running max M and T = S - M follow by T += (s - m) + min(m, M). Below 2^53 every partial sum
+    is exact. Where S reaches GIANT, s - m is the sum of the segment's blocks but one largest,
+    so no rounded sum is ever cancelled. A product or a sum past float64 raises DomainError.
+    """
+    cps = np.array(cfg.checkpoints)
     out = np.empty((2, len(cps), count))
-    run_sum = np.zeros(count)
-    run_max = np.zeros(count)
-    next_cp = 0
-    for start, prod, qa in _depth_blocks(cfg, source, count):
-        mx = np.maximum.accumulate(prod, axis=1)
-        np.maximum(mx, run_max[:, None], out=mx)
-        cs = np.cumsum(prod, axis=1, out=prod)  # prod is a fresh copy; reuse its memory
-        cs += run_sum[:, None]
-        while next_cp < len(cps) and cps[next_cp] <= start + prod.shape[1]:
-            col = cps[next_cp] - start - 1
-            out[:, next_cp] = cs[:, col], mx[:, col]
-            next_cp += 1
-        run_sum = cs[:, -1].copy()
-        run_max = mx[:, -1].copy()
-        del prod, qa, mx, cs  # the next depth block is drawn without this one
+    run_sum, trim, top = np.zeros((3, count))
+    done = 0  # checkpoints written
+    with np.errstate(over="ignore"):
+        for start, prod, qa in _depth_blocks(replace(cfg, horizon=int(cps[-1])), source, count):
+            ends = np.append(cps[(cps > start) & (cps < start + prod.shape[1])] - start, prod.shape[1])
+            lo = np.append(0, ends[:-1])
+            s, m = np.add.reduceat(prod, lo, axis=1), np.maximum.reduceat(prod, lo, axis=1)
+            sums = np.cumsum(np.column_stack((run_sum, s)), axis=1)[:, 1:]
+            if np.isinf(sums[:, -1]).any():
+                level = start + ends[np.isinf(sums).any(axis=0).argmax()]
+                raise DomainError(f"block products at ell = {cfg.ell} pass float64 by level {level}")
+            trims = s - m
+            for i, j in np.argwhere(sums >= GIANT).tolist():  # the sum of all blocks but one largest
+                trims[i, j] = np.partition(prod[i, lo[j] : ends[j]], -1)[:-1].sum()
+            before = np.maximum.accumulate(np.column_stack((top, m[:, :-1])), axis=1)  # M before each segment
+            trims = np.cumsum(np.column_stack((trim, trims + np.minimum(m, before))), axis=1)[:, 1:]
+            n = len(ends) - (start + prod.shape[1] not in cfg.checkpoints)  # segments ending at checkpoints
+            out[:, done : done + n] = sums[:, :n].T, trims[:, :n].T
+            done += n
+            run_sum, trim, top = sums[:, -1], trims[:, -1], np.maximum(before[:, -1], m[:, -1])
+            del prod, qa  # the next depth block is drawn without this one
     return out
 
 
@@ -580,9 +593,8 @@ def event_records(
 
 
 def _gather_trajectories(cfg: ExperimentConfig, stream_fn) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, maxes) of the block products, shape (checkpoints, samples) each."""
-    out = _gather(cfg, stream_fn, _sums_and_maxes, (2, len(cfg.checkpoints)), float)
-    return out[0], out[1]
+    """(sums, trimmed sums) of the block products, shape (checkpoints, samples) each."""
+    return tuple(_gather(cfg, stream_fn, _checkpoint_sums, (2, len(cfg.checkpoints)), float))
 
 
 def run_trimmed(
@@ -591,10 +603,10 @@ def run_trimmed(
     """Summary statistics of (S_{n,ell} - max block)/(n log^ell n) per checkpoint."""
     if config.kind != "trimmed":
         raise DomainError("config.kind must be 'trimmed'")
-    sums, maxes = _gather_trajectories(config, stream_fn)
+    trimmed = _gather_trajectories(config, stream_fn)[1]
     rows = []
     for i, n in enumerate(config.checkpoints):
-        norm = (sums[i] - maxes[i]) / (n * math.log(n) ** config.ell)
+        norm = trimmed[i] / (n * math.log(n) ** config.ell)
         rows.append(
             {
                 "n": n,

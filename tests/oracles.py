@@ -6,11 +6,11 @@ off the divisor-sieve/Euler-Maclaurin path they check. Event oracles walk
 the definitions literally. The trimmed-law centre sums exact Gauss masses of
 the cylinders {a_1 = i, a_2 = j}; it uses neither the sampler nor the series
 module. The exact quotient law, the Dirichlet-Piltz sum, the word pressure,
-the column-at-a-time quotient sampler, the first terms of one scalar stream
-and the whole-array collocation rows are definitions and slow paths the
-library's fast paths are checked against. Per-sample counts of iid coin
-events, drawn from the sampler's streams, feed the Chung-Erdos check its
-closed-form case.
+the column-at-a-time quotient sampler, the first terms of one scalar stream,
+the whole-array collocation rows and the whole-block trimmed-sum reducer
+are definitions and slow paths the library's fast paths are checked
+against. Per-sample counts of iid coin events, drawn from the sampler's
+streams, feed the Chung-Erdos check its closed-form case.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from cflab import pressure
+from cflab import mc, pressure
 from cflab.cf import lebesgue_quotients
 from cflab.errors import DomainError, ResourceLimitError
 from cflab.mc import KeyedStreams, sample_rng
@@ -154,6 +154,36 @@ def brute_F_count(word, ell: int, phi, horizon: int) -> int:
             count += 1
         top = max(top, p)
     return count
+
+
+# ---------------------------------------------------------------------------
+# the whole-block trimmed-sum reducer
+
+
+def sums_and_maxes_cumsum(cfg, source, count: int) -> np.ndarray:
+    """Running block-product sum (out[0]) and maximum (out[1]) per checkpoint and row.
+
+    Writes a full cumsum and maximum.accumulate of every depth block of the
+    whole horizon and reads the checkpoint columns.
+    """
+    cps = cfg.checkpoints
+    out = np.empty((2, len(cps), count))
+    run_sum = np.zeros(count)
+    run_max = np.zeros(count)
+    next_cp = 0
+    for start, prod, qa in mc._depth_blocks(cfg, source, count):
+        mx = np.maximum.accumulate(prod, axis=1)
+        np.maximum(mx, run_max[:, None], out=mx)
+        cs = np.cumsum(prod, axis=1, out=prod)
+        cs += run_sum[:, None]
+        while next_cp < len(cps) and cps[next_cp] <= start + prod.shape[1]:
+            col = cps[next_cp] - start - 1
+            out[:, next_cp] = cs[:, col], mx[:, col]
+            next_cp += 1
+        run_sum = cs[:, -1].copy()
+        run_max = mx[:, -1].copy()
+        del prod, qa, mx, cs  # the next depth block is drawn without this one
+    return out
 
 
 # ---------------------------------------------------------------------------

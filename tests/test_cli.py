@@ -417,6 +417,27 @@ def test_config_refused_before_output(capsys, tmp_path, text, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_block_products_past_float64_exit_domain(capsys, tmp_path, monkeypatch, threads):
+    """Products of 1000 quotients are inf: refused with exit 1, from a worker of a real pool too.
+
+    600 samples make two chunks, so threads = 2 runs them in a pool of 2 processes.
+    """
+    pools = []
+    pool = mc.ProcessPoolExecutor
+    monkeypatch.setattr(mc, "ProcessPoolExecutor",
+                        lambda max_workers: pools.append(max_workers) or pool(max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    config = tmp_path / "big.cfg"
+    config.write_text("kind = trimmed\nell = 1000\nhorizon = 5\nsamples = 600\nseed = 1\n")
+    code, out, err = run_cli(capsys, "experiment", "run", "--config", str(config),
+                             "--out", str(tmp_path / "out"), "--threads", str(threads))
+    assert (code, out) == (1, "")
+    assert err == "error[domain]: block products at ell = 1000 pass float64 by level 5\n"
+    assert pools == ([2] if threads == 2 else [])
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_experiment_row_past_chunk_budget_exits_resource(tmp_path):
     """One row's (ell - 1) column tail, 8e7 bytes at ell = 10^7, is past the chunk budget.
 

@@ -3,11 +3,12 @@ import dataclasses
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from cflab import blocks, cf, mc
 from cflab.errors import DomainError, ResourceLimitError
@@ -40,6 +41,27 @@ def powers_of_two_stream(sid, length):
 def rare_giant_stream(sid, length):
     """Ones with a rare 2^60: a giant block is carried far across depth blocks."""
     return np.where(np.random.default_rng(sid).random(length) < 0.002, 2.0**60, 1.0)
+
+
+def giant_single_stream(sid, length):
+    """Ones with a_5 = 2^60 and a_8 = 3: at ell = 1, S - M is 11 at n = 10 and 51 at n = 50."""
+    a = np.ones(length)
+    a[4], a[7] = 2.0**60, 3.0
+    return a
+
+
+def giant_pair_stream(sid, length):
+    """a_1 near 2^60, then quotients 1..9: at ell = 2 block 1 is the only giant block."""
+    a = np.random.default_rng(sid).integers(1, 10, length).astype(float)
+    a[0] = 2.0**60 + 2.0**9 * 5
+    return a
+
+
+def giant_triple_stream(sid, length):
+    """a_1, a_2 near 2^60, then quotients 1..9: at ell = 3 block 1 is near 2^120, block 2 near 2^63."""
+    a = giant_pair_stream(sid, length)
+    a[1] = 2.0**60 - 2.0**7 * 3
+    return a
 
 
 GIANT_TABLE = GrowthFunction.table([2.0 ** (168 + n // 400) for n in range(2000)])
@@ -773,6 +795,83 @@ class TestTrimmedKhinchin:
             want = (n - 1) / (n * math.log(n) ** 3)
             assert row["median_norm"] == pytest.approx(want, rel=1e-12)
             assert row["mean_norm"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("stream_fn, ell", [
+        (giant_single_stream, 1), (giant_pair_stream, 2), (giant_triple_stream, 3),
+    ], ids=["ell1", "ell2", "ell3"])
+    def test_trimmed_sum_keeps_the_blocks_below_a_giant(self, stream_fn, ell):
+        """S_n - M_n is the exact integer's within (n + 3 ell + 2) 2^-53, relatively.
+
+        With u = 2^-53: a block product of ell exact integer quotients rounds
+        ell - 1 times, so it is within (ell - 1) u of the exact one. The
+        trimmed sum adds the products of all blocks but one float-largest,
+        and each term passes through at most n + 1 additions: (n + 1) u. That
+        block is within 2 (ell - 1) u of the largest exact product and, if it
+        is not that one, is itself a term of S - M: 2 (ell - 1) u more. To
+        first order S - M is within (n + 3 ell - 2) u; 2 u more covers the
+        second-order terms while n + 3 ell <= 2^27, and dividing by the
+        normaliser rounds once more: 2 u. A float difference S - M of a sum
+        rounded at 2^60 or 2^120 loses everything below the giant block.
+        """
+        cfg = mc.ExperimentConfig(kind="trimmed", ell=ell, horizon=50, samples=1, checkpoints=(10, 50))
+        word = [int(a) for a in stream_fn(0, 50 + ell - 1)]
+        exact = {r.n: r.total - r.max_block for r in blocks.trimmed_sum_trajectory(word, ell, 50)}
+        for row in mc.run_trimmed(cfg, stream_fn):
+            n = row["n"]
+            got = Fraction(row["mean_norm"]) * Fraction(n * math.log(n) ** ell)
+            assert abs(got - exact[n]) <= (n + 3 * ell + 2) * 2.0**-53 * exact[n], (n, float(got), exact[n])
+
+    @pytest.mark.parametrize("kind", ["trimmed", "khinchin"])
+    def test_scan_ends_at_the_last_checkpoint(self, tmp_path, monkeypatch, kind):
+        depths = []
+        next_block = mc.QuotientSampler.next_block
+        monkeypatch.setattr(mc.QuotientSampler, "next_block",
+                            lambda self, depth: depths.append(depth) or next_block(self, depth))
+        csvs = []
+        for horizon in (100, 10**5):
+            depths.clear()
+            cfg = mc.ExperimentConfig(kind=kind, ell=2, d=3, horizon=horizon, samples=5, seed=4,
+                                      checkpoints=(100,))
+            mc.run_experiment(cfg, str(tmp_path / str(horizon)))
+            assert depths == [100 + 3], depths
+            csvs.append((tmp_path / str(horizon) / f"{kind}.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @settings(max_examples=2, deadline=None, derandomize=True, phases=[Phase.generate])
+    @given(
+        ell=st.sampled_from([1, 2, 3]),
+        d=st.sampled_from([1, 2]),
+        samples=st.integers(513, 540),
+        horizon=st.integers(2 * 16_384 + 1, 2 * 16_384 + 40),
+        more=st.lists(st.integers(2, 2 * 16_384 + 1), max_size=3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_checkpoint_sums_are_the_cumsum_reducer(self, ell, d, samples, horizon, more, seed):
+        """Bitwise (S, S - M) of the whole-block reducer below 2^53, over several chunks and depth blocks.
+
+        Both reducers read one draw of each chunk's rows: the blocks the
+        reducer draws are replayed to the oracle. A quarter of the chunk
+        budget keeps those blocks small. An example takes about a second, so
+        a failure is not shrunk.
+        """
+        block = mc._DEPTH_BLOCK
+        cps = (2, block - 1, block, block + 1, 2 * block, horizon, *more)  # both scan to the horizon
+
+        def both(cfg, source, count):
+            drawn = []
+            recorded = mock.Mock(next_block=lambda depth: drawn.append(source.next_block(depth)) or drawn[-1])
+            got = mc._checkpoint_sums(cfg, recorded, count)
+            replayed = mock.Mock(next_block=lambda depth: drawn.pop(0))
+            return np.concatenate([got, oracles.sums_and_maxes_cumsum(cfg, replayed, count)])
+
+        cfg = mc.ExperimentConfig(kind="trimmed", ell=ell, d=d, horizon=horizon, samples=samples,
+                                  seed=seed, checkpoints=cps)
+        with mock.patch.object(mc, "_CHUNK_BUDGET", mc._CHUNK_BUDGET // 4):
+            assert horizon % block and len(mc._chunk_ranges(cfg)) > 1
+            got_sums, trimmed, sums, maxes = mc._gather(cfg, None, both, (4, len(cfg.checkpoints)), float)
+        below = sums < mc.GIANT
+        assert np.array_equal(got_sums[below], sums[below])
+        assert np.array_equal(trimmed[below], (sums - maxes)[below])
 
     def test_khinchin_forced_twos(self):
         cfg = mc.ExperimentConfig(
