@@ -7,8 +7,9 @@ all its samples' streams through one Philox whose state it resets per sample
 scheduling, and results are byte-identical for identical (config, seed,
 version). Every kind is a reducer over one scan, _depth_blocks, which draws a
 chunk of samples _DEPTH_BLOCK quotient columns at a time and carries only the
-(ell - 1) * d column tail between blocks, so a chunk's memory does not grow
-with the horizon, and only one depth block is alive at a time. Chunk results
+(ell - 1) * d column tail between blocks; the first block draws that tail
+too. So a chunk's memory does not grow with the horizon, and only one depth
+block is alive at a time. Chunk results
 are folded in sample order. The step d applies to trimmed/khinchin; event
 kinds refuse d != 1. `cflab events` runs on the same scan (event_records):
 the dichotomy reducer, which also records the two blocks j < k = tau_F of
@@ -18,11 +19,12 @@ run_dichotomy, hitting_times and event_records read only tau_F, tau_E and
 j, which are settled once a row meets its first F level. In their scan a
 row leaves once it has tau_F, and a chunk ends when no row is left: for
 divergent phi almost every row meets an F level, and early. The scan draws
-_FIRST_BLOCK columns first, then twice the last block's quotients over the
+_FIRST_BLOCK levels first, then twice the last block's quotients over the
 rows left, up to _DEPTH_BLOCK columns, so the few rows that settle late
 cost about one more block, not the whole chunk's. A reducer that reads
 every level's F, as chung_erdos_check does, scans the whole horizon in
-_DEPTH_BLOCK steps; trimmed and khinchin do so up to the last checkpoint.
+_DEPTH_BLOCK steps; trimmed and khinchin scan, and are chunked for, a
+horizon that ends at the last checkpoint.
 
 The sampler's recursion r <- 1/(a + r) is sequential in depth, but it
 contracts at the Gauss map's Lyapunov rate pi^2/(6 log 2) per step. So each
@@ -259,30 +261,11 @@ def sample_quotient_block(seed: int, sample_ids: Sequence[int], length: int) -> 
     return QuotientSampler(seed, sample_ids).next_block(length)
 
 
-StreamFn = Callable[[int, int], np.ndarray]
-
-
-class _ForcedStream:
-    """QuotientSampler's next_block and keep over the rows stream_fn(sample_id, length), held whole."""
-
-    def __init__(self, stream_fn: StreamFn, length: int, sample_ids: Sequence[int]):
-        self._rows = np.vstack([stream_fn(sid, length) for sid in sample_ids])
-        if self._rows.shape[1] < length:
-            raise DomainError("stream ended before the horizon")
-        self._fed = 0
-
-    def next_block(self, depth: int) -> np.ndarray:
-        self._fed += depth
-        return self._rows[:, self._fed - depth : self._fed]
-
-    def keep(self, rows: np.ndarray) -> None:
-        self._rows = self._rows[rows]
-
-
 def _block_prods(qa: np.ndarray, ell: int, d: int, n_starts: int) -> np.ndarray:
     """Products of progression blocks a_j a_{j+d} .. a_{j+(ell-1)d}, j <= n_starts.
 
-    A product past float64 is inf; the event path resolves it exactly, as any >= GIANT.
+    A product past float64 is inf. The event path resolves it exactly, as any
+    >= GIANT; the trimmed path refuses it (DomainError).
     """
     prod = qa[:, :n_starts].copy()
     with np.errstate(over="ignore"):
@@ -295,43 +278,46 @@ def _depth_blocks(cfg: ExperimentConfig, source, count: int, live=None):
     """(start, prod, qa) per depth block of one chunk's rows, drawn from source.
 
     prod[:, j] is the product of the block at 0-based start start + j, over
-    the columns j, j + d, .., j + (ell - 1) d of qa; the column tail carried
-    into the next block keeps products spanning a boundary available. The
-    tail is a copy, so once the caller drops prod and qa (and every view of
-    them) before asking for the next block, only one depth block is alive.
-    Blocks draw _DEPTH_BLOCK columns. With live, a scan that may end early:
-    after each block, live() gives the mask of the rows just yielded that
-    still need more; later blocks draw only those, and the scan ends when
-    none is left. Such a scan draws _FIRST_BLOCK columns first, then twice
-    the last block's quotients over the rows left, up to _DEPTH_BLOCK
-    columns, so neither a whole _DEPTH_BLOCK nor the rows already settled
-    are drawn for the few rows that settle late.
+    the columns j, j + d, .., j + (ell - 1) d of qa. The first block draws
+    the (ell - 1) d column tail too, and each block's tail is carried into
+    the next, so every block yields block starts and products spanning a
+    boundary stay available. The tail is a copy, so once the caller drops
+    prod and qa (and every view of them) before asking for the next block,
+    only one depth block is alive. Blocks hold _DEPTH_BLOCK starts. With
+    live, a scan that may end early: after each block, live() gives the
+    mask of the rows just yielded that still need more; later blocks draw
+    only those, and the scan ends when none is left. Such a scan holds
+    _FIRST_BLOCK starts first, then twice the last block's quotients over
+    the rows left, up to _DEPTH_BLOCK columns, so neither a whole
+    _DEPTH_BLOCK nor the rows already settled are drawn for the few rows
+    that settle late.
     """
     N, ell, d = cfg.horizon, cfg.ell, cfg.d
     span = (ell - 1) * d
-    tail = np.empty((count, 0))
-    done = 0  # block starts yielded so far
     size = _DEPTH_BLOCK if live is None else min(_FIRST_BLOCK, _DEPTH_BLOCK)
-    while done < N:
-        qa = source.next_block(min(size, N + span - done - tail.shape[1]))
+    qa = source.next_block(min(size, N) + span)
+    done = 0  # block starts yielded so far
+    while True:
+        starts = qa.shape[1] - span
+        yield done, _block_prods(qa, ell, d, starts), qa
+        done += starts
+        if done == N:
+            return
         size = min(2 * size, _DEPTH_BLOCK)
-        if tail.shape[1]:
-            qa = np.concatenate([tail, qa], axis=1)
-        tail = qa[:, max(qa.shape[1] - span, 0) :].copy()  # all of qa while it is shorter than span
-        starts = min(qa.shape[1] - span, N - done)
-        if starts > 0:
-            yield done, _block_prods(qa, ell, d, starts), qa
-            done += starts
-            if live is not None and done < N:
-                keep = live()
-                left = np.count_nonzero(keep)
-                if not left:
-                    return
-                if left < len(keep):
-                    source.keep(np.flatnonzero(keep))
-                    tail = tail[keep]
-                    size = min(-(-size * len(keep) // left), _DEPTH_BLOCK)  # as many quotients, fewer rows
+        tail = qa[:, starts:].copy()
         del qa
+        if live is not None:
+            keep = live()
+            left = np.count_nonzero(keep)
+            if not left:
+                return
+            if left < len(keep):
+                source.keep(np.flatnonzero(keep))
+                tail = tail[keep]
+                size = min(-(-size * len(keep) // left), _DEPTH_BLOCK)  # as many quotients, fewer rows
+        qa = source.next_block(min(size, N - done))
+        if span:  # at ell = 1 the tail is empty, and the block is not copied
+            qa = np.concatenate([tail, qa], axis=1)
 
 
 def _doubtful(x: np.ndarray, phi, band: float) -> np.ndarray:
@@ -457,18 +443,19 @@ def _events(cfg: ExperimentConfig, source, count: int, until_hit: bool = False) 
 def _checkpoint_sums(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
     """Block-product sum S_n (out[0]) and trimmed sum S_n - M_n (out[1]) per checkpoint and row.
 
-    The scan ends at the last checkpoint. Each depth block is cut at the checkpoints inside it,
-    and each segment gives per row one sum s and one max m (reduceat). Across segments S, the
-    running max M and T = S - M follow by T += (s - m) + min(m, M). Below 2^53 every partial sum
-    is exact. Where S reaches GIANT, s - m is the sum of the segment's blocks but one largest,
-    so no rounded sum is ever cancelled. A product or a sum past float64 raises DomainError.
+    The scan ends at the horizon, which _gather_trajectories sets to the last checkpoint. Each
+    depth block is cut at the checkpoints inside it, and each segment gives per row one sum s and
+    one max m (reduceat). Across segments S, the running max M and T = S - M follow by
+    T += (s - m) + min(m, M). Below 2^53 every partial sum is exact. Where S reaches GIANT, s - m
+    is the sum of the segment's blocks but one largest, so no rounded sum is ever cancelled. A
+    product or a sum past float64 raises DomainError.
     """
     cps = np.array(cfg.checkpoints)
     out = np.empty((2, len(cps), count))
     run_sum, trim, top = np.zeros((3, count))
     done = 0  # checkpoints written
     with np.errstate(over="ignore"):
-        for start, prod, qa in _depth_blocks(replace(cfg, horizon=int(cps[-1])), source, count):
+        for start, prod, qa in _depth_blocks(cfg, source, count):
             ends = np.append(cps[(cps > start) & (cps < start + prod.shape[1])] - start, prod.shape[1])
             lo = np.append(0, ends[:-1])
             s, m = np.add.reduceat(prod, lo, axis=1), np.maximum.reduceat(prod, lo, axis=1)
@@ -489,10 +476,10 @@ def _checkpoint_sums(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
     return out
 
 
-def _chunk(cfg: ExperimentConfig, rows, reduce, rng_range: tuple[int, int]) -> np.ndarray:
-    """One worker's share: reduce over the quotient source rows(sample_ids) of a range."""
+def _chunk(cfg: ExperimentConfig, reduce, rng_range: tuple[int, int]) -> np.ndarray:
+    """One worker's share: reduce over the sampler of a range's samples."""
     lo, hi = rng_range
-    return reduce(cfg, rows(range(lo, hi)), hi - lo)
+    return reduce(cfg, QuotientSampler(cfg.seed, range(lo, hi)), hi - lo)
 
 
 def _chunk_ranges(cfg: ExperimentConfig) -> list[tuple[int, int]]:
@@ -520,16 +507,11 @@ def _run_chunks(config: ExperimentConfig, worker, ranges):
         yield from pool.map(worker, ranges)
 
 
-def _gather(cfg: ExperimentConfig, stream_fn: Optional[StreamFn], reduce, shape, dtype):
-    """reduce's results, samples on the last axis, folded in sample order as chunks return.
-
-    The quotient rows come from the sampler, or from stream_fn when given.
-    """
-    rows = (partial(QuotientSampler, cfg.seed) if stream_fn is None
-            else partial(_ForcedStream, stream_fn, cfg.horizon + (cfg.ell - 1) * cfg.d))
-    out = np.empty(shape + (cfg.samples,), dtype=dtype)
+def _gather(cfg: ExperimentConfig, reduce, shape, dtype):
+    """reduce's results, samples on the last axis, folded in sample order as chunks return."""
     ranges = _chunk_ranges(cfg)
-    for (lo, hi), part in zip(ranges, _run_chunks(cfg, partial(_chunk, cfg, rows, reduce), ranges)):
+    out = np.empty(shape + (cfg.samples,), dtype=dtype)
+    for (lo, hi), part in zip(ranges, _run_chunks(cfg, partial(_chunk, cfg, reduce), ranges)):
         out[..., lo:hi] = part
     return out
 
@@ -538,9 +520,9 @@ def _gather(cfg: ExperimentConfig, stream_fn: Optional[StreamFn], reduce, shape,
 # dichotomy
 
 
-def _event_table(cfg: ExperimentConfig, stream_fn: Optional[StreamFn] = None) -> np.ndarray:
+def _event_table(cfg: ExperimentConfig) -> np.ndarray:
     """_events' (4, samples) table: tau_F, tau_E, F count and j, over the whole horizon."""
-    return _gather(cfg, stream_fn, _events, (4,), np.int64)
+    return _gather(cfg, _events, (4,), np.int64)
 
 
 def _first_events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
@@ -548,18 +530,16 @@ def _first_events(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
     return _events(cfg, source, count, until_hit=True)[[0, 1, 3]]
 
 
-def _first_event_table(cfg: ExperimentConfig, stream_fn: Optional[StreamFn] = None) -> np.ndarray:
+def _first_event_table(cfg: ExperimentConfig) -> np.ndarray:
     """The (3, samples) table tau_F, tau_E, j: rows 0, 1 and 3 of _event_table."""
-    return _gather(cfg, stream_fn, _first_events, (3,), np.int64)
+    return _gather(cfg, _first_events, (3,), np.int64)
 
 
-def run_dichotomy(
-    config: ExperimentConfig, stream_fn: Optional[StreamFn] = None
-) -> list[dict]:
+def run_dichotomy(config: ExperimentConfig) -> list[dict]:
     """Per-checkpoint fractions of samples whose F/E hitting time is <= n."""
     if config.kind != "dichotomy":
         raise DomainError("config.kind must be 'dichotomy'")
-    tau_f, tau_e = _first_event_table(config, stream_fn)[:2]
+    tau_f, tau_e = _first_event_table(config)[:2]
     return [
         {
             "n": n,
@@ -570,40 +550,38 @@ def run_dichotomy(
     ]
 
 
-def hitting_times(
-    config: ExperimentConfig, stream_fn: Optional[StreamFn] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def hitting_times(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (tau_F, tau_E) arrays; horizon+1 encodes no event."""
-    return tuple(_first_event_table(config, stream_fn)[:2])
+    return tuple(_first_event_table(config)[:2])
 
 
-def event_records(
-    config: ExperimentConfig, stream_fn: Optional[StreamFn] = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def event_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample (tau_F, tau_E, j) arrays; horizon+1 encodes no event.
 
     At the first F level n the two blocks are j < k = n; j is 0 where there
     is no F level.
     """
-    return tuple(_first_event_table(config, stream_fn))
+    return tuple(_first_event_table(config))
 
 
 # ---------------------------------------------------------------------------
 # trimmed sums and the weak law
 
 
-def _gather_trajectories(cfg: ExperimentConfig, stream_fn) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, trimmed sums) of the block products, shape (checkpoints, samples) each."""
-    return tuple(_gather(cfg, stream_fn, _checkpoint_sums, (2, len(cfg.checkpoints)), float))
+def _gather_trajectories(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, trimmed sums) of the block products, shape (checkpoints, samples) each.
+
+    Chunks are sized for, and scan, a horizon that ends at the last checkpoint.
+    """
+    scan = replace(cfg, horizon=cfg.checkpoints[-1])
+    return tuple(_gather(scan, _checkpoint_sums, (2, len(cfg.checkpoints)), float))
 
 
-def run_trimmed(
-    config: ExperimentConfig, stream_fn: Optional[StreamFn] = None
-) -> list[dict]:
+def run_trimmed(config: ExperimentConfig) -> list[dict]:
     """Summary statistics of (S_{n,ell} - max block)/(n log^ell n) per checkpoint."""
     if config.kind != "trimmed":
         raise DomainError("config.kind must be 'trimmed'")
-    trimmed = _gather_trajectories(config, stream_fn)[1]
+    trimmed = _gather_trajectories(config)[1]
     rows = []
     for i, n in enumerate(config.checkpoints):
         norm = trimmed[i] / (n * math.log(n) ** config.ell)
@@ -619,14 +597,12 @@ def run_trimmed(
     return rows
 
 
-def run_khinchin(
-    config: ExperimentConfig, stream_fn: Optional[StreamFn] = None
-) -> list[dict]:
+def run_khinchin(config: ExperimentConfig) -> list[dict]:
     """Fractions of samples outside eps of the weak-law constant 1/(ell log 2)."""
     if config.kind != "khinchin":
         raise DomainError("config.kind must be 'khinchin'")
     target = 1.0 / (config.ell * math.log(2.0))
-    sums, _ = _gather_trajectories(config, stream_fn)
+    sums, _ = _gather_trajectories(config)
     rows = []
     for i, n in enumerate(config.checkpoints):
         ratio = sums[i] / (n * math.log(n) ** config.ell)
@@ -650,9 +626,7 @@ class ChungErdosResult:
     degenerate: bool
 
 
-def chung_erdos_check(
-    config: ExperimentConfig, stream_fn: Optional[StreamFn] = None
-) -> ChungErdosResult:
+def chung_erdos_check(config: ExperimentConfig) -> ChungErdosResult:
     """Monte Carlo check of P(union E_n) >= (sum P(E_n))^2 / sum P(E_i and E_j).
 
     Events are E_n = A_n(phi): the block at n and some earlier block both
@@ -662,7 +636,7 @@ def chung_erdos_check(
     """
     if config.kind != "chung_erdos":
         raise DomainError("config.kind must be 'chung_erdos'")
-    return _chung_erdos(_event_table(config, stream_fn)[2])
+    return _chung_erdos(_event_table(config)[2])
 
 
 def _chung_erdos(c: np.ndarray) -> ChungErdosResult:
@@ -769,10 +743,8 @@ def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
 def run_experiment(config: ExperimentConfig, out_dir: str) -> RunManifest:
     """Run the configured experiment and persist CSV results plus a manifest.
 
-    out_dir is made only once the chunks are known to fit their budget.
+    out_dir is made only after a successful run, so a refusal leaves no directory.
     """
-    _chunk_ranges(config)  # raises ResourceLimitError before anything is written
-    os.makedirs(out_dir, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     run = {
         "dichotomy": run_dichotomy,
@@ -781,6 +753,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> RunManifest:
         "chung_erdos": lambda c: [asdict(chung_erdos_check(c))],
     }[config.kind]
     rows = run(config)  # dicts whose keys are the CSV columns in order
+    os.makedirs(out_dir, exist_ok=True)
     header = list(rows[0])
     data = [list(r.values()) for r in rows]
     csv_name = f"{config.kind}.csv"

@@ -9,14 +9,16 @@ module. The exact quotient law, the Dirichlet-Piltz sum, the word pressure,
 the column-at-a-time quotient sampler, the first terms of one scalar stream,
 the whole-array collocation rows and the whole-block trimmed-sum reducer
 are definitions and slow paths the library's fast paths are checked
-against. Per-sample counts of iid coin events, drawn from the sampler's
-streams, feed the Chung-Erdos check its closed-form case.
+against. A forced stream stands in for the sampler with given quotient
+rows, for planted and giant products. Per-sample counts of iid coin
+events, drawn from the sampler's streams, feed the Chung-Erdos check its
+closed-form case.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath
 import numpy as np
@@ -297,6 +299,37 @@ def coin_rhs_sigma(p: float, N: int, samples: int) -> float:
     dD = -(U**2) / D**2
     var = (dU**2 * var_u + dD**2 * var_d + 2.0 * dU * dD * cov_ud) / samples
     return math.sqrt(max(var, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# forced quotient rows
+
+
+class ForcedStream:
+    """mc.QuotientSampler's next_block and keep over the rows stream_fn(sample_id, length), held whole.
+
+    ForcedStream.of(stream_fn, cfg) takes the sampler's (seed, sample_ids) and
+    ignores the seed; its rows are cfg's horizon and (ell - 1) d column tail
+    long. Patched over mc.QuotientSampler, it feeds every scan of one process
+    (threads = 1).
+    """
+
+    def __init__(self, stream_fn, length: int, seed: int, sample_ids):
+        self._rows = np.vstack([stream_fn(sid, length) for sid in sample_ids])
+        self._fed = 0
+
+    @classmethod
+    def of(cls, stream_fn, cfg):
+        return partial(cls, stream_fn, cfg.horizon + (cfg.ell - 1) * cfg.d)
+
+    def next_block(self, depth: int) -> np.ndarray:
+        self._fed += depth
+        if self._fed > self._rows.shape[1]:
+            raise ValueError("forced rows ended before the scan")
+        return self._rows[:, self._fed - depth : self._fed]
+
+    def keep(self, rows: np.ndarray) -> None:
+        self._rows = self._rows[rows]
 
 
 # ---------------------------------------------------------------------------

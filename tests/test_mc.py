@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import inspect
 import math
 import os
 import tracemalloc
@@ -72,6 +73,11 @@ GIANT_STREAMS = [
     (powers_of_two_stream, GIANT_TABLE, 3, 2000),
     (rare_giant_stream, GrowthFunction.power_log(1, 2), 1, 2000),
 ]
+
+
+def forced(monkeypatch, stream_fn, cfg):
+    """cfg's scans in this process read stream_fn's rows in place of the sampler's."""
+    monkeypatch.setattr(mc, "QuotientSampler", oracles.ForcedStream.of(stream_fn, cfg))
 
 
 def reference_hits(word, ell, phi, horizon):
@@ -330,7 +336,8 @@ class TestDepthBlockStreaming:
                 assert (tau_f[sid], tau_e[sid]) == want, (phi, ell, sid)
         for stream_fn, phi, ell, horizon in GIANT_STREAMS:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon, samples=8)
-            tau_f, tau_e = mc._event_table(cfg, stream_fn)[:2]
+            forced(monkeypatch, stream_fn, cfg)
+            tau_f, tau_e = mc._event_table(cfg)[:2]
             for sid in range(8):
                 word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
                 want = reference_hits(word, ell, phi, horizon)
@@ -366,7 +373,8 @@ class TestDepthBlockStreaming:
         for stream_fn, phi, ell, horizon in GIANT_STREAMS:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                       samples=8)
-            got = mc._event_table(cfg, stream_fn)
+            forced(monkeypatch, stream_fn, cfg)
+            got = mc._event_table(cfg)
             for sid in range(8):
                 word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
                 earlier += check(word, ell, phi, horizon, got[0, sid], got[3, sid])
@@ -381,23 +389,24 @@ class TestDepthBlockStreaming:
         that neither qualifies, and its top stays carried through later blocks.
         """
         monkeypatch.setattr(mc, "_DEPTH_BLOCK", depth)
-        ell, horizon, samples, seed, forced = 2, 1000, 40, 17, 21
+        ell, horizon, samples, seed, planted = 2, 1000, 40, 17, 21
         b = depth * -(-700 // depth)  # a drawn-column boundary: columns b - 1 | b
         giant = 2.0**59 + 2.0**7
         assert 3.0 * giant > 3 * int(giant)
         phi = GrowthFunction.table(list(GrowthFunction.power_log(1, 1).phi_array(b - 1))
                                    + [3.0 * giant] * (horizon - b + 1))
 
+        words = mc.sample_quotient_block(seed, range(samples), horizon + ell - 1)
+        words[planted, b - 1 : b + 2] = giant, 3.0, giant
+
         def stream_fn(sid, length):
-            row = mc.sample_quotient_block(seed, [sid], length)[0]
-            if sid == forced:
-                row[b - 1 : b + 2] = giant, 3.0, giant
-            return row
+            return words[sid, :length]
 
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                   samples=samples)
         assert mc._chunk_ranges(cfg) == [(0, samples)]
-        got = mc._event_table(cfg, stream_fn)
+        forced(monkeypatch, stream_fn, cfg)
+        got = mc._event_table(cfg)
         for sid in range(samples):
             word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
             want = reference_hits(word, ell, phi, horizon) + (oracles.brute_F_count(word, ell, phi, horizon),)
@@ -435,7 +444,8 @@ class TestDepthBlockStreaming:
 
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                   samples=3)
-        got = mc._event_table(cfg, stream_fn)
+        forced(monkeypatch, stream_fn, cfg)
+        got = mc._event_table(cfg)
         for sid in range(3):
             word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
             hit = blocks.first_F_event(word, ell, phi, horizon)
@@ -469,8 +479,9 @@ class TestDepthBlockStreaming:
 
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                   samples=len(plants))
-        with mock.patch.object(mc, "_DEPTH_BLOCK", depth):
-            got = mc._event_table(cfg, stream_fn)
+        with mock.patch.object(mc, "_DEPTH_BLOCK", depth), \
+                mock.patch.object(mc, "QuotientSampler", oracles.ForcedStream.of(stream_fn, cfg)):
+            got = mc._event_table(cfg)
         for sid in range(len(plants)):
             word = [int(a) for a in stream_fn(sid, horizon + ell - 1)]
             hit = blocks.first_F_event(word, ell, phi, horizon)
@@ -515,15 +526,19 @@ class TestDepthBlockStreaming:
             samples = len(words)
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                   samples=samples)
-        with mock.patch.object(mc, "_DEPTH_BLOCK", depth), mock.patch.object(mc, "_FIRST_BLOCK", first):
-            full = mc._event_table(cfg, stream_fn)
-            records = mc.event_records(cfg, stream_fn)
-            times = mc.hitting_times(cfg, stream_fn)
+        with mock.patch.object(mc, "_DEPTH_BLOCK", depth), mock.patch.object(mc, "_FIRST_BLOCK", first), \
+                mock.patch.object(mc, "QuotientSampler", oracles.ForcedStream.of(stream_fn, cfg)):
+            full = mc._event_table(cfg)
+            records = mc.event_records(cfg)
+            times = mc.hitting_times(cfg)
         assert np.array_equal(np.array(records), full[[0, 1, 3]])
         assert np.array_equal(np.array(times), full[:2])
 
     def test_block_schedules(self, monkeypatch):
-        """A scan that may stop draws _FIRST_BLOCK, then doubles to _DEPTH_BLOCK; the others do not grow."""
+        """A scan that may stop draws _FIRST_BLOCK levels, then doubles to _DEPTH_BLOCK; the others do not grow.
+
+        Every scan's first block draws the (ell - 1) d column tail too.
+        """
         monkeypatch.setattr(mc, "_DEPTH_BLOCK", 100)
         monkeypatch.setattr(mc, "_FIRST_BLOCK", 10)
         depths = []
@@ -533,13 +548,13 @@ class TestDepthBlockStreaming:
         never = GrowthFunction.table([1e15] * 500)  # no row meets an F level: no stop
         runs = [
             (mc.event_records, mc.ExperimentConfig(kind="dichotomy", ell=3, phi=never, horizon=500,
-                                                   samples=2), [10, 20, 40, 80, 100, 100, 100, 52]),
+                                                   samples=2), [12, 20, 40, 80, 100, 100, 100, 50]),
             (mc.chung_erdos_check, mc.ExperimentConfig(kind="chung_erdos", ell=3, phi=never,
-                                                       horizon=250, samples=2), [100, 100, 52]),
+                                                       horizon=250, samples=2), [102, 100, 50]),
             (mc.run_trimmed, mc.ExperimentConfig(kind="trimmed", ell=3, d=2, horizon=250,
-                                                 samples=2), [100, 100, 54]),
+                                                 samples=2), [104, 100, 50]),
             (mc.run_khinchin, mc.ExperimentConfig(kind="khinchin", ell=2, horizon=250,
-                                                  samples=2), [100, 100, 51]),
+                                                  samples=2), [101, 100, 50]),
         ]
         for run, cfg, want in runs:
             depths.clear()
@@ -548,7 +563,7 @@ class TestDepthBlockStreaming:
         monkeypatch.setattr(mc, "_FIRST_BLOCK", 1000)  # capped at _DEPTH_BLOCK
         depths.clear()
         mc.event_records(runs[0][1])
-        assert depths == [100] * 5 + [2], depths
+        assert depths == [102] + [100] * 4, depths
 
     def test_settled_rows_leave_the_scan(self, monkeypatch):
         """A row with tau_F is no longer drawn; the rows left draw twice the last block's quotients.
@@ -569,22 +584,26 @@ class TestDepthBlockStreaming:
             return row
 
         shapes = []
-        next_block = mc._ForcedStream.next_block
+        next_block = oracles.ForcedStream.next_block
 
         def record(self, depth):
             block = next_block(self, depth)
             shapes.append(block.shape)
             return block
 
-        monkeypatch.setattr(mc._ForcedStream, "next_block", record)
+        monkeypatch.setattr(oracles.ForcedStream, "next_block", record)
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=1, phi=PHI2, horizon=500, samples=4)
-        tau_f, tau_e, first_j = mc.event_records(cfg, stream_fn)
+        forced(monkeypatch, stream_fn, cfg)
+        tau_f, tau_e, first_j = mc.event_records(cfg)
         assert shapes == [(4, 10), (2, 40), (2, 80), (2, 100), (1, 100), (1, 100), (1, 70)], shapes
         assert tau_f.tolist() == [2, 501, 2, 201] and first_j.tolist() == [1, 0, 1, 200]
-        assert np.array_equal(mc._event_table(cfg, stream_fn)[[0, 1, 3]], [tau_f, tau_e, first_j])
+        assert np.array_equal(mc._event_table(cfg)[[0, 1, 3]], [tau_f, tau_e, first_j])
 
     def test_stopped_scan_draws_the_first_block_for_settled_rows(self, monkeypatch):
-        """At c07's shape a row with tau_F in the first block draws that block only; chung_erdos draws the horizon."""
+        """At c07's shape a row with tau_F in the first block draws that block only; chung_erdos draws the horizon.
+
+        The first block holds _FIRST_BLOCK levels and draws their (ell - 1) column tail too.
+        """
         drawn = collections.Counter()
         fill = mc.KeyedStreams.fill
 
@@ -597,17 +616,50 @@ class TestDepthBlockStreaming:
                                   horizon=10**5, samples=1000, seed=42)
         tau_f, _ = mc.hitting_times(c07)
         assert tau_f.max() <= c07.horizon  # every row meets an F level
-        late = tau_f > mc._FIRST_BLOCK - 2  # past the first block's levels
+        late = tau_f > mc._FIRST_BLOCK  # past the first block's levels
         assert 0 < late.sum() < 10, late.sum()
         for sid in range(c07.samples):
             if late[sid]:
-                assert mc._FIRST_BLOCK < drawn[sid] <= c07.horizon + 2, (sid, drawn[sid])
+                assert mc._FIRST_BLOCK + 2 < drawn[sid] <= c07.horizon + 2, (sid, drawn[sid])
             else:
-                assert drawn[sid] == mc._FIRST_BLOCK, (sid, drawn[sid])
+                assert drawn[sid] == mc._FIRST_BLOCK + 2, (sid, drawn[sid])
         drawn.clear()
         ce = dataclasses.replace(c07, kind="chung_erdos", horizon=20_000, samples=3, checkpoints=())
         mc.chung_erdos_check(ce)
         assert sum(drawn.values()) == ce.samples * (ce.horizon + 2)
+
+    def test_one_block_holds_a_tail_longer_than_the_horizon(self, monkeypatch):
+        """At ell = 20,000 and horizon 10 both event scans draw one block: the 10 levels and their tail.
+
+        Every product is past float64, so the exact path decides each level; the
+        table is the blocks detectors' on the same rows. phi(10) = e^20480 is
+        past the products, about e^19756, and phi(9) = e^10240 is not.
+        """
+        depths = []
+        next_block = mc.QuotientSampler.next_block
+        monkeypatch.setattr(mc.QuotientSampler, "next_block",
+                            lambda self, depth: depths.append(depth) or next_block(self, depth))
+        tables = []
+        event_table = mc._event_table
+        monkeypatch.setattr(mc, "_event_table", lambda cfg: tables.append(event_table(cfg)) or tables[-1])
+        ell, horizon, samples, seed = 20_000, 10, 3, 7
+        phi = GrowthFunction.doubly_exponential(math.exp(20), 2)
+        cfg = mc.ExperimentConfig(kind="chung_erdos", ell=ell, phi=phi, horizon=horizon,
+                                  samples=samples, seed=seed)
+        mc.chung_erdos_check(cfg)
+        assert depths == [horizon + ell - 1], depths
+        depths.clear()
+        records = mc.event_records(dataclasses.replace(cfg, kind="dichotomy"))
+        assert depths == [horizon + ell - 1], depths
+        assert np.array_equal(np.array(records), tables[0][[0, 1, 3]])
+        words = mc.sample_quotient_block(seed, range(samples), horizon + ell - 1)
+        for sid in range(samples):
+            word = [int(a) for a in words[sid]]
+            hit = blocks.first_F_event(word, ell, phi, horizon)
+            want = reference_hits(word, ell, phi, horizon) + (
+                oracles.brute_F_count(word, ell, phi, horizon), hit[1].j if hit else 0)
+            assert tuple(tables[0][:, sid].tolist()) == want, sid
+        assert 0 < tables[0][2].min() and tables[0][2].max() < horizon - 1  # level 10 is no F level
 
     @pytest.mark.parametrize("depth", [7, 777])
     def test_mask_groups_are_invisible(self, monkeypatch, depth):
@@ -621,9 +673,10 @@ class TestDepthBlockStreaming:
             cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                       samples=8)
             tables = []
+            forced(monkeypatch, stream_fn, cfg)
             for cells in (1, 3 * depth, 10**9):  # 3 * depth: 3 rows, more in a short last block
                 monkeypatch.setattr(mc, "_MASK_CELLS", cells)
-                tables.append(mc._event_table(cfg, stream_fn))
+                tables.append(mc._event_table(cfg))
             assert np.array_equal(tables[0], tables[1]), stream_fn.__name__
             assert np.array_equal(tables[0], tables[2]), stream_fn.__name__
             assert np.count_nonzero(tables[0][2]), stream_fn.__name__  # some F levels to index
@@ -688,7 +741,7 @@ class TestDepthBlockStreaming:
             with mock.patch.object(mc.QuotientSampler, "next_block",
                                    lambda self, depth: depths.append(depth) or next_block(self, depth)):
                 run(cfg)
-            assert len(depths) > 4 and set(depths[:-1]) == {256}, depths
+            assert depths == [256 + 2] + [256] * (horizon // 256 - 1), depths
             depths.clear()
             peaks.append(traced_peak(lambda: run(cfg)))
         assert peaks[2] <= 1.1 * peaks[1], peaks
@@ -745,11 +798,29 @@ class TestDepthBlockStreaming:
         mc.run_dichotomy(cfg)  # warms up caches
         assert traced_peak(lambda: mc.run_dichotomy(cfg)) <= mc._CHUNK_BUDGET
 
+    def test_trimmed_chunks_follow_the_last_checkpoint(self, monkeypatch):
+        """1,000 trimmed samples scanned to checkpoint 100 make 2 chunks, at horizon 100 or 10^5."""
+        seen = []
+        run_chunks = mc._run_chunks
+        monkeypatch.setattr(mc, "_run_chunks",
+                            lambda config, worker, ranges: seen.append(ranges) or run_chunks(config, worker, ranges))
+        for horizon in (100, 10**5):
+            mc.run_trimmed(mc.ExperimentConfig(kind="trimmed", ell=2, horizon=horizon, samples=1000,
+                                               seed=3, checkpoints=(100,)))
+        assert seen == [[(0, 512), (512, 1000)]] * 2, seen
+
     def test_mc_workload_shapes_keep_one_chunk(self):
         for kind, samples, horizon, ell in (("dichotomy", 256, 10**4, 3), ("trimmed", 16, 2 * 10**4, 2)):
             cfg = mc.ExperimentConfig(kind=kind, ell=ell, horizon=horizon, samples=samples,
                                       phi=PHI2)
             assert mc._chunk_ranges(cfg) == [(0, samples)]
+
+
+@pytest.mark.parametrize("run", [mc.run_dichotomy, mc.hitting_times, mc.event_records, mc.run_trimmed,
+                                 mc.run_khinchin, mc.chung_erdos_check], ids=lambda run: run.__name__)
+def test_public_scans_take_only_the_config(run):
+    """The quotient source is the sampler: no public scan takes another."""
+    assert list(inspect.signature(run).parameters) == ["config"]
 
 
 class TestDichotomy:
@@ -774,22 +845,24 @@ class TestDichotomy:
         assert rows[0]["fraction_hit_F"] < 0.01
         assert rows[0]["fraction_hit_E"] < 0.01
 
-    def test_forced_stream(self):
+    def test_forced_stream(self, monkeypatch):
         cfg = mc.ExperimentConfig(
             kind="dichotomy", ell=1, phi=PHI2, horizon=10, samples=3, seed=0,
             checkpoints=(2, 10),
         )
-        rows = mc.run_dichotomy(cfg, stream_fn=twos_stream)
+        forced(monkeypatch, twos_stream, cfg)
+        rows = mc.run_dichotomy(cfg)
         assert rows[0]["fraction_hit_F"] == 1.0  # 2 >= 2 at n = 1 and 2
 
 
 class TestTrimmedKhinchin:
-    def test_all_ones_closed_form(self):
+    def test_all_ones_closed_form(self, monkeypatch):
         cfg = mc.ExperimentConfig(
             kind="trimmed", ell=3, horizon=1000, samples=4, seed=0,
             checkpoints=(10, 1000),
         )
-        rows = mc.run_trimmed(cfg, stream_fn=ones_stream)
+        forced(monkeypatch, ones_stream, cfg)
+        rows = mc.run_trimmed(cfg)
         for row in rows:
             n = row["n"]
             want = (n - 1) / (n * math.log(n) ** 3)
@@ -799,7 +872,7 @@ class TestTrimmedKhinchin:
     @pytest.mark.parametrize("stream_fn, ell", [
         (giant_single_stream, 1), (giant_pair_stream, 2), (giant_triple_stream, 3),
     ], ids=["ell1", "ell2", "ell3"])
-    def test_trimmed_sum_keeps_the_blocks_below_a_giant(self, stream_fn, ell):
+    def test_trimmed_sum_keeps_the_blocks_below_a_giant(self, monkeypatch, stream_fn, ell):
         """S_n - M_n is the exact integer's within (n + 3 ell + 2) 2^-53, relatively.
 
         With u = 2^-53: a block product of ell exact integer quotients rounds
@@ -816,7 +889,8 @@ class TestTrimmedKhinchin:
         cfg = mc.ExperimentConfig(kind="trimmed", ell=ell, horizon=50, samples=1, checkpoints=(10, 50))
         word = [int(a) for a in stream_fn(0, 50 + ell - 1)]
         exact = {r.n: r.total - r.max_block for r in blocks.trimmed_sum_trajectory(word, ell, 50)}
-        for row in mc.run_trimmed(cfg, stream_fn):
+        forced(monkeypatch, stream_fn, cfg)
+        for row in mc.run_trimmed(cfg):
             n = row["n"]
             got = Fraction(row["mean_norm"]) * Fraction(n * math.log(n) ** ell)
             assert abs(got - exact[n]) <= (n + 3 * ell + 2) * 2.0**-53 * exact[n], (n, float(got), exact[n])
@@ -868,17 +942,18 @@ class TestTrimmedKhinchin:
                                   seed=seed, checkpoints=cps)
         with mock.patch.object(mc, "_CHUNK_BUDGET", mc._CHUNK_BUDGET // 4):
             assert horizon % block and len(mc._chunk_ranges(cfg)) > 1
-            got_sums, trimmed, sums, maxes = mc._gather(cfg, None, both, (4, len(cfg.checkpoints)), float)
+            got_sums, trimmed, sums, maxes = mc._gather(cfg, both, (4, len(cfg.checkpoints)), float)
         below = sums < mc.GIANT
         assert np.array_equal(got_sums[below], sums[below])
         assert np.array_equal(trimmed[below], (sums - maxes)[below])
 
-    def test_khinchin_forced_twos(self):
+    def test_khinchin_forced_twos(self, monkeypatch):
         cfg = mc.ExperimentConfig(
             kind="khinchin", ell=1, horizon=10**4, samples=3, seed=0,
             checkpoints=(10**4,),
         )
-        rows = mc.run_khinchin(cfg, stream_fn=twos_stream)
+        forced(monkeypatch, twos_stream, cfg)
+        rows = mc.run_khinchin(cfg)
         # S_n/(n log n) = 2/log n -> far below 1/log 2, so always outside
         assert rows[0]["outside_0.1"] == 1.0
         assert rows[0]["outside_0.25"] == 1.0
@@ -896,7 +971,7 @@ class TestTrimmedKhinchin:
             kind="trimmed", ell=2, d=3, horizon=50, samples=2, seed=5,
             checkpoints=(50,),
         )
-        sums, _ = mc._gather_trajectories(cfg, None)
+        sums, _ = mc._gather_trajectories(cfg)
         for sid in range(2):
             word = cf.take(cf.lebesgue_quotients(mc.sample_rng(5, sid)), 50 + 3)
             assert int(sums[0][sid]) == blocks.progression_sum(word, 2, 3, 50)
@@ -913,11 +988,12 @@ class TestChungErdos:
         assert abs(res.rhs - rhs_cf) <= 3 * sigma_rhs
         assert res.holds
 
-    def test_deterministic_single_event(self):
+    def test_deterministic_single_event(self, monkeypatch):
         cfg = mc.ExperimentConfig(
             kind="chung_erdos", ell=1, phi=PHI2, horizon=2, samples=10, seed=0,
         )
-        res = mc.chung_erdos_check(cfg, stream_fn=twos_stream)
+        forced(monkeypatch, twos_stream, cfg)
+        res = mc.chung_erdos_check(cfg)
         # forced twos: E_2 always occurs, E_1 never (needs k < n)
         assert res.lhs == 1.0 and res.rhs == 1.0 and res.holds
 
