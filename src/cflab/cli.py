@@ -269,8 +269,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pressure", help="raw transfer-operator pressure values")
     p.add_argument("--s", required=True, help="comma-separated s values")
-    p.add_argument("--alphabet", type=int, default=1000,
-                   help="N, read with --no-tail or below s = 0.505; else every branch counts")
+    p.add_argument("--alphabet", type=int, default=1000, help="N, read only with --no-tail")
     p.add_argument("--grid-points", type=int, default=64)
     p.add_argument("--no-tail", action="store_true", help="literal truncated operator")
     p.add_argument("--out")

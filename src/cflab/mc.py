@@ -274,7 +274,7 @@ def _block_prods(qa: np.ndarray, ell: int, d: int, n_starts: int) -> np.ndarray:
     return prod
 
 
-def _depth_blocks(cfg: ExperimentConfig, source, count: int, live=None):
+def _depth_blocks(cfg: ExperimentConfig, source, live=None):
     """(start, prod, qa) per depth block of one chunk's rows, drawn from source.
 
     prod[:, j] is the product of the block at 0-based start start + j, over
@@ -393,7 +393,7 @@ def _events(cfg: ExperimentConfig, source, count: int, until_hit: bool = False) 
             exact_top = {int(at[i]): x for i, x in exact_top.items() if keep[i]}
         return keep
 
-    for start, prod, qa in _depth_blocks(cfg, source, count, live if until_hit else None):
+    for start, prod, qa in _depth_blocks(cfg, source, live if until_hit else None):
         width = prod.shape[1]
         phi_win = phi.phi_array(start + width, first=start + 1)
         levels = np.arange(start + 1, start + width + 1)
@@ -455,7 +455,7 @@ def _checkpoint_sums(cfg: ExperimentConfig, source, count: int) -> np.ndarray:
     run_sum, trim, top = np.zeros((3, count))
     done = 0  # checkpoints written
     with np.errstate(over="ignore"):
-        for start, prod, qa in _depth_blocks(cfg, source, count):
+        for start, prod, qa in _depth_blocks(cfg, source):
             ends = np.append(cps[(cps > start) & (cps < start + prod.shape[1])] - start, prod.shape[1])
             lo = np.append(0, ends[:-1])
             s, m = np.add.reduceat(prod, lo, axis=1), np.maximum.reduceat(prod, lo, axis=1)
@@ -489,7 +489,7 @@ def _chunk_ranges(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     A config one row of which does not fit is refused.
     """
     span = (cfg.ell - 1) * cfg.d
-    width = min(_DEPTH_BLOCK, cfg.horizon + span) + span
+    width = min(_DEPTH_BLOCK, cfg.horizon) + span
     if _BYTES_PER_QUOTIENT * width > _CHUNK_BUDGET:
         raise ResourceLimitError(f"one sample's depth block and (ell - 1) d = {span} column tail "
                                  f"exceed the {_CHUNK_BUDGET}-byte chunk budget")

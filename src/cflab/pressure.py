@@ -15,17 +15,15 @@ with h = 1/(_K+1); there the rows are expanded to degree _DEGREE = 10 in y/h
 (monomial rows D_k, fitted at 11 Chebyshev points of [0, h]), and D_k is
 weighted by h^{-k} times a Hurwitz sum of (a+x)^{-(2s+k)} over a > _K.
 
-By default (tail_correction) that sum runs over every a > _K for s >=
-_TAIL_MIN_S = 0.505: the operator is the whole Gauss system's, N is not
-read, and P(1) = 0 to the power iteration's tolerance. Below _TAIL_MIN_S,
-where the full sum diverges as s -> 1/2, and with tail_correction=False, the
-operator is the literal truncated one over a <= N: the sum runs over _K < a
-<= N, a difference of two Hurwitz tails. That matrix equals the literal
-N-branch matrix bitwise for N <= _K; above that the pressures differ by at
-most 1.4e-15 (measured for N from 201 to 10^4 and s from 0.45 to 1). So a
-dimension root bisected below _TAIL_MIN_S is the truncated operator's, too low
-for every finite B > 1, whose true root exceeds 1/2: it is refused with a
-DomainError.
+By default (tail_correction) that sum runs over every a > _K: the operator is
+the whole Gauss system's, N is not read, and P(1) = 0 to the power iteration's
+tolerance. For 2s <= 1 the sum diverges: P = +inf, no matrix is built, and a
+dimension root, which lies above 1/2, has its bracket's lower end raised to
+1/2. With tail_correction=False the operator is the literal truncated one over
+a <= N: the sum runs over _K < a <= N, a difference of two Hurwitz tails. That
+matrix equals the literal N-branch matrix bitwise for N <= _K; above that the
+pressures differ by at most 1.4e-15 (measured for N from 201 to 10^4 and s
+from 0.45 to 1).
 
 The rows for a <= _K and the D_k depend on neither s nor N: they are built
 once per grid size and kept (_operator_parts), 6.6 MB at 64 points. A grid
@@ -55,7 +53,6 @@ _K = 200  # branches with explicit rows; the rest enter through the Taylor-Hurwi
 _DEGREE = 10  # degree in y/h of the rows of the branches a > _K
 _MAX_N = 2**53  # the alphabet enters as the float N + x, exact up to here
 _ROWS_BUDGET = 64_000_000  # bytes of the _K branches' rows
-_TAIL_MIN_S = 0.505  # the full alphabet's sum needs 2s > 1; below this, pure truncation
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +186,7 @@ def _operator_parts(m: int):
 
 def _transfer_matrix(s: float, N: int, params: PressureSolverParams) -> np.ndarray:
     x, _, y, rows, D = _operator_parts(params.grid_points)
-    full = params.tail_correction and s >= _TAIL_MIN_S  # every branch: N is not read
+    full = params.tail_correction  # every branch: N is not read
     n = _K if full else min(N, _K)
     A = np.einsum("ai,aij->ij", y[:n] ** (2.0 * s), rows[:n])
     if full or N > _K:  # sum over _K < a <= top of y^(2s) sum_k (y/h)^k D[k], with y = 1/(a+x)
@@ -200,7 +197,7 @@ def _transfer_matrix(s: float, N: int, params: PressureSolverParams) -> np.ndarr
 
 
 def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_PARAMS) -> float:
-    """log of the leading eigenvalue of the full-alphabet or the N-branch operator.
+    """log of the leading eigenvalue of the full-alphabet (+inf at s <= 1/2) or the N-branch operator.
 
     Power iteration on the collocation matrix, stopping when successive
     Rayleigh quotients differ by less than _POWER_ITER_TOL (relative). A
@@ -215,6 +212,8 @@ def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_P
         raise DomainError("N must be <= 2**53")
     if not 0 < s < math.inf:
         raise DomainError(f"s must be positive and finite, got {s}")
+    if params.tail_correction and s <= 0.5:
+        return math.inf
     unresolved = f"s = {s} is too large for the {params.grid_points}-point grid"
     with np.errstate(invalid="ignore"):  # inf * 0 in the Euler-Maclaurin terms at huge s
         A = _transfer_matrix(s, N, params)
@@ -256,7 +255,11 @@ def _bisect(holds, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
 
 def _root_at_alphabet(f, log_B, N, params):
-    """Root of P(s) - f(s) log B on _BRACKET, with the bracket it was bisected to."""
+    """Root of P(s) - f(s) log B on _BRACKET, with the bracket it was bisected to.
+
+    The whole operator's P is +inf at s <= 1/2, so lo is raised to 1/2; the
+    truncated operator's root (tail_correction=False) is returned as bisected.
+    """
 
     def gap(s):
         return transfer_pressure(s, N, params) - f(s) * log_B
@@ -269,10 +272,8 @@ def _root_at_alphabet(f, log_B, N, params):
         return hi, (hi, hi)  # pressure still positive at s = 1
     else:
         lo, hi = _bisect(lambda s: not gap(s) > 0.0, lo, hi, params.bisect_tol)
-    if lo < _TAIL_MIN_S:
-        raise DomainError(
-            f"dimension root not resolved: bisected to [{lo:.6g}, {hi:.6g}], below s = "
-            f"{_TAIL_MIN_S}, where the solver has only the truncated operator")
+    if params.tail_correction:
+        lo = max(lo, 0.5)
     return 0.5 * (lo + hi), (lo, hi)
 
 
@@ -296,9 +297,9 @@ def hausdorff_dim(
     B = 1 gives dimension 1 exactly; B = infinity gives 1/(1+b) exactly; in
     between the dimension is the root of P(s) = f(s) log B with f the set's
     multiplier in SET_POTENTIALS, solved by bisection on _BRACKET with the
-    pressure of the whole Gauss system (one operator, no alphabet to choose).
-    A root bisected below _TAIL_MIN_S, where that operator is not used, is a
-    DomainError.
+    pressure of the whole Gauss system (one operator, no alphabet to choose),
+    whose root lies in (1/2, 1]. With tail_correction=False it is the root of
+    the 2^53-branch truncated operator, unchanged.
     """
     if set_id not in SET_POTENTIALS:
         raise DomainError(f"unknown set {set_id!r}; choose from {sorted(SET_POTENTIALS)}")

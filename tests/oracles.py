@@ -173,7 +173,7 @@ def sums_and_maxes_cumsum(cfg, source, count: int) -> np.ndarray:
     run_sum = np.zeros(count)
     run_max = np.zeros(count)
     next_cp = 0
-    for start, prod, qa in mc._depth_blocks(cfg, source, count):
+    for start, prod, qa in mc._depth_blocks(cfg, source):
         mx = np.maximum.accumulate(prod, axis=1)
         np.maximum(mx, run_max[:, None], out=mx)
         cs = np.cumsum(prod, axis=1, out=prod)
@@ -478,6 +478,17 @@ def tail_bracket(s: float, N: int, params) -> tuple[np.ndarray, np.ndarray]:
     lower = A + mass * barycentric_rows(1.0 / (N + 1.0 + x), x, w)
     upper = A + mass * (x == 0.0)  # the unit row of the node x = 0
     return lower, upper
+
+
+@lru_cache(maxsize=1)
+def near_half_coefficient() -> float:
+    """c2 in P(s) + log e = gamma e + c2 e^2 + O(e^3), e = 2s - 1, for the whole Gauss system.
+
+    c2 = -gamma_1 - gamma^2/2 - sum_{a >= 1} (psi(1 + 1/a) - psi(1))/a, with gamma_1 the first
+    Stieltjes constant; test_pressure.TestNearOneHalf derives it.
+    """
+    tail = mpmath.nsum(lambda a: (mpmath.digamma(1 + 1 / a) - mpmath.digamma(1)) / a, [1, mpmath.inf])
+    return float(-mpmath.stieltjes(1) - mpmath.euler**2 / 2 - tail)
 
 
 def box_log_continuants(m: int, n_trunc: int) -> np.ndarray:

@@ -181,12 +181,10 @@ def test_c06_dimension_cross_oracles(monkeypatch):
     truncation_ok = root_3 <= root_4 <= res.s + tol
 
     # the branches a > 10^3 put on either side of oracles.tail_bracket pin the root from both sides
-    operator = pr._transfer_matrix
     tail_roots = []
     for side in (0, 1):
-        with monkeypatch.context() as patch:
-            patch.setattr(pr, "_transfer_matrix", lambda s, N, p: (
-                oracles.tail_bracket(s, N, p)[side] if s >= pr._TAIL_MIN_S else operator(s, N, p)))
+        with monkeypatch.context() as patch:  # at s <= 1/2, P = +inf before any matrix is built
+            patch.setattr(pr, "_transfer_matrix", lambda s, N, p: oracles.tail_bracket(s, N, p)[side])
             tail_roots.append(root(10**3, params))
     lower, upper = tail_roots
     tail_gap = upper - lower

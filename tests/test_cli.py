@@ -75,6 +75,13 @@ class TestPhi:
         assert payload["B"] == "inf" and payload["b"] == 3.0
 
 
+# (set, B) -> s printed by `cflab dim --set <set> --phi-family exp --phi-params <B>`
+ROOTS_NEAR_HALF = {
+    ("E1", "1500"): 0.512002563477, ("E1", "2000"): 0.510458374023, ("E1", "1e4"): 0.504818725586,
+    ("E3", "1e12"): 0.504415893555, ("E1", "1e8"): 0.500051879883,
+}
+
+
 class TestDim:
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(
@@ -96,17 +103,14 @@ class TestDim:
         assert 0.5 < payload["s"] < 1.0
         assert payload["branch"] == "B_finite" and payload["hi"] - payload["lo"] <= 2e-4
 
-    @pytest.mark.parametrize("set_id, base", [
-        ("E1", "1500"), ("E1", "2000"), ("E1", "1e4"), ("E3", "1e12"),
-        ("E1", "1e8"),  # gap <= 0 already at the bracket floor, s = 0.45
-    ])
-    def test_root_below_the_whole_operator_exits_domain(self, capsys, set_id, base):
-        # for finite B > 1 the root exceeds 1/2; below s = 0.505 the solver has only the
-        # truncated operator, whose roots there were printed with exit 0 (0.499 to 0.45)
+    @pytest.mark.parametrize("set_id, base", list(ROOTS_NEAR_HALF))
+    def test_root_near_one_half_is_answered(self, capsys, set_id, base):
+        # for finite B > 1 the root lies in (1/2, 1), here within 0.02 of 1/2
         code, out, err = run_cli(capsys, "dim", "--set", set_id, "--phi-family", "exp",
                                  "--phi-params", base)
-        assert code == 1 and out == ""
-        assert err.startswith("error[domain]: dimension root not resolved") and "0.505" in err
+        payload, s = json.loads(out), ROOTS_NEAR_HALF[set_id, base]
+        assert code == 0 and err == "" and payload["s"] == s
+        assert 0.5 < payload["lo"] <= s <= payload["hi"] < 0.52
 
     def test_root_above_the_refusal_keeps_its_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "dim", "--set", "E1", "--phi-family", "exp",
@@ -183,6 +187,13 @@ class TestEventsAndPressure:
         p08 = float(lines[1].split(",")[2])
         p10 = float(lines[2].split(",")[2])
         assert p08 > p10
+
+    def test_pressure_is_infinite_at_one_half_and_below(self, capsys):
+        code, out, _ = run_cli(capsys, "pressure", "--s", "0.45,0.5")
+        assert code == 0
+        assert [line.strip() for line in out.splitlines()] == ["s,N,pressure", "0.45,1000,inf", "0.5,1000,inf"]
+        code, out, _ = run_cli(capsys, "pressure", "--s", "0.45", "--no-tail")  # the 1000-branch operator
+        assert code == 0 and out.splitlines()[1].strip() == "0.45,1000,2.33690468517"
 
 
 EVENTS_HEADER = ["sample_id", "tau_F", "tau_E", "j", "k", "overlap"]

@@ -181,7 +181,7 @@ class TestConfig:
 
     def test_row_past_chunk_budget_refused(self, monkeypatch):
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=301, horizon=10, phi=PHI2)
-        width = min(mc._DEPTH_BLOCK, cfg.horizon + 300) + 300
+        width = min(mc._DEPTH_BLOCK, cfg.horizon) + 300
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", mc._BYTES_PER_QUOTIENT * width)
         assert mc._chunk_ranges(cfg)[0] == (0, 1)
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", mc._BYTES_PER_QUOTIENT * width - 1)
@@ -797,6 +797,17 @@ class TestDepthBlockStreaming:
         assert len(mc._chunk_ranges(cfg)) > 1
         mc.run_dichotomy(cfg)  # warms up caches
         assert traced_peak(lambda: mc.run_dichotomy(cfg)) <= mc._CHUNK_BUDGET
+
+    def test_chunks_are_sized_by_the_widest_block_drawn(self):
+        """A row's share of the budget is its widest depth block, tail included once."""
+        for ell, horizon in ((20_000, 10), (3, 10**5), (2_000, 20_000)):
+            cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, horizon=horizon, samples=1000, phi=PHI2)
+            drawn = mc._depth_blocks(cfg, mc.QuotientSampler(cfg.seed, range(1)))
+            widest = max(qa.shape[1] for _, _, qa in drawn)
+            size = min(512, mc._CHUNK_BUDGET // (mc._BYTES_PER_QUOTIENT * widest))
+            assert mc._chunk_ranges(cfg)[0] == (0, size), (ell, horizon)
+        ell_20000 = mc.ExperimentConfig(kind="dichotomy", ell=20_000, horizon=10, samples=1000, phi=PHI2)
+        assert [hi - lo for lo, hi in mc._chunk_ranges(ell_20000)] == [255, 255, 255, 235]
 
     def test_trimmed_chunks_follow_the_last_checkpoint(self, monkeypatch):
         """1,000 trimmed samples scanned to checkpoint 100 make 2 chunks, at horizon 100 or 10^5."""

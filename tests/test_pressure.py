@@ -201,19 +201,22 @@ class TestCollocationRows:
 
     @pytest.mark.parametrize("N", [1, 50, 100, 200, 201, 1000, 10**4])
     def test_operator_matches_the_literal_matrix(self, monkeypatch, N):
-        for s in (0.45, 0.5, pr._TAIL_MIN_S, 0.8284, 1.0):
+        for s in (0.45, 0.5, 0.505, 0.8284, 1.0):
             want = oracles.collocation_matrix(s, N, TRUNCATED)
             if N <= pr._K:
                 assert np.array_equal(pr._transfer_matrix(s, N, TRUNCATED), want)
             got = pr.transfer_pressure(s, N, TRUNCATED)
             assert abs(got - _pressure_of(monkeypatch, want, s, TRUNCATED)) <= 1e-14
-        for s in (0.45, 0.5):  # below _TAIL_MIN_S the default operator is the truncated one
+        with monkeypatch.context() as patch:  # at 2s <= 1 the whole system's sum diverges
+            patch.setattr(pr, "_transfer_matrix", None)  # no matrix is built
+            assert pr.transfer_pressure(0.45, N) == pr.transfer_pressure(0.5, N) == math.inf
+        for s in (math.nextafter(0.5, 1.0), 0.505):  # just above, the default operator does not read N
             assert np.array_equal(pr._transfer_matrix(s, N, pr.DEFAULT_PARAMS),
-                                  pr._transfer_matrix(s, N, TRUNCATED))
+                                  pr._transfer_matrix(s, 1, pr.DEFAULT_PARAMS))
 
     @pytest.mark.parametrize("N", [50, 100, 1000])
     def test_full_alphabet_lies_in_the_tail_bracket(self, monkeypatch, N):
-        for s in (pr._TAIL_MIN_S, 0.6, 0.8284, 1.0):
+        for s in (0.5 + 1e-6, 0.5 + 1e-4, 0.501, 0.505, 0.6, 0.8284, 1.0):
             full = pr.transfer_pressure(s, N)
             lower, upper = oracles.tail_bracket(s, N, pr.DEFAULT_PARAMS)
             p_lower, p_upper = (_pressure_of(monkeypatch, A, s) for A in (lower, upper))
@@ -322,14 +325,13 @@ class TestBlockedRows:
     @pytest.mark.parametrize("N", [100, 1000])
     def test_small_blocks_keep_the_matrix(self, N):
         """Rebuilt operator parts give the same matrix bitwise."""
-        params = pr.DEFAULT_PARAMS
-        svals = (0.46, pr._TAIL_MIN_S, 0.8)
+        cases = [(0.46, TRUNCATED)] + [(s, pr.DEFAULT_PARAMS) for s in (0.501, 0.505, 0.8)]
         pr._operator_parts.cache_clear()
-        want = [pr._transfer_matrix(s, N, params) for s in svals]
+        want = [pr._transfer_matrix(s, N, params) for s, params in cases]
         pr._operator_parts.cache_clear()
         try:
-            for s, default in zip(svals, want):
-                assert np.array_equal(pr._transfer_matrix(s, N, params), default)
+            for (s, params), first in zip(cases, want):
+                assert np.array_equal(pr._transfer_matrix(s, N, params), first)
         finally:
             pr._operator_parts.cache_clear()
 
@@ -422,6 +424,74 @@ class TestHausdorffDim:
         with pytest.raises(DomainError):
             pr.hausdorff_dim("F9", GrowthFunction.exponential(2.0))
 
+    def test_every_finite_B_has_its_root_above_one_half(self):
+        """P = +inf at s <= 1/2, so each root lies in (1/2, 1], falling toward 1/2 as B grows.
+
+        Where the bisection's last midpoint at or below 1/2 is its lower end (E1 and F1 at
+        B = 10^12, roots about 1/2 + 5e-7), that end is 1/2 itself.
+        """
+        bases = (1.001, 2.0, 10.0, 1e3, 1e4, 1e8, 1e12)
+        dims = {}
+        for set_id in pr.SET_POTENTIALS:
+            for B in bases:
+                res = pr.hausdorff_dim(set_id, GrowthFunction.exponential(B))
+                lo, hi = res.bracket
+                assert 0.5 <= lo <= res.s <= hi <= 1.0 and res.s > 0.5, (set_id, B, res)
+                dims[set_id, B] = res.s
+            assert all(dims[set_id, a] >= dims[set_id, b] for a, b in zip(bases, bases[1:])), set_id
+        for B in bases:
+            assert dims["F2", B] <= dims["F3", B] <= dims["E3", B], B  # F2 in F3 in E3
+
+
+class TestNearOneHalf:
+    """The whole Gauss system's pressure as s -> 1/2+, where it diverges, derived in closed form.
+
+    Write e = 2s - 1, and let f be the leading eigenfunction of
+    (L f)(x) = sum_a (a+x)^{-1-e} f(1/(a+x)), with eigenvalue lam and f(0) = 1. Then
+      lam f(x) = zeta(1+e, 1+x) + sum_a (a+x)^{-1-e} (f(1/(a+x)) - 1),
+    where the Hurwitz zeta(1+e, 1+x) = 1/e - psi(1+x) + O(e). The second sum is O(1), so
+    lam = 1/e + O(1) and f = 1 + O(e), with f' = O(e); so f(1/(a+x)) - 1 = O(e/(a+x)) and the
+    second sum is O(e). At x = 0: lam = zeta(1+e) + O(e) = 1/e - psi(1) + O(e), psi(1) = -gamma,
+    and P = log lam = -log e + log(1 + gamma e + O(e^2)):
+      P(s) + log(2s - 1) = gamma (2s - 1) + O((2s - 1)^2).
+    One order further, f(x) = 1 - e (psi(1+x) - psi(1)) + O(e^2), the second sum at x = 0 is
+    -e sum_a (psi(1 + 1/a) - psi(1))/a + O(e^2), zeta(1+e) = 1/e + gamma - gamma_1 e + O(e^2)
+    (gamma_1 the first Stieltjes constant), and expanding the log gives the e^2 coefficient
+    c2 of oracles.near_half_coefficient, about -1.9745.
+    """
+
+    def test_pressure_follows_the_expansion(self):
+        c2 = oracles.near_half_coefficient()
+        excess = []
+        for k in (3, 4, 5, 6):  # cancellation in P + log e sets in from k = 8
+            s = 0.5 + 10.0**-k
+            e = 2.0 * s - 1.0
+            excess.append((pr.transfer_pressure(s, 1) + math.log(e)) / e - np.euler_gamma)
+            assert abs(excess[-1] / (c2 * e) - 1.0) <= 0.01, (k, excess[-1])
+        assert all(9.0 <= a / b <= 11.0 for a, b in zip(excess, excess[1:])), excess
+
+    @pytest.mark.parametrize("set_id, B", [("E1", 1e4), ("E1", 1e8), ("E3", 1e12), ("F3", 1e12)])
+    def test_roots_follow_the_expansion(self, set_id, B):
+        """The root of P(s) = f(s) log B against that of -log e + gamma e = f(s) log B.
+
+        At the latter's root s0 the remainder c2 e0^2 is the gap, so the root moves by
+        about c2 e0^2 / |gap0'(s0)|, to first order; the next order is O(e0) of that.
+        """
+        tol = 1e-13
+        f, log_B = pr.SET_POTENTIALS[set_id], math.log(B)
+
+        def gap0(s):
+            e = 2.0 * s - 1.0
+            return -math.log(e) + np.euler_gamma * e - f(s) * log_B
+
+        s0 = 0.5 * sum(pr._bisect(lambda s: not gap0(s) > 0.0, 0.5, 0.6, 1e-17))
+        e0 = 2.0 * s0 - 1.0
+        h = 1e-6 * e0
+        slope = (gap0(s0 + h) - gap0(s0 - h)) / (2.0 * h)
+        shift = oracles.near_half_coefficient() * e0**2 / abs(slope)
+        got = pr.hausdorff_dim(set_id, GrowthFunction.exponential(B), pr.PressureSolverParams(bisect_tol=tol))
+        assert abs(got.s - s0 - shift) <= 5.0 * e0 * abs(shift) + tol, (got.s, s0, shift)
+
 
 class TestShulgaHussain:
     def test_single_block_matches_e1(self):
@@ -429,6 +499,8 @@ class TestShulgaHussain:
         dims, mn = pr.shulga_hussain_dims([B], FAST)
         e1 = pr.hausdorff_dim("E1", GrowthFunction.exponential(B), FAST)
         assert abs(dims[0] - e1.s) <= 2 * FAST.bisect_tol
+        dims, _ = pr.shulga_hussain_dims([1e4])  # a root within 0.005 of 1/2
+        assert dims[0] == pr.hausdorff_dim("E1", GrowthFunction.exponential(1e4)).s == 0.5048187255859375
 
     def test_trend_toward_one(self):
         _, m_11 = pr.shulga_hussain_dims([1.1], FAST)
