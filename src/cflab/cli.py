@@ -161,14 +161,17 @@ def cmd_series(args) -> int:
 
 
 def cmd_pressure(args) -> int:
-    params = pressure.PressureSolverParams(
-        grid_points=args.grid_points, tail_correction=not args.no_tail
-    )
+    params = pressure.PressureSolverParams(grid_points=args.grid_points)
     try:
         svals = [float(x) for x in args.s.split(",")]
     except ValueError:
         raise DomainError(f"bad --s {args.s!r}, expected comma-separated numbers") from None
-    table = [[s, args.alphabet, pressure.transfer_pressure(s, args.alphabet, params)] for s in svals]
+    if args.alphabet < 1:  # refused with or without --no-tail
+        raise DomainError("N must be >= 1")
+    if args.alphabet > pressure._MAX_N:
+        raise DomainError("N must be <= 2**53")
+    N = args.alphabet if args.no_tail else math.inf  # the N column prints --alphabet either way
+    table = [[s, args.alphabet, pressure.transfer_pressure(s, N, params)] for s in svals]
     _emit_csv(["s", "N", "pressure"], table, args.out)
     return 0
 

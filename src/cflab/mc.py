@@ -73,7 +73,7 @@ _LANES = 4096  # samples x tiles the recursion aims to run at once, where tiles 
 _WARMUP = 32  # uniforms a tile's start warms up on; 2 of 381,120 tiles in perfbench's inputs recomputed
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive uniform: a = 1, as the law puts at u = 0
 _MASK_CELLS = 16 * _DEPTH_BLOCK  # rows x levels whose E/F masks are built at once
-_CHUNK_BUDGET = 128_000_000  # peak bytes of one worker chunk
+_CHUNK_BUDGET = 128_000_000  # peak bytes of one worker chunk, and bytes of a run's gathered results
 _BYTES_PER_QUOTIENT = 25  # peak bytes per quotient of a depth block >= 256 columns, any kind: 24.5 measured
 
 KINDS = ("dichotomy", "trimmed", "khinchin", "chung_erdos")
@@ -509,6 +509,9 @@ def _run_chunks(config: ExperimentConfig, worker, ranges):
 
 def _gather(cfg: ExperimentConfig, reduce, shape, dtype):
     """reduce's results, samples on the last axis, folded in sample order as chunks return."""
+    need = np.dtype(dtype).itemsize * math.prod(shape) * cfg.samples  # refused before ranges or results
+    if need > _CHUNK_BUDGET:
+        raise ResourceLimitError(f"{cfg.samples} samples need {need} bytes of results, over {_CHUNK_BUDGET}")
     ranges = _chunk_ranges(cfg)
     out = np.empty(shape + (cfg.samples,), dtype=dtype)
     for (lo, hi), part in zip(ranges, _run_chunks(cfg, partial(_chunk, cfg, reduce), ranges)):
@@ -665,7 +668,9 @@ def config_to_text(config: ExperimentConfig) -> str:
             pairs[f.name] = str(value)
         elif value is not None:
             pairs["phi_family"] = value.family
-            pairs["phi_params"] = ",".join(f"{p:.12g}" for p in value.params or value.values)
+            ps = value.params or value.values
+            texts = (f"{p:.12g}" for p in ps)  # 12 digits where they read back as p, else p's shortest text
+            pairs["phi_params"] = ",".join(t if float(t) == p else repr(p) for t, p in zip(texts, ps))
     return "".join(f"{k} = {pairs[k]}\n" for k in sorted(pairs))
 
 

@@ -15,13 +15,13 @@ with h = 1/(_K+1); there the rows are expanded to degree _DEGREE = 10 in y/h
 (monomial rows D_k, fitted at 11 Chebyshev points of [0, h]), and D_k is
 weighted by h^{-k} times a Hurwitz sum of (a+x)^{-(2s+k)} over a > _K.
 
-By default (tail_correction) that sum runs over every a > _K: the operator is
-the whole Gauss system's, N is not read, and P(1) = 0 to the power iteration's
-tolerance. For 2s <= 1 the sum diverges: P = +inf, no matrix is built, and a
+The alphabet N is a value: N = inf (the default) is the whole Gauss system,
+where that sum runs over every a > _K and P(1) = 0 to the power iteration's
+tolerance. For 2s <= 1 that sum diverges: P = +inf, no matrix is built, and a
 dimension root, which lies above 1/2, has its bracket's lower end raised to
-1/2. With tail_correction=False the operator is the literal truncated one over
-a <= N: the sum runs over _K < a <= N, a difference of two Hurwitz tails. That
-matrix equals the literal N-branch matrix bitwise for N <= _K; above that the
+1/2. A finite N in [1, 2^53] is the literal truncated operator over a <= N: the
+sum runs over _K < a <= N, a difference of two Hurwitz tails. That matrix
+equals the literal N-branch matrix bitwise for N <= _K; above that the
 pressures differ by at most 1.4e-15 (measured for N from 201 to 10^4 and s
 from 0.45 to 1).
 
@@ -101,7 +101,6 @@ def wang_wu_f(ell: int, s):
 class PressureSolverParams:
     grid_points: int = 64
     bisect_tol: float = 1e-4
-    tail_correction: bool = True
 
     def __post_init__(self):
         if self.grid_points < 2:
@@ -184,20 +183,19 @@ def _operator_parts(m: int):
     return x, w, y, rows, D
 
 
-def _transfer_matrix(s: float, N: int, params: PressureSolverParams) -> np.ndarray:
+def _transfer_matrix(s: float, N, params: PressureSolverParams) -> np.ndarray:
     x, _, y, rows, D = _operator_parts(params.grid_points)
-    full = params.tail_correction  # every branch: N is not read
-    n = _K if full else min(N, _K)
+    n = min(N, _K)
     A = np.einsum("ai,aij->ij", y[:n] ** (2.0 * s), rows[:n])
-    if full or N > _K:  # sum over _K < a <= top of y^(2s) sum_k (y/h)^k D[k], with y = 1/(a+x)
-        top = math.inf if full else N + x
+    if N > _K:  # sum over _K < a <= N of y^(2s) sum_k (y/h)^k D[k], with y = 1/(a+x)
+        top = N + x if N < math.inf else N  # a scalar inf: an array of them costs array powers
         sums = np.array([hurwitz_range(2.0 * s + k, _K + x, top) for k in range(_DEGREE + 1)])
         A += (sums * (_K + 1.0) ** np.arange(_DEGREE + 1)[:, None]).T @ D
     return A
 
 
-def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_PARAMS) -> float:
-    """log of the leading eigenvalue of the full-alphabet (+inf at s <= 1/2) or the N-branch operator.
+def transfer_pressure(s: float, N=math.inf, params: PressureSolverParams = DEFAULT_PARAMS) -> float:
+    """log of the leading eigenvalue of the N-branch operator; N = inf is the Gauss system (+inf at s <= 1/2).
 
     Power iteration on the collocation matrix, stopping when successive
     Rayleigh quotients differ by less than _POWER_ITER_TOL (relative). A
@@ -208,11 +206,11 @@ def transfer_pressure(s: float, N: int, params: PressureSolverParams = DEFAULT_P
     """
     if N < 1:
         raise DomainError("N must be >= 1")
-    if N > _MAX_N:
+    if _MAX_N < N < math.inf:
         raise DomainError("N must be <= 2**53")
     if not 0 < s < math.inf:
         raise DomainError(f"s must be positive and finite, got {s}")
-    if params.tail_correction and s <= 0.5:
+    if N == math.inf and s <= 0.5:
         return math.inf
     unresolved = f"s = {s} is too large for the {params.grid_points}-point grid"
     with np.errstate(invalid="ignore"):  # inf * 0 in the Euler-Maclaurin terms at huge s
@@ -257,8 +255,8 @@ def _bisect(holds, lo: float, hi: float, tol: float) -> tuple[float, float]:
 def _root_at_alphabet(f, log_B, N, params):
     """Root of P(s) - f(s) log B on _BRACKET, with the bracket it was bisected to.
 
-    The whole operator's P is +inf at s <= 1/2, so lo is raised to 1/2; the
-    truncated operator's root (tail_correction=False) is returned as bisected.
+    The whole system's P (N = inf) is +inf at s <= 1/2, so lo is raised to
+    1/2; a finite alphabet's root is returned as bisected.
     """
 
     def gap(s):
@@ -272,8 +270,7 @@ def _root_at_alphabet(f, log_B, N, params):
         return hi, (hi, hi)  # pressure still positive at s = 1
     else:
         lo, hi = _bisect(lambda s: not gap(s) > 0.0, lo, hi, params.bisect_tol)
-    if params.tail_correction:
-        lo = max(lo, 0.5)
+    lo = max(lo, 0.5) if N == math.inf else lo
     return 0.5 * (lo + hi), (lo, hi)
 
 
@@ -298,8 +295,7 @@ def hausdorff_dim(
     between the dimension is the root of P(s) = f(s) log B with f the set's
     multiplier in SET_POTENTIALS, solved by bisection on _BRACKET with the
     pressure of the whole Gauss system (one operator, no alphabet to choose),
-    whose root lies in (1/2, 1]. With tail_correction=False it is the root of
-    the 2^53-branch truncated operator, unchanged.
+    whose root lies in (1/2, 1].
     """
     if set_id not in SET_POTENTIALS:
         raise DomainError(f"unknown set {set_id!r}; choose from {sorted(SET_POTENTIALS)}")
@@ -309,7 +305,7 @@ def hausdorff_dim(
     if math.isinf(gc.log_B):
         val = 1.0 / (1.0 + gc.b)
         return DimensionResult(val, (val, val), "B=inf")
-    root, bracket = _root_at_alphabet(SET_POTENTIALS[set_id], gc.log_B, _MAX_N, params)
+    root, bracket = _root_at_alphabet(SET_POTENTIALS[set_id], gc.log_B, math.inf, params)
     return DimensionResult(root, bracket, "B_finite")
 
 
@@ -328,7 +324,7 @@ def shulga_hussain_dims(
     for a in A:
         log_betas.append(log_betas[-1] + math.log(a))
     dims = [
-        _root_at_alphabet(lambda s, u=u, v=v: s * u - (1.0 - s) * v, 1.0, _MAX_N, params)[0]
+        _root_at_alphabet(lambda s, u=u, v=v: s * u - (1.0 - s) * v, 1.0, math.inf, params)[0]
         for v, u in zip(log_betas, log_betas[1:])
     ]
     return dims, min(dims)

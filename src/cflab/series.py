@@ -1,8 +1,9 @@
 """Exact hybrid evaluation of the divisor-weighted series behind the measure bounds.
 
 Every infinite sum is reduced to a finite divisor-sieve head below the cut M
-plus zeta tails; zeta itself is direct summation plus a three-term
-Euler-Maclaurin correction (no special-function dependency). The sieve,
+plus zeta tails; zeta itself is direct summation plus the one Euler-Maclaurin
+tail, hurwitz_range(t, lo, hi) at hi = inf (no special-function dependency),
+which pressure also reads over a range of branches. The sieve,
 divisor_table(k, limit), is a plain int64 array of d_k(0..limit), and one head
 sum_{v <= top} d_k(v) v^-t (_dirichlet_head) serves the power tails and the
 finite box sums. Real thresholds "product >= M" are interpreted on integers
@@ -75,7 +76,7 @@ def zeta(t: float) -> float:
     K = ZETA_TERMS
     v = np.arange(1, K + 1, dtype=float)
     head = float(np.sum(v ** (-t)))
-    return head + hurwitz_tail(t, float(K))
+    return head + float(hurwitz_range(t, float(K), math.inf))
 
 
 def _euler_maclaurin(head, t, c):
@@ -88,20 +89,13 @@ def _euler_maclaurin(head, t, c):
     )
 
 
-def hurwitz_tail(t, c):
-    """sum_{k >= 1} (c + k)^{-t} by Euler-Maclaurin with three corrections.
-
-    `c` may be a float or an array of bases.
-    """
-    return _euler_maclaurin(c ** (1.0 - t) / (t - 1.0), t, c)
-
-
 def hurwitz_range(t, lo, hi):
-    """hurwitz_tail(t, lo) - hurwitz_tail(t, hi), the sum of (lo + k)^{-t} over 0 < k <= hi - lo.
+    """The sum of (lo + k)^{-t} over 0 < k <= hi - lo, by Euler-Maclaurin with three corrections at each end.
 
     The integrals' difference is taken as lo^u expm1(u log(hi/lo)) / u with
     u = 1 - t, which is log(hi/lo) at u = 0, so t = 1 is finite. `lo` and
-    `hi` may be floats or arrays of bases.
+    `hi` may be floats or arrays of bases; hi = inf (t > 1) is the Hurwitz
+    tail sum_{k >= 1} (lo + k)^{-t}, whose corrections at hi vanish.
     """
     u = 1.0 - t
     r = np.log(hi / lo)

@@ -27,7 +27,7 @@ from cflab import mc, pressure
 from cflab.cf import lebesgue_quotients
 from cflab.errors import DomainError, ResourceLimitError
 from cflab.mc import KeyedStreams, sample_rng
-from cflab.series import divisor_table, hurwitz_tail, zeta
+from cflab.series import divisor_table, hurwitz_range, zeta
 
 
 @lru_cache(maxsize=64)
@@ -474,7 +474,7 @@ def tail_bracket(s: float, N: int, params) -> tuple[np.ndarray, np.ndarray]:
     """
     x, w = pressure._cheb_nodes_weights(params.grid_points)
     A = collocation_matrix(s, N, params)
-    mass = hurwitz_tail(2.0 * s, N + x)[:, None]
+    mass = hurwitz_range(2.0 * s, N + x, math.inf)[:, None]
     lower = A + mass * barycentric_rows(1.0 / (N + 1.0 + x), x, w)
     upper = A + mass * (x == 0.0)  # the unit row of the node x = 0
     return lower, upper

@@ -150,12 +150,11 @@ def test_c04_series_asymptotics():
 
 
 def test_c05_pressure_normalization():
-    truncated = pr.PressureSolverParams(tail_correction=False)
-    p_by_n = {N: pr.transfer_pressure(1.0, N, truncated) for N in (100, 1000, 10000)}
+    p_by_n = {N: pr.transfer_pressure(1.0, N) for N in (100, 1000, 10000)}
     monotone = p_by_n[100] < p_by_n[1000] < p_by_n[10000] <= 0.0
-    p_full = pr.transfer_pressure(1.0, 1000)  # the whole Gauss system: N is not read
+    p_full = pr.transfer_pressure(1.0)  # the whole Gauss system, N = inf
     normalized = abs(p_full) <= 1e-10
-    grid = [pr.transfer_pressure(s, 1000) for s in (0.6, 0.7, 0.8, 0.9)]
+    grid = [pr.transfer_pressure(s) for s in (0.6, 0.7, 0.8, 0.9)]
     decreasing = all(a > b for a, b in zip(grid, grid[1:]))
     _report(
         "05 pressure normalization",
@@ -176,16 +175,15 @@ def test_c06_dimension_cross_oracles(monkeypatch):
         return pr._root_at_alphabet(pr.SET_POTENTIALS["F3"], phi.growth_constants().log_B, N, p)[0]
 
     # truncated alphabets approach the root from below
-    truncated = pr.PressureSolverParams(bisect_tol=tol, tail_correction=False)
-    root_3, root_4 = root(10**3, truncated), root(10**4, truncated)
+    root_3, root_4 = root(10**3, params), root(10**4, params)
     truncation_ok = root_3 <= root_4 <= res.s + tol
 
     # the branches a > 10^3 put on either side of oracles.tail_bracket pin the root from both sides
     tail_roots = []
     for side in (0, 1):
-        with monkeypatch.context() as patch:  # at s <= 1/2, P = +inf before any matrix is built
-            patch.setattr(pr, "_transfer_matrix", lambda s, N, p: oracles.tail_bracket(s, N, p)[side])
-            tail_roots.append(root(10**3, params))
+        with monkeypatch.context() as patch:  # N = inf: at s <= 1/2, P = +inf before any matrix is built
+            patch.setattr(pr, "_transfer_matrix", lambda s, N, p: oracles.tail_bracket(s, 10**3, p)[side])
+            tail_roots.append(root(math.inf, params))
     lower, upper = tail_roots
     tail_gap = upper - lower
     two_sided_ok = lower - tol <= res.s <= upper + tol and tail_gap < 2e-4

@@ -465,6 +465,27 @@ def test_experiment_row_past_chunk_budget_exits_resource(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["khinchin", "dichotomy", "events"])
+def test_astronomical_samples_exit_resource(tmp_path, kind):
+    """10^13 samples' results pass the budget: refused before the chunk list is built.
+
+    The child may map only 1 GiB, so a refusal that came late ends in MemoryError.
+    """
+    config, out = tmp_path / "huge.cfg", tmp_path / "out"
+    argv = ["experiment", "run", "--config", str(config), "--out", str(out)]
+    if kind == "khinchin":
+        config.write_text("kind = khinchin\nsamples = 10000000000000\n")
+    elif kind == "dichotomy":
+        config.write_text("kind = dichotomy\nsamples = 10000000000000\nphi_family = powerlog\nphi_params = 1,2\n")
+    else:
+        argv = ["events", "--ell", "1", "--phi-family", "powerlog", "--phi-params", "1,2", "--horizon", "10",
+                "--samples", "10000000000000"]
+    done = _python("-m", "cflab.cli", *argv, address_space=2**30)
+    assert done.returncode == 2 and done.stderr.startswith("error[resource]: 10000000000000 samples need")
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", EMPTY_TABLE, ids=lambda argv: argv[0])
 def test_empty_table_is_refused_where_built(capsys, argv):
     assert run_cli(capsys, *argv) == (1, "", "error[domain]: table needs at least one value\n")

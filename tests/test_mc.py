@@ -188,6 +188,47 @@ class TestConfig:
         with pytest.raises(ResourceLimitError, match="300 column tail"):
             mc._chunk_ranges(cfg)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        phi=st.one_of(
+            st.builds(GrowthFunction.power_log, st.floats(0, 1e300), st.floats(0, 1e300)),
+            st.builds(GrowthFunction.exponential, st.floats(1, 1e300, exclude_min=True)),
+            st.builds(GrowthFunction.doubly_exponential, st.floats(1, 1e300, exclude_min=True),
+                      st.floats(1, 1e300, exclude_min=True)),
+            st.builds(GrowthFunction.table, st.lists(st.floats(2, 1e300), min_size=1, max_size=6).map(sorted)),
+        ),
+        kind=st.sampled_from(["dichotomy", "chung_erdos"]),
+        seed=st.integers(-(2**70), 2**70),
+    )
+    @example(phi=GrowthFunction.exponential(1.0000000000001), kind="dichotomy", seed=0)
+    def test_text_reads_back_as_the_config(self, phi, kind, seed):
+        cfg = mc.ExperimentConfig(kind=kind, ell=2, phi=phi, horizon=50, samples=3, seed=seed,
+                                  checkpoints=(7, 50))
+        assert mc.config_from_text(mc.config_to_text(cfg)) == cfg
+
+    def test_params_past_twelve_digits_keep_their_text_and_hash(self):
+        cfg = mc.ExperimentConfig(kind="dichotomy", phi=GrowthFunction.exponential(1.0000000000001))
+        assert "phi_params = 1.0000000000001\n" in mc.config_to_text(cfg)
+        a, b = (mc.ExperimentConfig(kind="dichotomy", phi=GrowthFunction.power_log(x, 2))
+                for x in (1.0000000000001, 1.0000000000002))
+        assert mc.config_hash(a) != mc.config_hash(b)
+        cfg = mc.ExperimentConfig(kind="dichotomy", phi=GrowthFunction.power_log(1.5, 2))  # 12 digits read back
+        assert "phi_params = 1.5,2\n" in mc.config_to_text(cfg)
+
+    @pytest.mark.parametrize("kind, per_sample", [("dichotomy", 24), ("chung_erdos", 32), ("khinchin", 32)])
+    def test_results_past_the_budget_refused(self, monkeypatch, kind, per_sample):
+        # 3 or 4 int64 event columns, or 2 float64 sums at 2 checkpoints, per sample
+        cfg = mc.ExperimentConfig(kind=kind, horizon=10, samples=20, checkpoints=(5, 10),
+                                  phi=None if kind == "khinchin" else PHI2)
+        run = {"dichotomy": mc.run_dichotomy, "chung_erdos": mc.chung_erdos_check,
+               "khinchin": mc.run_khinchin}[kind]
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", per_sample * cfg.samples)
+        run(cfg)
+        monkeypatch.setattr(mc, "_CHUNK_BUDGET", per_sample * cfg.samples - 1)
+        monkeypatch.setattr(mc, "_chunk_ranges", None)  # refused before the ranges are built
+        with pytest.raises(ResourceLimitError, match="^20 samples need"):
+            run(cfg)
+
     def test_keys_left_out_take_the_dataclass_defaults(self):
         assert mc.config_from_text("kind = trimmed\n") == mc.ExperimentConfig(kind="trimmed")
         keys = {line.split(" = ")[0] for line in

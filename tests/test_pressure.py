@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import resource
@@ -15,7 +16,6 @@ from cflab.growth import GrowthFunction
 
 import oracles
 
-TRUNCATED = pr.PressureSolverParams(tail_correction=False)
 FAST = pr.PressureSolverParams(bisect_tol=1e-4)
 
 
@@ -105,22 +105,20 @@ class TestWordOracle:
 class TestTransferPressure:
     def test_fibonacci_limit(self):
         want = -2.0 * 0.7 * math.log(pr.GOLDEN)
-        assert pr.transfer_pressure(0.7, 1, TRUNCATED) == pytest.approx(want, abs=1e-6)
+        assert pr.transfer_pressure(0.7, 1) == pytest.approx(want, abs=1e-6)
 
     def test_strictly_decreasing_in_s(self):
-        vals = [pr.transfer_pressure(s, 1000) for s in (0.6, 0.7, 0.8, 0.9)]
+        vals = [pr.transfer_pressure(s) for s in (0.6, 0.7, 0.8, 0.9)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_nondecreasing_in_alphabet(self):
-        for params in (pr.DEFAULT_PARAMS, TRUNCATED):
-            v100 = pr.transfer_pressure(0.8, 100, params)
-            v1000 = pr.transfer_pressure(0.8, 1000, params)
-            assert v1000 >= v100 - 1e-12
+        v100, v1000, whole = (pr.transfer_pressure(0.8, N) for N in (100, 1000, math.inf))
+        assert v100 - 1e-12 <= v1000 <= whole + 1e-12
 
     def test_gauss_kuzmin_wirsing_eigenvalue(self):
         # the Gauss operator's second eigenvalue, -0.30366... (Wirsing), through the explicit
         # rows, the Taylor-Hurwitz tail and the barycentric rows at once
-        ev = np.linalg.eigvals(pr._transfer_matrix(1.0, pr._MAX_N, pr.DEFAULT_PARAMS))
+        ev = np.linalg.eigvals(pr._transfer_matrix(1.0, math.inf, pr.DEFAULT_PARAMS))
         second = ev[np.argsort(-np.abs(ev))[1]]
         assert abs(second - -0.3036630028987326586) <= 1e-14
 
@@ -132,7 +130,7 @@ class TestTransferPressure:
                 lam14 = 14 * oracles.word_pressure_oracle(s, range(1, N + 1), 14)
                 lam7 = 7 * oracles.word_pressure_oracle(s, range(1, N + 1), 7)
                 limit = (lam14 - lam7) / 7
-                assert abs(limit - pr.transfer_pressure(s, N, TRUNCATED)) < 0.02
+                assert abs(limit - pr.transfer_pressure(s, N)) < 0.02
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -180,11 +178,11 @@ class TestExactOracles:
     """Values of the whole Gauss system and of a two-letter alphabet known in closed form."""
 
     def test_pressure_vanishes_at_one(self):
-        assert abs(pr.transfer_pressure(1.0, 1000)) <= 1e-10
+        assert abs(pr.transfer_pressure(1.0)) <= 1e-10
 
     def test_derivative_at_one_is_minus_the_lyapunov_exponent(self):
         h = 1e-4
-        slope = (pr.transfer_pressure(1.0 + h, 1000) - pr.transfer_pressure(1.0 - h, 1000)) / (2 * h)
+        slope = (pr.transfer_pressure(1.0 + h) - pr.transfer_pressure(1.0 - h)) / (2 * h)
         assert abs(slope + math.pi**2 / (6 * math.log(2))) <= 1e-6
 
     def test_dimension_of_the_two_letter_set(self):
@@ -192,7 +190,7 @@ class TestExactOracles:
         lo, hi = 0.5, 0.6
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if pr.transfer_pressure(mid, 2, TRUNCATED) > 0.0 else (lo, mid)
+            lo, hi = (mid, hi) if pr.transfer_pressure(mid, 2) > 0.0 else (lo, mid)
         assert abs(0.5 * (lo + hi) - 0.5312805062772051) <= 1e-10
 
 
@@ -202,22 +200,19 @@ class TestCollocationRows:
     @pytest.mark.parametrize("N", [1, 50, 100, 200, 201, 1000, 10**4])
     def test_operator_matches_the_literal_matrix(self, monkeypatch, N):
         for s in (0.45, 0.5, 0.505, 0.8284, 1.0):
-            want = oracles.collocation_matrix(s, N, TRUNCATED)
+            want = oracles.collocation_matrix(s, N, pr.DEFAULT_PARAMS)
             if N <= pr._K:
-                assert np.array_equal(pr._transfer_matrix(s, N, TRUNCATED), want)
-            got = pr.transfer_pressure(s, N, TRUNCATED)
-            assert abs(got - _pressure_of(monkeypatch, want, s, TRUNCATED)) <= 1e-14
+                assert np.array_equal(pr._transfer_matrix(s, N, pr.DEFAULT_PARAMS), want)
+            got = pr.transfer_pressure(s, N)
+            assert abs(got - _pressure_of(monkeypatch, want, s)) <= 1e-14
         with monkeypatch.context() as patch:  # at 2s <= 1 the whole system's sum diverges
             patch.setattr(pr, "_transfer_matrix", None)  # no matrix is built
-            assert pr.transfer_pressure(0.45, N) == pr.transfer_pressure(0.5, N) == math.inf
-        for s in (math.nextafter(0.5, 1.0), 0.505):  # just above, the default operator does not read N
-            assert np.array_equal(pr._transfer_matrix(s, N, pr.DEFAULT_PARAMS),
-                                  pr._transfer_matrix(s, 1, pr.DEFAULT_PARAMS))
+            assert pr.transfer_pressure(0.45) == pr.transfer_pressure(0.5, math.inf) == math.inf
 
     @pytest.mark.parametrize("N", [50, 100, 1000])
     def test_full_alphabet_lies_in_the_tail_bracket(self, monkeypatch, N):
         for s in (0.5 + 1e-6, 0.5 + 1e-4, 0.501, 0.505, 0.6, 0.8284, 1.0):
-            full = pr.transfer_pressure(s, N)
+            full = pr.transfer_pressure(s)
             lower, upper = oracles.tail_bracket(s, N, pr.DEFAULT_PARAMS)
             p_lower, p_upper = (_pressure_of(monkeypatch, A, s) for A in (lower, upper))
             assert p_lower - 1e-12 <= full <= p_upper + 1e-12
@@ -225,7 +220,7 @@ class TestCollocationRows:
     def test_single_evaluation_keeps_nothing(self):
         """Nothing outlives an evaluation but the cached operator parts."""
         rows = pr._K * pr.DEFAULT_PARAMS.grid_points ** 2 * 8
-        for N in (1000, 10**6):
+        for N in (1000, 10**6, math.inf):
             pr._operator_parts.cache_clear()
             tracemalloc.start()
             try:
@@ -241,7 +236,7 @@ class TestCollocationRows:
     def test_single_evaluation_peaks_at_one_chunk_buffer(self):
         """The _K branches' rows are the one chunk; the peak does not grow with N."""
         rows = pr._K * pr.DEFAULT_PARAMS.grid_points ** 2 * 8
-        for N in (2500, 10**4, 10**6):
+        for N in (2500, 10**4, 10**6, math.inf):
             pr._operator_parts.cache_clear()
             tracemalloc.start()
             try:
@@ -325,13 +320,13 @@ class TestBlockedRows:
     @pytest.mark.parametrize("N", [100, 1000])
     def test_small_blocks_keep_the_matrix(self, N):
         """Rebuilt operator parts give the same matrix bitwise."""
-        cases = [(0.46, TRUNCATED)] + [(s, pr.DEFAULT_PARAMS) for s in (0.501, 0.505, 0.8)]
+        cases = [(0.46, N)] + [(s, math.inf) for s in (0.501, 0.505, 0.8)]
         pr._operator_parts.cache_clear()
-        want = [pr._transfer_matrix(s, N, params) for s, params in cases]
+        want = [pr._transfer_matrix(s, n, pr.DEFAULT_PARAMS) for s, n in cases]
         pr._operator_parts.cache_clear()
         try:
-            for (s, params), first in zip(cases, want):
-                assert np.array_equal(pr._transfer_matrix(s, N, params), first)
+            for (s, n), first in zip(cases, want):
+                assert np.array_equal(pr._transfer_matrix(s, n, pr.DEFAULT_PARAMS), first)
         finally:
             pr._operator_parts.cache_clear()
 
@@ -466,7 +461,7 @@ class TestNearOneHalf:
         for k in (3, 4, 5, 6):  # cancellation in P + log e sets in from k = 8
             s = 0.5 + 10.0**-k
             e = 2.0 * s - 1.0
-            excess.append((pr.transfer_pressure(s, 1) + math.log(e)) / e - np.euler_gamma)
+            excess.append((pr.transfer_pressure(s) + math.log(e)) / e - np.euler_gamma)
             assert abs(excess[-1] / (c2 * e) - 1.0) <= 0.01, (k, excess[-1])
         assert all(9.0 <= a / b <= 11.0 for a, b in zip(excess, excess[1:])), excess
 
@@ -599,6 +594,38 @@ class TestSolverPins:
     def test_s_m_oracle(self):
         for (B, m), want in SM_PINS.items():
             assert pr.s_m_oracle(B, m).hex() == want, (B, m)
+
+
+class TestAlphabetIsAValue:
+    """N = inf is the whole Gauss system and a finite N the truncated operator; the bits did not move."""
+
+    # float.hex() from the solver in which the whole system was a PressureSolverParams mode
+    WHOLE = {0.6: "0x1.ac3c9060a5354p+0", 0.8282: "0x1.e65915426731cp-2", 1.0: "-0x1.649800000f85cp-36"}
+    TRUNCATED = {1: "-0x1.58eec13ec09b6p-1", 200: "0x1.b57d5eb64def8p-1", 201: "0x1.b5a378d4642f0p-1",
+                 10**4: "0x1.ed2035d215fe4p-1"}
+
+    def test_whole_system_pins(self):
+        for s, want in self.WHOLE.items():
+            assert pr.transfer_pressure(s).hex() == pr.transfer_pressure(s, math.inf).hex() == want, s
+
+    def test_truncated_pins(self):
+        for N, want in self.TRUNCATED.items():
+            assert pr.transfer_pressure(0.7, N).hex() == want, N
+
+    def test_params_hold_only_the_grid_and_the_tolerance(self):
+        assert tuple(f.name for f in dataclasses.fields(pr.PressureSolverParams)) == ("grid_points", "bisect_tol")
+
+    def test_infinite_top_reaches_the_tail_as_a_scalar(self, monkeypatch):
+        tops, real = [], pr.hurwitz_range
+        monkeypatch.setattr(pr, "hurwitz_range", lambda t, lo, hi: tops.append(hi) or real(t, lo, hi))
+        pr.transfer_pressure(0.7)
+        assert len(tops) == pr._DEGREE + 1 and all(type(top) is float and top == math.inf for top in tops)
+        tops.clear()
+        pr.transfer_pressure(0.7, 10**4)
+        assert all(isinstance(top, np.ndarray) for top in tops) and len(tops) == pr._DEGREE + 1
+        tops.clear()
+        pr.transfer_pressure(0.7, pr._K)  # no branch past the explicit ones
+        assert tops == []
 
 
 def _python(*args, address_space=None, text=True):

@@ -78,6 +78,23 @@ class TestZeta:
         with pytest.raises(DomainError):
             se.zeta(1.0)
 
+    def test_bits_pinned(self):
+        # float.hex() from the solver that had a separate Hurwitz-tail entry point
+        pins = {1.5: "0x1.4e6250bfbd89dp+1", 2.0: "0x1.a51a6625307d4p+0", 3.7: "0x1.1b35b4c90a471p+0",
+                12.0: "0x1.001020a5b2cd3p+0"}
+        for t, want in pins.items():
+            got = se.zeta(t)
+            assert type(got) is float and got.hex() == want, t
+
+    @pytest.mark.parametrize("t", [1.0 + 1e-6, 1.5, 2.0, 3.7, 12.0])
+    def test_hurwitz_range_to_infinity_is_the_tail(self, t):
+        # sum_{k >= 1} (c + k)^{-t} = zeta(t, c + 1), scalar and array c
+        c = np.array([200.0, 200.5, 201.0, 1e5])
+        with mpmath.workdps(30):  # 15 digits lose about 1e-8 of zeta(12, 201)
+            want = [float(mpmath.zeta(t, ci + 1)) for ci in c]
+        assert np.allclose(se.hurwitz_range(t, c, math.inf), want, rtol=1e-11, atol=0.0)
+        assert se.hurwitz_range(t, 1e5, math.inf) == pytest.approx(want[-1], rel=1e-15)
+
     # the three-term remainder is relatively about t^5 c^-6 / 30240: 3e-12 at t = 12, c = 200
     @pytest.mark.parametrize("t, rtol", [(0.9, 1e-15), (1.0, 1e-15), (1.0 + 1e-9, 1e-15),
                                          (2.0, 1e-15), (12.0, 5e-12)])
