@@ -19,11 +19,6 @@ from .errors import DomainError
 from .growth import GrowthFunction
 
 
-class BlockProduct(NamedTuple):
-    log_value: float
-    exact: int
-
-
 @dataclass(frozen=True)
 class EventRecord:
     n: int
@@ -51,14 +46,6 @@ def _products(stream: Iterable[int], ell: int, horizon: int) -> Iterator[int]:
             product //= window.popleft()
         if len(window) == ell:
             yield product
-
-
-def block_products(seq, ell: int) -> list[BlockProduct]:
-    """All length-ell block products of a finite word, logs plus exact values."""
-    seq = list(seq)
-    if len(seq) < ell:
-        raise DomainError(f"need at least {ell} terms, got {len(seq)}")
-    return [BlockProduct(math.log(p), p) for p in _products(seq, ell, len(seq) - ell + 1)]
 
 
 def first_F_event(
@@ -100,18 +87,6 @@ def first_E_event(
     return None
 
 
-def a_nk_membership(seq, n: int, k: int, ell: int, phi: GrowthFunction) -> bool:
-    """Whether both the block at k and the block at n have products >= phi(n)."""
-    seq = list(seq)
-    if not 1 <= k <= n - 1:
-        raise DomainError("require 1 <= k <= n - 1")
-    if len(seq) < n + ell - 1:
-        raise DomainError(f"need {n + ell - 1} terms, got {len(seq)}")
-    prod_k = math.prod(seq[k - 1 : k - 1 + ell])
-    prod_n = math.prod(seq[n - 1 : n - 1 + ell])
-    return phi.meets_threshold(prod_k, n) and phi.meets_threshold(prod_n, n)
-
-
 class TrimmedRow(NamedTuple):
     n: int
     total: int
@@ -149,13 +124,3 @@ def progression_sum(stream: Iterable[int], ell: int, d: int, n: int) -> int:
         raise DomainError("n must be >= 1")
     seq = take(stream, n + (ell - 1) * d)
     return sum(sum(_products(seq[r::d], ell, len(range(r, n, d)))) for r in range(d))
-
-
-def running_max(stream: Iterable[int], ell: int, horizon: int) -> Iterator[tuple[int, int]]:
-    """Per-n running maximum L_{ell,n} of block products, exact."""
-    best = n = 0
-    for n, p in enumerate(_products(stream, ell, horizon), start=1):
-        best = max(best, p)
-        yield n, best
-    if n < horizon:
-        raise DomainError("stream exhausted before horizon")

@@ -22,10 +22,6 @@ class ConvergentPair(NamedTuple):
     p: int
     q: int
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 @dataclass(frozen=True)
 class FundamentalInterval:

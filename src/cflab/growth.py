@@ -34,26 +34,16 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class GrowthConstants:
-    """liminf log phi(n)/n and liminf log log phi(n)/n.
+    """liminf log phi(n)/n and liminf log log phi(n)/n, and B, b = their exps.
 
-    Closed-form constructors also record B and b directly so that the exact
-    dimension branches (B = 1, B = infinity) do not round through exp(log).
+    Closed-form families set B and b directly, so that the exact dimension
+    branches (B = 1, B = infinity) do not round through exp(log).
     """
 
     log_B: float
     log_b: float
-    B_exact: float | None = None
-    b_exact: float | None = None
-
-    @property
-    def B(self) -> float:
-        if self.B_exact is not None:
-            return self.B_exact
-        return math.exp(self.log_B) if math.isfinite(self.log_B) else math.inf
-
-    @property
-    def b(self) -> float:
-        return self.b_exact if self.b_exact is not None else math.exp(self.log_b)
+    B: float
+    b: float
 
 
 @dataclass(frozen=True)
@@ -238,25 +228,19 @@ class GrowthFunction:
     def growth_constants(self) -> GrowthConstants:
         """Closed-form (B, b) for parametric families; running liminf for tables."""
         if self.family == POWERLOG:
-            return GrowthConstants(0.0, 0.0, B_exact=1.0, b_exact=1.0)
+            return GrowthConstants(0.0, 0.0, 1.0, 1.0)
         if self.family == EXPONENTIAL:
-            return GrowthConstants(
-                math.log(self.params[0]), 0.0, B_exact=self.params[0], b_exact=1.0
-            )
+            return GrowthConstants(math.log(self.params[0]), 0.0, self.params[0], 1.0)
         if self.family == DOUBLY_EXPONENTIAL:
-            return GrowthConstants(
-                math.inf, math.log(self.params[1]), B_exact=math.inf, b_exact=self.params[1]
-            )
+            return GrowthConstants(math.inf, math.log(self.params[1]), math.inf, self.params[1])
         if self.family == TABLE:
             if len(self.values) < 100:
                 raise InsufficientDataError("table needs >= 100 values for liminf estimates")
             m = min(len(self.values), _TABLE_LIMINF_VALUES)
             tail = range(m // 2, m)
             log_B = min(self.log_phi(n + 1) / (n + 1) for n in tail)
-            log_b = min(
-                math.log(max(self.log_phi(n + 1), 1e-300)) / (n + 1) for n in tail
-            )
-            return GrowthConstants(log_B, max(log_b, 0.0))
+            log_b = max(min(math.log(max(self.log_phi(n + 1), 1e-300)) / (n + 1) for n in tail), 0.0)
+            return GrowthConstants(log_B, log_b, math.exp(log_B), math.exp(log_b))
         raise DomainError(f"unknown family {self.family!r}")
 
 
@@ -311,38 +295,3 @@ def _classify_table(f: GrowthFunction, theorem: str, ell: int) -> str:
     if slope > -0.9:
         return DIVERGENT
     return INCONCLUSIVE
-
-
-def wlog_threshold(n: int) -> float:
-    """Solution x_n of x / log^2 x = n on the increasing branch x >= e^2.
-
-    Newton iteration from x0 = n log^2(n + e^2), relative tolerance 1e-12.
-    The map x -> x/log^2 x attains its minimum e^2/4 at x = e^2, so for
-    n < 2 the equation has no root on the branch; such n are clamped to 2.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    target = max(n, 2)
-    e2 = math.e ** 2
-    x = target * math.log(target + e2) ** 2
-    for _ in range(200):
-        lx = math.log(x)
-        fx = x / lx ** 2 - target
-        dfx = (lx - 2.0) / lx ** 3
-        x_new = x - fx / dfx
-        if x_new <= e2:
-            x_new = (x + e2) / 2.0
-        if abs(x_new - x) <= 1e-12 * abs(x):
-            return x_new
-        x = x_new
-    return x
-
-
-def normalize_for_main3(f: GrowthFunction, horizon: int) -> GrowthFunction:
-    """psi(n) = max(phi(n), x_n) as a table; preserves MAIN3 divergence.
-
-    The returned function dominates phi, satisfies psi(n) >= n log^2 psi(n)
-    for all n past the finite patch, and is patched to be non-decreasing.
-    """
-    x = np.array([wlog_threshold(n) for n in range(1, horizon + 1)])
-    return GrowthFunction.table(np.maximum.accumulate(np.maximum(f.phi_array(horizon), x)))

@@ -51,11 +51,13 @@ import hashlib
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import partial
-from typing import Callable, Optional, Sequence, TextIO
+from itertools import chain, islice
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -482,11 +484,11 @@ def _chunk(cfg: ExperimentConfig, reduce, rng_range: tuple[int, int]) -> np.ndar
     return reduce(cfg, QuotientSampler(cfg.seed, range(lo, hi)), hi - lo)
 
 
-def _chunk_ranges(cfg: ExperimentConfig) -> list[tuple[int, int]]:
+def _chunk_ranges(cfg: ExperimentConfig) -> Iterator[tuple[int, int]]:
     """Sample ranges of at most 512 whose depth blocks, with the tail carried past them, fit _CHUNK_BUDGET.
 
     _BYTES_PER_QUOTIENT holds from 256 columns deep; the 512-row cap keeps a shallower chunk under 1 MB.
-    A config one row of which does not fit is refused.
+    A config one row of which does not fit is refused at the call; the ranges are yielded lazily.
     """
     span = (cfg.ell - 1) * cfg.d
     width = min(_DEPTH_BLOCK, cfg.horizon) + span
@@ -494,17 +496,31 @@ def _chunk_ranges(cfg: ExperimentConfig) -> list[tuple[int, int]]:
         raise ResourceLimitError(f"one sample's depth block and (ell - 1) d = {span} column tail "
                                  f"exceed the {_CHUNK_BUDGET}-byte chunk budget")
     size = min(512, _CHUNK_BUDGET // (_BYTES_PER_QUOTIENT * width))
-    return [(lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size)]
+    return ((lo, min(lo + size, cfg.samples)) for lo in range(0, cfg.samples, size))
 
 
 def _run_chunks(config: ExperimentConfig, worker, ranges):
-    """Map worker over sample ranges, inline or in a process pool, yielding in order."""
-    workers = min(config.threads, os.cpu_count() or 1, len(ranges))
+    """Map worker over sample ranges, inline or in a process pool, yielding in order.
+
+    The ranges are read as they are needed: a pool of w workers has at most
+    2 w of them submitted and not yet yielded.
+    """
+    ranges = iter(ranges)
+    head = list(islice(ranges, min(config.threads, os.cpu_count() or 1)))  # no more workers than chunks
+    workers, ranges = len(head), chain(head, ranges)
     if workers <= 1:
         yield from map(worker, ranges)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(worker, ranges)
+        pending = deque(pool.submit(worker, r) for r in islice(ranges, 2 * workers))
+        try:
+            while pending:
+                part = pending.popleft().result()
+                pending.extend(pool.submit(worker, r) for r in islice(ranges, 1))
+                yield part
+        finally:
+            for future in pending:  # after a failed chunk, the queued ones need not run
+                future.cancel()
 
 
 def _gather(cfg: ExperimentConfig, reduce, shape, dtype):
@@ -512,10 +528,11 @@ def _gather(cfg: ExperimentConfig, reduce, shape, dtype):
     need = np.dtype(dtype).itemsize * math.prod(shape) * cfg.samples  # refused before ranges or results
     if need > _CHUNK_BUDGET:
         raise ResourceLimitError(f"{cfg.samples} samples need {need} bytes of results, over {_CHUNK_BUDGET}")
-    ranges = _chunk_ranges(cfg)
     out = np.empty(shape + (cfg.samples,), dtype=dtype)
-    for (lo, hi), part in zip(ranges, _run_chunks(cfg, partial(_chunk, cfg, reduce), ranges)):
-        out[..., lo:hi] = part
+    lo = 0
+    for part in _run_chunks(cfg, partial(_chunk, cfg, reduce), _chunk_ranges(cfg)):
+        out[..., lo : lo + part.shape[-1]] = part
+        lo += part.shape[-1]
     return out
 
 

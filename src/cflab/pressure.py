@@ -4,8 +4,10 @@ The pressure P(s) = P(T, -s log|T'|) is the log of the leading eigenvalue of
 the averaging operator (Lf)(x) = sum_a (a+x)^{-2s} f(1/(a+x)). Potentials with
 a constant extra term split off: P(T, -f(s) log B - s log|T'|) = P(s) -
 f(s) log B, so one spectral computation per s serves every target set; each
-set is its multiplier f in SET_POTENTIALS. One bisection (_bisect) finds the
-dimension roots on _BRACKET = (0.45, 1) and the s_m oracles' roots.
+set is its multiplier f in SET_POTENTIALS. A dimension is a root of the whole
+Gauss system's P(s) = f(s) log B; one bisection (_bisect) finds it on _BRACKET
+= (0.45, 1), whose ends are known to hold, and the same loop bisects the s_m
+oracles' conditions.
 
 Discretization: Chebyshev collocation with barycentric interpolation, power
 iteration with Rayleigh-quotient stopping. The operator's size does not
@@ -40,7 +42,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +57,7 @@ _ROWS_BUDGET = 64_000_000  # bytes of the _K branches' rows
 
 
 # ---------------------------------------------------------------------------
-# scalar algebra: g3, X_i, Wang-Wu f_ell
+# scalar algebra: g3, Wang-Wu f_ell
 
 
 def _lift(s):
@@ -67,15 +68,6 @@ def g3(s):
     """(3s^3 - 5s^2 + 4s - 1)/(s^2 - s + 1); exact when s is rational."""
     s = _lift(s)
     return (3 * s**3 - 5 * s**2 + 4 * s - 1) / (s**2 - s + 1)
-
-
-def x_functions(s):
-    """(X1, X2, X3) = ((1-s)^2, s^2, rest)/(s^2 - s + 1); exact when s rational."""
-    s = _lift(s)
-    den = s**2 - s + 1
-    x1 = (1 - s) ** 2 / den
-    x2 = s**2 / den
-    return x1, x2, 1 - x1 - x2
 
 
 def wang_wu_f(ell: int, s):
@@ -252,25 +244,20 @@ def _bisect(holds, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _root_at_alphabet(f, log_B, N, params):
-    """Root of P(s) - f(s) log B on _BRACKET, with the bracket it was bisected to.
+def _dimension_root(f, log_B, params):
+    """Root of the whole Gauss system's P(s) - f(s) log B on _BRACKET, with the bracket bisected to.
 
-    The whole system's P (N = inf) is +inf at s <= 1/2, so lo is raised to
-    1/2; a finite alphabet's root is returned as bisected.
+    P = +inf at the floor s = 0.45, and P(1) is 0 to the power iteration's
+    tolerance, below f(1) log B whenever f(1) > 0 and log B > 0: the ends
+    hold as _bisect needs them, so neither is evaluated. The root lies above
+    1/2, where P is finite, so lo is raised to 1/2.
     """
 
-    def gap(s):
-        return transfer_pressure(s, N, params) - f(s) * log_B
+    def holds(s):
+        return not transfer_pressure(s, math.inf, params) - f(s) * log_B > 0.0
 
-    lo, hi = _BRACKET
-    g_lo, g_hi = gap(lo), gap(hi)
-    if g_lo <= 0.0:
-        hi = lo  # root at or below the bracket floor
-    elif g_hi > 0.0:
-        return hi, (hi, hi)  # pressure still positive at s = 1
-    else:
-        lo, hi = _bisect(lambda s: not gap(s) > 0.0, lo, hi, params.bisect_tol)
-    lo = max(lo, 0.5) if N == math.inf else lo
+    lo, hi = _bisect(holds, *_BRACKET, params.bisect_tol)
+    lo = max(lo, 0.5)
     return 0.5 * (lo + hi), (lo, hi)
 
 
@@ -305,29 +292,8 @@ def hausdorff_dim(
     if math.isinf(gc.log_B):
         val = 1.0 / (1.0 + gc.b)
         return DimensionResult(val, (val, val), "B=inf")
-    root, bracket = _root_at_alphabet(SET_POTENTIALS[set_id], gc.log_B, math.inf, params)
+    root, bracket = _dimension_root(SET_POTENTIALS[set_id], gc.log_B, params)
     return DimensionResult(root, bracket, "B_finite")
-
-
-def shulga_hussain_dims(
-    A: Sequence[float], params: PressureSolverParams = DEFAULT_PARAMS
-) -> tuple[list[float], float]:
-    """Dimensions d_i of the lower-bound construction with targets a_n ~ A_i^n.
-
-    beta_{-1} = 1, beta_i = A_i beta_{i-1}; d_i is the root of
-    P(s) = s log beta_i - (1-s) log beta_{i-1}, that is f(s) = s u - (1-s) v
-    with u = log beta_i, v = log beta_{i-1} and log B = 1. Returns (d list, min d_i).
-    """
-    if not A or any(a <= 1 for a in A):
-        raise DomainError("all A_i must exceed 1")
-    log_betas = [0.0]
-    for a in A:
-        log_betas.append(log_betas[-1] + math.log(a))
-    dims = [
-        _root_at_alphabet(lambda s, u=u, v=v: s * u - (1.0 - s) * v, 1.0, math.inf, params)[0]
-        for v, u in zip(log_betas, log_betas[1:])
-    ]
-    return dims, min(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -401,63 +367,3 @@ def s_m_oracle(B: float, m: int, params: PressureSolverParams = DEFAULT_PARAMS) 
         raise ConvergenceError(f"s_m condition unsatisfied even at s = {hi}")
     lo, hi = _bisect(condition, lo, hi, params.bisect_tol)
     return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
-# auxiliary inequality report
-
-
-@dataclass(frozen=True)
-class AuxRow:
-    s: float
-    identity_gap: float  # g3(s) - ((2s-1) + X1(s) s); identity, ~0
-    x2_gap: float  # (3s-1) - X2(s) - g3(s); identity, ~0
-    aux2_lhs: float  # g3(s)
-    aux2_rhs: float  # (1-s) X1(s) - s
-    aux2_holds: bool  # reported only; fails on [0, 1]
-    aux3_margin: float  # (3s-1)(X1+X2) + s - g3(s); >= 0 on [1/2, 1]
-    strict_513_margin: float  # (3s-1) + X1(s)(s-1) - g3(s); > 0 on [1/2, 1]
-
-
-def aux_inequality_report(s_grid: Sequence[float]) -> list[AuxRow]:
-    """Evaluate the g3/X relations on a grid; assert the trusted ones.
-
-    The identity g3 = (2s-1) + s X1 and the rewrite g3 = (3s-1) - X2 must
-    hold to 1e-12 on the whole grid; the bound (3s-1)(X1+X2) + s >= g3 and
-    the strict inequality (3s-1) + X1 (s-1) > g3 are asserted for grid points
-    in [1/2, 1]. The remaining relation g3 < (1-s) X1 - s is evaluated and
-    reported only: it fails numerically (e.g. 1/6 vs -1/3 at s = 1/2), so no
-    assertion is attached to it.
-    """
-    rows = []
-    for s in s_grid:
-        if not 0.0 <= s <= 1.0:
-            raise DomainError("grid points must lie in [0, 1]")
-        x1, x2, _ = x_functions(s)
-        val = float(g3(s))
-        identity_gap = val - ((2 * s - 1) + float(x1) * s)
-        x2_gap = (3 * s - 1) - float(x2) - val
-        aux2_rhs = (1 - s) * float(x1) - s
-        aux3_margin = (3 * s - 1) * float(x1 + x2) + s - val
-        strict_margin = (3 * s - 1) + float(x1) * (s - 1) - val
-        rows.append(
-            AuxRow(
-                s=float(s),
-                identity_gap=identity_gap,
-                x2_gap=x2_gap,
-                aux2_lhs=val,
-                aux2_rhs=aux2_rhs,
-                aux2_holds=val < aux2_rhs,
-                aux3_margin=aux3_margin,
-                strict_513_margin=strict_margin,
-            )
-        )
-    for row in rows:
-        if abs(row.identity_gap) > 1e-12 or abs(row.x2_gap) > 1e-12:
-            raise ConvergenceError(f"g3/X identity violated at s = {row.s}")
-        if 0.5 <= row.s <= 1.0:
-            if row.aux3_margin < -1e-12:
-                raise ConvergenceError(f"auxiliary bound violated at s = {row.s}")
-            if row.strict_513_margin <= 0.0:
-                raise ConvergenceError(f"strict inequality violated at s = {row.s}")
-    return rows

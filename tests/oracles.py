@@ -12,7 +12,9 @@ are definitions and slow paths the library's fast paths are checked
 against. A forced stream stands in for the sampler with given quotient
 rows, for planted and giant products. Per-sample counts of iid coin
 events, drawn from the sampler's streams, feed the Chung-Erdos check its
-closed-form case.
+closed-form case. The paper's X_i algebra, its Shulga-Hussain lower-bound
+dimensions, the dimension roots of a truncated alphabet and the MAIN3
+normaliser are checks of the paper's proofs that no cflab command runs.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from cflab import mc, pressure
 from cflab.cf import lebesgue_quotients
 from cflab.errors import DomainError, ResourceLimitError
+from cflab.growth import GrowthFunction
 from cflab.mc import KeyedStreams, sample_rng
 from cflab.series import divisor_table, hurwitz_range, zeta
 
@@ -542,3 +545,77 @@ def s_m_partial_zeta(B: float, m: int) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# the paper's algebra and constructions, which no cflab command runs
+
+
+def x_functions(s):
+    """(X1, X2, X3) = ((1-s)^2, s^2, rest)/(s^2 - s + 1); exact when s rational."""
+    s = pressure._lift(s)
+    den = s**2 - s + 1
+    x1 = (1 - s) ** 2 / den
+    x2 = s**2 / den
+    return x1, x2, 1 - x1 - x2
+
+
+def shulga_hussain_dims(A, params=pressure.DEFAULT_PARAMS) -> tuple[list[float], float]:
+    """Dimensions d_i of the lower-bound construction with targets a_n ~ A_i^n.
+
+    beta_{-1} = 1, beta_i = A_i beta_{i-1}; d_i is the root of
+    P(s) = s log beta_i - (1-s) log beta_{i-1}, that is f(s) = s u - (1-s) v
+    with u = log beta_i, v = log beta_{i-1} and log B = 1. Returns (d list, min d_i).
+    """
+    if not A or any(a <= 1 for a in A):
+        raise DomainError("all A_i must exceed 1")
+    log_betas = [0.0]
+    for a in A:
+        log_betas.append(log_betas[-1] + math.log(a))
+    dims = [
+        pressure._dimension_root(lambda s, u=u, v=v: s * u - (1.0 - s) * v, 1.0, params)[0]
+        for v, u in zip(log_betas, log_betas[1:])
+    ]
+    return dims, min(dims)
+
+
+def truncated_root(f, log_B: float, N: int, params=pressure.DEFAULT_PARAMS) -> float:
+    """Root of the N-branch P(s, N) = f(s) log B, bisected on pressure._BRACKET, whose ends must hold."""
+    lo, hi = pressure._bisect(lambda s: not pressure.transfer_pressure(s, N, params) - f(s) * log_B > 0.0,
+                              *pressure._BRACKET, params.bisect_tol)
+    return 0.5 * (lo + hi)
+
+
+def wlog_threshold(n: int) -> float:
+    """Solution x_n of x / log^2 x = n on the increasing branch x >= e^2.
+
+    Newton iteration from x0 = n log^2(n + e^2), relative tolerance 1e-12.
+    The map x -> x/log^2 x attains its minimum e^2/4 at x = e^2, so for
+    n < 2 the equation has no root on the branch; such n are clamped to 2.
+    """
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    target = max(n, 2)
+    e2 = math.e ** 2
+    x = target * math.log(target + e2) ** 2
+    for _ in range(200):
+        lx = math.log(x)
+        fx = x / lx ** 2 - target
+        dfx = (lx - 2.0) / lx ** 3
+        x_new = x - fx / dfx
+        if x_new <= e2:
+            x_new = (x + e2) / 2.0
+        if abs(x_new - x) <= 1e-12 * abs(x):
+            return x_new
+        x = x_new
+    return x
+
+
+def normalize_for_main3(f: GrowthFunction, horizon: int) -> GrowthFunction:
+    """psi(n) = max(phi(n), x_n) as a table; preserves MAIN3 divergence.
+
+    The returned function dominates phi, satisfies psi(n) >= n log^2 psi(n)
+    for all n past the finite patch, and is patched to be non-decreasing.
+    """
+    x = np.array([wlog_threshold(n) for n in range(1, horizon + 1)])
+    return GrowthFunction.table(np.maximum.accumulate(np.maximum(f.phi_array(horizon), x)))

@@ -171,11 +171,10 @@ def test_c06_dimension_cross_oracles(monkeypatch):
     phi = GrowthFunction.exponential(2.0)
     res = pr.hausdorff_dim("F3", phi, params)
 
-    def root(N, p):
-        return pr._root_at_alphabet(pr.SET_POTENTIALS["F3"], phi.growth_constants().log_B, N, p)[0]
+    f3, log_B = pr.SET_POTENTIALS["F3"], phi.growth_constants().log_B
 
     # truncated alphabets approach the root from below
-    root_3, root_4 = root(10**3, params), root(10**4, params)
+    root_3, root_4 = (oracles.truncated_root(f3, log_B, N, params) for N in (10**3, 10**4))
     truncation_ok = root_3 <= root_4 <= res.s + tol
 
     # the branches a > 10^3 put on either side of oracles.tail_bracket pin the root from both sides
@@ -183,7 +182,7 @@ def test_c06_dimension_cross_oracles(monkeypatch):
     for side in (0, 1):
         with monkeypatch.context() as patch:  # N = inf: at s <= 1/2, P = +inf before any matrix is built
             patch.setattr(pr, "_transfer_matrix", lambda s, N, p: oracles.tail_bracket(s, 10**3, p)[side])
-            tail_roots.append(root(math.inf, params))
+            tail_roots.append(pr._dimension_root(f3, log_B, params)[0])
     lower, upper = tail_roots
     tail_gap = upper - lower
     two_sided_ok = lower - tol <= res.s <= upper + tol and tail_gap < 2e-4
@@ -192,8 +191,8 @@ def test_c06_dimension_cross_oracles(monkeypatch):
     s2 = pr.s_m_oracle(2.0, 2)
     bracket_ok = s1 >= s2 >= res.s - 1e-3
 
-    x1, x2, x3 = (float(v) for v in pr.x_functions(res.s))
-    dims, minimum = pr.shulga_hussain_dims([2.0**x1, 2.0**x2, 2.0**x3, 2.0**x1], params)
+    x1, x2, x3 = (float(v) for v in oracles.x_functions(res.s))
+    dims, minimum = oracles.shulga_hussain_dims([2.0**x1, 2.0**x2, 2.0**x3, 2.0**x1], params)
     shulga_gap = abs(minimum - res.s)
 
     lo_end = pr.hausdorff_dim("F3", GrowthFunction.exponential(1.05), params)
@@ -357,19 +356,19 @@ def test_c09_chung_erdos():
 
 
 def test_c10_g3_x_algebra():
-    grid = [k / 100 for k in range(101)]
-    rows = pr.aux_inequality_report(grid)
-    identity_ok = all(abs(r.identity_gap) <= 1e-12 for r in rows)
-    x2_ok = all(abs(r.x2_gap) <= 1e-12 for r in rows)
-    upper = [r for r in rows if 0.5 <= r.s <= 1.0]
-    aux3_ok = all(r.aux3_margin >= -1e-12 for r in upper)
-    strict_ok = all(r.strict_513_margin > 0 for r in upper)
-    half_row = rows[50]
-    aux2_fixture = (
-        not half_row.aux2_holds
-        and abs(half_row.aux2_lhs - 1 / 6) < 1e-12
-        and abs(half_row.aux2_rhs + 1 / 3) < 1e-12
-    )
+    rows = []
+    for s in (k / 100 for k in range(101)):
+        x1, x2, _ = (float(x) for x in oracles.x_functions(s))
+        g = float(pr.g3(s))
+        rows.append((s, g, x1, x2))
+    identity_ok = all(abs(g - ((2 * s - 1) + x1 * s)) <= 1e-12 for s, g, x1, _ in rows)
+    x2_ok = all(abs((3 * s - 1) - x2 - g) <= 1e-12 for s, g, _, x2 in rows)
+    upper = [r for r in rows if 0.5 <= r[0] <= 1.0]
+    aux3_ok = all((3 * s - 1) * (x1 + x2) + s - g >= -1e-12 for s, g, x1, x2 in upper)
+    strict_ok = all((3 * s - 1) + x1 * (s - 1) - g > 0 for s, g, x1, _ in upper)
+    s, g, x1, _ = rows[50]  # s = 1/2
+    aux2_rhs = (1 - s) * x1 - s
+    aux2_fixture = not g < aux2_rhs and abs(g - 1 / 6) < 1e-12 and abs(aux2_rhs + 1 / 3) < 1e-12
     ok = identity_ok and x2_ok and aux3_ok and strict_ok and aux2_fixture
     _report(
         "10 g3/X algebra",

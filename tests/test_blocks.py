@@ -1,11 +1,11 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cflab import blocks, growth
-from cflab.errors import DomainError
 from cflab.growth import GrowthFunction
 
 from oracles import brute_first_E, brute_first_F
@@ -16,17 +16,10 @@ PHI_N = GrowthFunction.power_log(1, 0)  # max(n, 2)
 
 class TestBlockProducts:
     def test_examples(self):
-        assert [b.exact for b in blocks.block_products([1, 2, 3, 4], 3)] == [6, 24]
-        assert [b.exact for b in blocks.block_products([2, 2, 2], 3)] == [8]
-        assert [b.exact for b in blocks.block_products([5, 1, 1, 5], 1)] == [5, 1, 1, 5]
-
-    def test_logs_match(self):
-        for b in blocks.block_products([3, 7, 2, 9], 2):
-            assert b.log_value == pytest.approx(math.log(b.exact), abs=1e-12)
-
-    def test_too_short(self):
-        with pytest.raises(DomainError):
-            blocks.block_products([1, 2], 3)
+        # the exact window products behind every scan: multiply the new quotient in, divide the old one out
+        assert list(blocks._products([1, 2, 3, 4], 3, 2)) == [6, 24]
+        assert list(blocks._products([2, 2, 2], 3, 1)) == [8]
+        assert list(blocks._products([5, 1, 1, 5], 1, 4)) == [5, 1, 1, 5]
 
 
 class TestFirstEvents:
@@ -83,25 +76,10 @@ class TestFirstEvents:
 
 
 class TestANK:
-    def test_examples(self):
-        word = [9] * 6
-        assert blocks.a_nk_membership(word, 4, 1, 3, GrowthFunction.table([700.0] * 10))
-        assert not blocks.a_nk_membership(word, 4, 1, 3, GrowthFunction.table([730.0] * 10))
-
-    def test_random_vs_products(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            word = [int(x) for x in rng.integers(1, 30, 20)]
-            n = int(rng.integers(4, 12))
-            k = int(rng.integers(1, n))
-            got = blocks.a_nk_membership(word, n, k, 3, PHI_N)
-            pk = math.prod(word[k - 1 : k + 2])
-            pn = math.prod(word[n - 1 : n + 2])
-            assert got == (PHI_N.meets_threshold(pk, n) and PHI_N.meets_threshold(pn, n))
-
     def test_union_structure_at_event_level(self):
         # an F event at level n has a qualifying pair; membership in some
-        # A_{n,k} holds exactly when the block at n itself qualifies
+        # A_{n,k} (the blocks at k and at n both reach phi(n)) holds exactly
+        # when the block at n itself qualifies
         rng = np.random.default_rng(5)
         phi = GrowthFunction.power_log(0.7, 0)
         for _ in range(40):
@@ -110,15 +88,12 @@ class TestANK:
             if hit is None:
                 continue
             n = hit[0]
-            some_ank = any(
-                blocks.a_nk_membership(word, n, k, 3, phi) for k in range(1, n)
-            )
             pn = math.prod(word[n - 1 : n + 2])
+            some_ank = any(
+                phi.meets_threshold(math.prod(word[k - 1 : k + 2]), n) and phi.meets_threshold(pn, n)
+                for k in range(1, n)
+            )
             assert some_ank == phi.meets_threshold(pn, n)
-
-    def test_bad_indices(self):
-        with pytest.raises(DomainError):
-            blocks.a_nk_membership([1] * 10, 4, 4, 3, PHI2)
 
 
 class TestTrimmedAndMax:
@@ -157,11 +132,11 @@ class TestTrimmedAndMax:
             assert blocks.progression_sum(word, ell, d, n) == want
 
     def test_running_max(self):
-        vals = dict(blocks.running_max([3, 1, 4, 1], 2, 3))
+        vals = {r.n: r.max_block for r in blocks.trimmed_sum_trajectory([3, 1, 4, 1], 2, 3)}
         assert vals[3] == 4
         rng = np.random.default_rng(8)
         word = [int(x) for x in rng.integers(1, 99, 30)]
-        seq = [v for _, v in blocks.running_max(word, 2, 25)]
+        seq = [r.max_block for r in blocks.trimmed_sum_trajectory(word, 2, 25)]
         assert seq == sorted(seq)  # non-decreasing
         brute = [max(math.prod(word[i : i + 2]) for i in range(n)) for n in range(1, 26)]
         assert seq == brute
@@ -173,12 +148,12 @@ def test_log_exact_agreement_outside_band():
     phi = GrowthFunction.power_log(1, 1)
     for _ in range(30):
         word = [int(x) for x in rng.integers(1, 200, 40)]
-        prods = blocks.block_products(word, 3)
+        prods = [math.prod(word[i : i + 3]) for i in range(len(word) - 2)]
         for n in range(1, len(prods) + 1):
             thr = phi.log_phi(n)
-            for b in prods:
-                if abs(b.log_value - thr) > growth.LOG_BAND:
-                    assert (b.log_value >= thr) == (b.exact >= phi.phi(n))
+            for p in prods:
+                if abs(math.log(p) - thr) > growth.LOG_BAND:
+                    assert (math.log(p) >= thr) == (p >= phi.phi(n))
 
 
 def test_detectors_read_at_most_horizon_plus_ell_minus_one():
@@ -193,7 +168,7 @@ def test_detectors_read_at_most_horizon_plus_ell_minus_one():
             lambda s: blocks.first_F_event(s, ell, PHI2, horizon),
             lambda s: blocks.first_E_event(s, ell, PHI2, horizon),
             lambda s: list(blocks.trimmed_sum_trajectory(s, ell, horizon)),
-            lambda s: list(blocks.running_max(s, ell, horizon)),
+            lambda s: list(accumulate(blocks._products(s, ell, horizon), max)),  # the running maximum
         )
         for scan in scans:
             read = []

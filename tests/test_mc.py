@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import tracemalloc
+from concurrent.futures import Future
 from fractions import Fraction
 from unittest import mock
 
@@ -85,6 +86,13 @@ def reference_hits(word, ell, phi, horizon):
     hit_f = blocks.first_F_event(word, ell, phi, horizon)
     hit_e = blocks.first_E_event(word, ell, phi, horizon)
     return (hit_f[0] if hit_f else horizon + 1), (hit_e if hit_e else horizon + 1)
+
+
+def completed(value):
+    """A done future: a process pool stand-in's result."""
+    future = Future()
+    future.set_result(value)
+    return future
 
 
 def traced_peak(fn):
@@ -183,7 +191,7 @@ class TestConfig:
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=301, horizon=10, phi=PHI2)
         width = min(mc._DEPTH_BLOCK, cfg.horizon) + 300
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", mc._BYTES_PER_QUOTIENT * width)
-        assert mc._chunk_ranges(cfg)[0] == (0, 1)
+        assert list(mc._chunk_ranges(cfg))[0] == (0, 1)
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", mc._BYTES_PER_QUOTIENT * width - 1)
         with pytest.raises(ResourceLimitError, match="300 column tail"):
             mc._chunk_ranges(cfg)
@@ -325,7 +333,7 @@ class TestSamplingEngine:
 
     def test_one_philox_per_chunk(self, monkeypatch):
         cfg = mc.ExperimentConfig(kind="chung_erdos", phi=PHI2, horizon=20, samples=1000, seed=9)
-        chunks = len(mc._chunk_ranges(cfg))
+        chunks = len(list(mc._chunk_ranges(cfg)))
         built = self._count_philox(monkeypatch)
         mc.chung_erdos_check(cfg)
         assert len(built) <= chunks
@@ -445,7 +453,7 @@ class TestDepthBlockStreaming:
 
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=ell, phi=phi, horizon=horizon,
                                   samples=samples)
-        assert mc._chunk_ranges(cfg) == [(0, samples)]
+        assert list(mc._chunk_ranges(cfg)) == [(0, samples)]
         forced(monkeypatch, stream_fn, cfg)
         got = mc._event_table(cfg)
         for sid in range(samples):
@@ -820,7 +828,7 @@ class TestDepthBlockStreaming:
         run = {"trimmed": mc.run_trimmed, "khinchin": mc.run_khinchin, "dichotomy": mc.run_dichotomy}[kind]
         cfg = mc.ExperimentConfig(kind=kind, ell=2, phi=GrowthFunction.power_log(3, 2),
                                   horizon=3 * depth, samples=samples, seed=1)
-        assert mc._chunk_ranges(cfg) == [(0, samples)]
+        assert list(mc._chunk_ranges(cfg)) == [(0, samples)]
         assert mc._MASK_CELLS // depth >= samples  # every row in one mask group
         run(cfg)  # warms up caches
         peak = traced_peak(lambda: run(cfg))
@@ -835,7 +843,7 @@ class TestDepthBlockStreaming:
         monkeypatch.setattr(mc, "_CHUNK_BUDGET", 400_000)  # one chunk of all 64 rows peaks at 490 KB
         cfg = mc.ExperimentConfig(kind="dichotomy", ell=301, phi=GrowthFunction.power_log(1, 1),
                                   horizon=10, samples=64, seed=3)
-        assert len(mc._chunk_ranges(cfg)) > 1
+        assert len(list(mc._chunk_ranges(cfg))) > 1
         mc.run_dichotomy(cfg)  # warms up caches
         assert traced_peak(lambda: mc.run_dichotomy(cfg)) <= mc._CHUNK_BUDGET
 
@@ -846,7 +854,7 @@ class TestDepthBlockStreaming:
             drawn = mc._depth_blocks(cfg, mc.QuotientSampler(cfg.seed, range(1)))
             widest = max(qa.shape[1] for _, _, qa in drawn)
             size = min(512, mc._CHUNK_BUDGET // (mc._BYTES_PER_QUOTIENT * widest))
-            assert mc._chunk_ranges(cfg)[0] == (0, size), (ell, horizon)
+            assert list(mc._chunk_ranges(cfg))[0] == (0, size), (ell, horizon)
         ell_20000 = mc.ExperimentConfig(kind="dichotomy", ell=20_000, horizon=10, samples=1000, phi=PHI2)
         assert [hi - lo for lo, hi in mc._chunk_ranges(ell_20000)] == [255, 255, 255, 235]
 
@@ -855,7 +863,7 @@ class TestDepthBlockStreaming:
         seen = []
         run_chunks = mc._run_chunks
         monkeypatch.setattr(mc, "_run_chunks",
-                            lambda config, worker, ranges: seen.append(ranges) or run_chunks(config, worker, ranges))
+                            lambda c, w, ranges: run_chunks(c, w, seen.append(list(ranges)) or seen[-1]))
         for horizon in (100, 10**5):
             mc.run_trimmed(mc.ExperimentConfig(kind="trimmed", ell=2, horizon=horizon, samples=1000,
                                                seed=3, checkpoints=(100,)))
@@ -865,7 +873,7 @@ class TestDepthBlockStreaming:
         for kind, samples, horizon, ell in (("dichotomy", 256, 10**4, 3), ("trimmed", 16, 2 * 10**4, 2)):
             cfg = mc.ExperimentConfig(kind=kind, ell=ell, horizon=horizon, samples=samples,
                                       phi=PHI2)
-            assert mc._chunk_ranges(cfg) == [(0, samples)]
+            assert list(mc._chunk_ranges(cfg)) == [(0, samples)]
 
 
 @pytest.mark.parametrize("run", [mc.run_dichotomy, mc.hitting_times, mc.event_records, mc.run_trimmed,
@@ -993,7 +1001,7 @@ class TestTrimmedKhinchin:
         cfg = mc.ExperimentConfig(kind="trimmed", ell=ell, d=d, horizon=horizon, samples=samples,
                                   seed=seed, checkpoints=cps)
         with mock.patch.object(mc, "_CHUNK_BUDGET", mc._CHUNK_BUDGET // 4):
-            assert horizon % block and len(mc._chunk_ranges(cfg)) > 1
+            assert horizon % block and len(list(mc._chunk_ranges(cfg))) > 1
             got_sums, trimmed, sums, maxes = mc._gather(cfg, both, (4, len(cfg.checkpoints)), float)
         below = sums < mc.GIANT
         assert np.array_equal(got_sums[below], sums[below])
@@ -1105,8 +1113,8 @@ class TestPersistence:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                return completed(fn(item))
 
         monkeypatch.setattr(mc, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -1122,6 +1130,26 @@ class TestPersistence:
         list(mc._run_chunks(mc.ExperimentConfig(kind="khinchin", threads=8), lambda r: r, ranges))
         assert made == []  # unknown CPU count: run inline
 
+    def test_pool_keeps_two_ranges_a_worker_in_flight(self, monkeypatch):
+        """3 workers take each range as they submit it, and hold at most 6 submitted and not collected."""
+        pool, pulled, submitted = mock.MagicMock(), [], []
+        pool.__enter__.return_value.submit = lambda fn, r: submitted.append(r) or completed(fn(r))
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", mock.Mock(return_value=pool))
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        ranges = (pulled.append(i) or (i, i + 1) for i in range(100))
+        run = mc._run_chunks(mc.ExperimentConfig(kind="khinchin", threads=8), lambda r: r[0], ranges)
+        for i, got in enumerate(run):
+            assert (got, len(submitted) - (i + 1), len(pulled)) == (i, min(6, 99 - i), len(submitted)), i
+        mc.ProcessPoolExecutor.assert_called_once_with(max_workers=3)
+        assert len(submitted) == 100
+
+    def test_chunk_ranges_are_lazy(self):
+        """200,000 one-row ranges at ell = 5 * 10^6, 25.6 MB as a list, come one at a time."""
+        cfg = mc.ExperimentConfig(kind="dichotomy", ell=5 * 10**6, horizon=10, samples=200_000, phi=PHI2)
+        widths = collections.Counter()
+        peak = traced_peak(lambda: widths.update(hi - lo for lo, hi in mc._chunk_ranges(cfg)))
+        assert widths == {1: 200_000} and peak < 50_000, peak
+
     def test_thread_count_invariance(self, tmp_path):
         a, b = tmp_path / "t1", tmp_path / "t3"
         mc.run_experiment(self._config(threads=1), str(a))
@@ -1136,7 +1164,7 @@ class TestPersistence:
                             lambda max_workers: made.append(max_workers) or pool(max_workers))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = mc.ExperimentConfig(kind="trimmed", ell=2, horizon=300, samples=600, seed=5)
-        assert len(mc._chunk_ranges(cfg)) == 2
+        assert len(list(mc._chunk_ranges(cfg))) == 2
         a, b = tmp_path / "t1", tmp_path / "t2"
         mc.run_experiment(cfg, str(a))
         mc.run_experiment(dataclasses.replace(cfg, threads=2), str(b))

@@ -27,14 +27,14 @@ class TestAlgebra:
     def test_g3_equals_3s_minus_1_minus_x2(self):
         for s in (0.4, 0.6, 0.8, 1.0):
             sf = Fraction(s).limit_denominator(10)
-            _, x2, _ = pr.x_functions(sf)
+            _, x2, _ = oracles.x_functions(sf)
             assert pr.g3(sf) == 3 * sf - 1 - x2
 
     def test_x_functions(self):
-        assert pr.x_functions(1) == (0, 1, 0)
-        assert pr.x_functions(Fraction(1, 2)) == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+        assert oracles.x_functions(1) == (0, 1, 0)
+        assert oracles.x_functions(Fraction(1, 2)) == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
         for k in range(0, 11):
-            x1, x2, x3 = pr.x_functions(Fraction(k, 10))
+            x1, x2, x3 = oracles.x_functions(Fraction(k, 10))
             assert x1 + x2 + x3 == 1
             assert 0 <= min(x1, x2, x3) and max(x1, x2, x3) <= 1
 
@@ -52,30 +52,32 @@ class TestAlgebra:
 
 
 class TestAuxReport:
+    """The g3/X relations of the paper's auxiliary inequalities."""
+
     def test_identity_at_grid(self):
-        rows = pr.aux_inequality_report([k / 100 for k in range(101)])
-        assert all(abs(r.identity_gap) <= 1e-12 for r in rows)
-        assert all(abs(r.x2_gap) <= 1e-12 for r in rows)
+        for s in (k / 100 for k in range(101)):
+            x1, x2, _ = (float(x) for x in oracles.x_functions(s))
+            g = float(pr.g3(s))
+            assert abs(g - ((2 * s - 1) + x1 * s)) <= 1e-12, s
+            assert abs((3 * s - 1) - x2 - g) <= 1e-12, s
 
     def test_g3_below_3s_minus_1_gap(self):
         s = Fraction(2, 5)
-        _, x2, _ = pr.x_functions(s)
+        _, x2, _ = oracles.x_functions(s)
         assert x2 == Fraction(4, 19)
         assert pr.g3(s) == 3 * s - 1 - Fraction(4, 19)
 
     def test_aux3_at_one(self):
-        (row,) = pr.aux_inequality_report([1.0])
-        assert row.aux3_margin == pytest.approx(3 - 1)
+        s = 1
+        x1, x2, _ = oracles.x_functions(s)
+        assert (3 * s - 1) * (x1 + x2) + s - pr.g3(s) == 2
 
     def test_aux2_documented_failure(self):
-        rows = pr.aux_inequality_report([0.5, 1.0])
-        assert not rows[0].aux2_holds and not rows[1].aux2_holds
-        assert rows[0].aux2_lhs == pytest.approx(1 / 6)
-        assert rows[0].aux2_rhs == pytest.approx(-1 / 3)
-
-    def test_grid_domain(self):
-        with pytest.raises(DomainError):
-            pr.aux_inequality_report([1.5])
+        # g3 < (1-s) X1 - s fails at both ends of [1/2, 1]: 1/6 against -1/3 at s = 1/2
+        for s, lhs, rhs in ((Fraction(1, 2), Fraction(1, 6), Fraction(-1, 3)), (1, 1, -1)):
+            x1, _, _ = oracles.x_functions(s)
+            assert (pr.g3(s), (1 - s) * x1 - s) == (lhs, rhs)
+            assert not lhs < rhs
 
 
 class TestWordOracle:
@@ -491,21 +493,43 @@ class TestNearOneHalf:
 class TestShulgaHussain:
     def test_single_block_matches_e1(self):
         B = 3.0
-        dims, mn = pr.shulga_hussain_dims([B], FAST)
+        dims, mn = oracles.shulga_hussain_dims([B], FAST)
         e1 = pr.hausdorff_dim("E1", GrowthFunction.exponential(B), FAST)
         assert abs(dims[0] - e1.s) <= 2 * FAST.bisect_tol
-        dims, _ = pr.shulga_hussain_dims([1e4])  # a root within 0.005 of 1/2
+        dims, _ = oracles.shulga_hussain_dims([1e4])  # a root within 0.005 of 1/2
         assert dims[0] == pr.hausdorff_dim("E1", GrowthFunction.exponential(1e4)).s == 0.5048187255859375
 
     def test_trend_toward_one(self):
-        _, m_11 = pr.shulga_hussain_dims([1.1], FAST)
-        _, m_101 = pr.shulga_hussain_dims([1.01], FAST)
+        _, m_11 = oracles.shulga_hussain_dims([1.1], FAST)
+        _, m_101 = oracles.shulga_hussain_dims([1.01], FAST)
         assert m_101 > m_11
         assert m_101 > 0.9
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            pr.shulga_hussain_dims([1.0, 2.0])
+            oracles.shulga_hussain_dims([1.0, 2.0])
+
+
+class TestDimensionRoot:
+    """A root bisects the whole Gauss system on _BRACKET; neither end is evaluated."""
+
+    def test_bracket_ends_hold(self):
+        # P = +inf at the floor; f(1) > 0 and P(1) ~ 0 put P(1) - f(1) log B below 0 for every B > 1
+        assert pr.transfer_pressure(pr._BRACKET[0]) == math.inf
+        assert all(f(pr._BRACKET[1]) > 0 for f in pr.SET_POTENTIALS.values())
+        assert pr.transfer_pressure(pr._BRACKET[1]) < 1e-9
+
+    def test_one_operator_build_a_bisection_step(self, monkeypatch):
+        built, real = [], pr._transfer_matrix
+        monkeypatch.setattr(pr, "_transfer_matrix", lambda s, N, p: built.append(s) or real(s, N, p))
+        pr.hausdorff_dim("F3", GrowthFunction.exponential(2))
+        assert len(built) == 13 and 0.5 < min(built) and max(built) < 1.0, built
+
+    def test_truncated_roots_keep_their_bits(self):
+        # c06's roots of the 10^3- and 10^4-branch operators, as the library's finite-alphabet solver gave them
+        f, log_B = pr.SET_POTENTIALS["F3"], math.log(2.0)
+        got = [oracles.truncated_root(f, log_B, N, FAST).hex() for N in (10**3, 10**4)]
+        assert got == ["0x1.a68a000000000p-1", "0x1.a7be000000000p-1"]
 
 
 # float.hex() of the solvers' results. The golden outputs reach the bisection only through
@@ -550,7 +574,7 @@ DIM_PINS = {
     ("F3", 50.0, 0.0001): ("0x1.4110666666666p-1", "0x1.410c000000000p-1", "0x1.4114cccccccccp-1"),
     ("F3", 50.0, 1e-09): ("0x1.410d7b1433333p-1", "0x1.410d7b1200000p-1", "0x1.410d7b1666666p-1"),
 }
-# A -> (d_i, min d_i) of shulga_hussain_dims at the default tolerance
+# A -> (d_i, min d_i) of oracles.shulga_hussain_dims at the default tolerance
 SHULGA_PINS = {
     (2.0,): (("0x1.9b9b99999999ap-1",), "0x1.9b9b99999999ap-1"),
     (1.1,): (("0x1.ecc4666666666p-1",), "0x1.ecc4666666666p-1"),
@@ -588,7 +612,7 @@ class TestSolverPins:
 
     def test_shulga_hussain_dims(self):
         for A, (dims, low) in SHULGA_PINS.items():
-            got, got_low = pr.shulga_hussain_dims(list(A))
+            got, got_low = oracles.shulga_hussain_dims(list(A))
             assert (tuple(d.hex() for d in got), got_low.hex()) == (dims, low), A
 
     def test_s_m_oracle(self):
