@@ -134,8 +134,11 @@ def _parse_params(text: str) -> dict:
         if not item:
             continue
         key, _, value = item.partition("=")
+        key = key.strip()
+        if key in out:
+            raise DomainError(f"repeated --params key {key!r}")
         try:
-            out[key.strip()] = float(value)
+            out[key] = float(value)
         except ValueError:
             raise DomainError(f"bad --params item {item!r}, expected key=number") from None
     return out
@@ -197,6 +200,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DomainError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def cmd_experiment(args) -> int:
@@ -214,11 +219,18 @@ def cmd_experiment(args) -> int:
         manifest = mc.run_experiment(config, args.out)
         print(json.dumps({"config_hash": manifest.config_hash, "out": args.out}, indent=2))
         return 0
-    # report
-    manifest = json.loads(_read_text(os.path.join(args.dir, "manifest.json")))
-    print(f"run {manifest['config_hash'][:12]}  tool {manifest['tool_version']}  seed {manifest['seed']}")
-    for name in manifest["output_files"]:
-        content = _read_text(os.path.join(args.dir, name)).strip().splitlines()
+    # report: every file is read before anything is printed
+    path = os.path.join(args.dir, "manifest.json")
+    text = _read_text(path)
+    try:
+        manifest = json.loads(text)
+        head = f"run {manifest['config_hash'][:12]}  tool {manifest['tool_version']}  seed {manifest['seed']}"
+        paths = [(name, os.path.join(args.dir, name)) for name in manifest["output_files"]]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DomainError(f"{path} is not a run manifest ({type(exc).__name__}: {exc})") from None
+    contents = [(name, _read_text(p).strip().splitlines()) for name, p in paths]
+    print(head)
+    for name, content in contents:
         print(f"-- {name}")
         widths = None
         for line in content:

@@ -765,7 +765,8 @@ def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
 def run_experiment(config: ExperimentConfig, out_dir: str) -> RunManifest:
     """Run the configured experiment and persist CSV results plus a manifest.
 
-    out_dir is made only after a successful run, so a refusal leaves no directory.
+    out_dir is made only after a successful run, so a refusal leaves no directory;
+    an out_dir that cannot be made or written is a DomainError.
     """
     started = datetime.now(timezone.utc).isoformat()
     run = {
@@ -775,22 +776,25 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> RunManifest:
         "chung_erdos": lambda c: [asdict(chung_erdos_check(c))],
     }[config.kind]
     rows = run(config)  # dicts whose keys are the CSV columns in order
-    os.makedirs(out_dir, exist_ok=True)
     header = list(rows[0])
     data = [list(r.values()) for r in rows]
     csv_name = f"{config.kind}.csv"
-    write_atomic(os.path.join(out_dir, csv_name), lambda fh: write_csv(fh, header, data))
-    finished = datetime.now(timezone.utc).isoformat()
-    manifest = RunManifest(
-        config_hash=config_hash(config),
-        tool_version=__version__,
-        seed=config.seed,
-        prng=PRNG_NAME,
-        started_at=started,
-        finished_at=finished,
-        output_files=(csv_name,),
-    )
-    manifest_text = json.dumps(manifest.__dict__, indent=2, sort_keys=True, default=list) + "\n"
-    write_atomic(os.path.join(out_dir, "manifest.json"), lambda fh: fh.write(manifest_text))
-    write_atomic(os.path.join(out_dir, "config.txt"), lambda fh: fh.write(config_to_text(config)))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        write_atomic(os.path.join(out_dir, csv_name), lambda fh: write_csv(fh, header, data))
+        finished = datetime.now(timezone.utc).isoformat()
+        manifest = RunManifest(
+            config_hash=config_hash(config),
+            tool_version=__version__,
+            seed=config.seed,
+            prng=PRNG_NAME,
+            started_at=started,
+            finished_at=finished,
+            output_files=(csv_name,),
+        )
+        manifest_text = json.dumps(manifest.__dict__, indent=2, sort_keys=True, default=list) + "\n"
+        write_atomic(os.path.join(out_dir, "manifest.json"), lambda fh: fh.write(manifest_text))
+        write_atomic(os.path.join(out_dir, "config.txt"), lambda fh: fh.write(config_to_text(config)))
+    except OSError as exc:  # out_dir below a regular file, or not writable
+        raise DomainError(f"cannot write {out_dir}: {exc.strerror}") from None
     return manifest

@@ -4,10 +4,12 @@ Every infinite sum is reduced to a finite divisor-sieve head below the cut M
 plus zeta tails; zeta itself is direct summation plus the one Euler-Maclaurin
 tail, hurwitz_range(t, lo, hi) at hi = inf (no special-function dependency),
 which pressure also reads over a range of branches. The sieve,
-divisor_table(k, limit), is a plain int64 array of d_k(0..limit), and one head
-sum_{v <= top} d_k(v) v^-t (_dirichlet_head) serves the power tails and the
-finite box sums. Real thresholds "product >= M" are interpreted on integers
-as v >= ceil(M); "product < M" as v <= ceil(M) - 1.
+divisor_table(k, limit), is a plain int64 array of d_k(0..limit). Each
+evaluation sieves each table it needs once and reads every sum from it: the
+head sum_{v <= top} d_k(v) v^-t (_head) for the tails and the finite box
+sums, and the prefix Z[v] (_prefix) for the grouped sums. Real thresholds
+"product >= M" are interpreted on integers as v >= ceil(M); "product < M" as
+v <= ceil(M) - 1; "product <= M" as v <= floor(M) (_cut).
 """
 
 from __future__ import annotations
@@ -103,37 +105,55 @@ def hurwitz_range(t, lo, hi):
     return _euler_maclaurin(head, t, lo) - _euler_maclaurin(0.0, t, hi)
 
 
-def _inv_power_prefix(limit: int, t: float) -> np.ndarray:
-    """Z[v] = sum_{a <= v} a^{-t} for v = 0..limit (Z[0] = 0)."""
-    z = np.zeros(limit + 1)
-    if limit >= 1:
-        z[1:] = np.cumsum(np.arange(1, limit + 1, dtype=float) ** (-t))
-    return z
-
-
-def _ceil_cut(M: float) -> int:
+def _cut(M: float, rounding=math.ceil) -> int:
+    """The integer cut of a real threshold: ceil(M) for "product >= M", floor(M) for "<= M"."""
     if not math.isfinite(M):
         raise DomainError(f"M must be finite, got {M}")
-    c = math.ceil(M)
+    c = rounding(M)
     if c < 1:
         raise DomainError("M must be >= 1")
     return c
 
 
-def _floor_top(M: float) -> int:
-    if not math.isfinite(M):
-        raise DomainError(f"M must be finite, got {M}")
-    top = math.floor(M)
-    if top < 1:
-        raise DomainError("M must be >= 1")
-    return top
+def _head(d: np.ndarray, t: float) -> float:
+    """sum_{1 <= v <= top} d[v] v^-t over a sieved table d[0..top]."""
+    return float(np.dot(d[1:].astype(float), np.arange(1, len(d), dtype=float) ** (-t)))
+
+
+def _prefix(d: np.ndarray, t: float) -> np.ndarray:
+    """Z[v] = sum_{a <= v} d[a] a^-t for v = 0..top (Z[0] = 0) over a sieved table d[0..top]."""
+    z = np.zeros(len(d))
+    z[1:] = np.cumsum(d[1:] / np.arange(1, len(d), dtype=float) ** t)
+    return z
+
+
+def _tail(k: int, M: float, t: float):
+    """sum_{v >= ceil(M)} d_k(v)/v^t = zeta(t)^k minus the sieve head below the cut.
+
+    Returns the SeriesValue and the table d_k(0..ceil(M) - 1) it read (None
+    when the cut is 1), so a caller needing d_k again sieves it once.
+    """
+    cut = _cut(M)
+    d = divisor_table(k, cut - 1) if cut > 1 else None
+    zt = zeta(t)
+    total = zt ** k
+    head = _head(d, t) if d is not None else 0.0
+    err = k * zt ** (k - 1) * ZETA_ERR + 1e-15 * (total + head) + 1e-300
+    return SeriesValue(total - head, err), d
+
+
+def _box(ell: int, M: float, t: float) -> SeriesValue:
+    """sum_{v <= floor(M)} d_ell(v)/v^t, the finite box sum."""
+    top = _cut(M, math.floor)
+    value = _head(divisor_table(ell, top), t)  # the sieve budget refuses a huge top
+    return SeriesValue(value, 1e-14 * value * math.log(top + 2) + 1e-300)
 
 
 def series_block_tail(ell: int, M: float) -> SeriesValue:
     """sum over a_1...a_ell >= M of prod a_i^-2, i.e. sum_{v >= ceil(M)} d_ell(v)/v^2."""
     if ell < 1:
         raise DomainError("ell must be >= 1")
-    return _divisor_tail(ell, M, 2.0)
+    return _tail(ell, M, 2.0)[0]
 
 
 def series_overlap(r: int, j: int, M: float) -> SeriesValue:
@@ -142,23 +162,21 @@ def series_overlap(r: int, j: int, M: float) -> SeriesValue:
     sum over (prod a)(prod b) >= M and (prod b)(prod c) >= M, with r outer
     variables on each side, of the product of inverse squares. Grouped on
     v = prod b: unconstrained outer sums when v >= M, and W_r(M/v)^2 below,
-    where W_r(y) = sum_{w >= ceil(y)} d_r(w)/w^2.
+    where W_r(y) = sum_{w >= ceil(y)} d_r(w)/w^2. d_j is sieved once, for
+    the tail and the weights, and serves as d_r when r = j.
     """
     if r < 1 or j < 1:
         raise DomainError("r and j must be >= 1")
-    cut = _ceil_cut(M)
+    tail_j, dj = _tail(j, M, 2.0)
     z2 = zeta(2.0)
-    tail_j = series_block_tail(j, M)
     value = z2 ** (2 * r) * tail_j.value
-    if cut > 1:
-        dj = divisor_table(j, cut - 1)[1:].astype(float)
-        dr = divisor_table(r, cut - 1)[1:].astype(float)
-        v = np.arange(1, cut)
-        prefix_r = np.zeros(cut)
-        prefix_r[1:] = np.cumsum(dr / v.astype(float) ** 2)
+    if dj is not None:
+        cut = len(dj)
+        prefix_r = _prefix(dj if r == j else divisor_table(r, cut - 1), 2.0)
+        v = np.arange(1, cut, dtype=float)
         y_cut = np.ceil(M / v).astype(np.int64)  # W_r argument per v
-        w = z2 ** r - prefix_r[np.minimum(y_cut - 1, cut - 1)]
-        value += float(np.dot(dj / v.astype(float) ** 2, w ** 2))
+        w = z2 ** r - prefix_r[y_cut - 1]  # y_cut lies in 2..cut
+        value += float(np.dot(dj[1:] / v ** 2, w ** 2))
     err = (2 * r + j + 2) * z2 ** (2 * r + j) * ZETA_ERR + 1e-14 * abs(value) + 1e-300
     return SeriesValue(value, err)
 
@@ -167,38 +185,31 @@ def series_harmonic_box(ell: int, M: float) -> SeriesValue:
     """sum over a_1...a_ell <= M of 1/(a_1...a_ell) = sum_{v <= M} d_ell(v)/v."""
     if ell < 1:
         raise DomainError("ell must be >= 1")
-    top = _floor_top(M)
-    value = _dirichlet_head(ell, top, 1.0)
-    return SeriesValue(value, 1e-14 * value * math.log(top + 2) + 1e-300)
+    return _box(ell, M, 1.0)
 
 
 def series_shifted(ell: int, M: float) -> SeriesValue:
     """sum over a_1...a_ell < M and a_2...a_{ell+1} >= M of prod_{i<=ell+1} a_i^-2.
 
-    Grouped on the shared word w = a_2...a_ell (empty for ell = 1):
-    each w < M contributes d_{ell-1}(w)/w^2 * Z(ceil(M/w)-1) * tail(ceil(M/w)).
+    Grouped on the shared word w = a_2...a_ell (empty for ell = 1): each
+    w < M contributes d_{ell-1}(w)/w^2 * Z(y-1) * (zeta(2) - Z(y-1)) at
+    y = ceil(M/w), which lies in 2..ceil(M), with Z the prefix of 1/a^2.
     """
     if ell < 1:
         raise DomainError("ell must be >= 1")
-    cut = _ceil_cut(M)
+    cut = _cut(M)
     if cut < 2:
         raise DomainError("M must be >= 2 for a nonempty constraint")
     z2 = zeta(2.0)
-    prefix = _inv_power_prefix(cut, 2.0)
-
-    def head_tail(y_cut: np.ndarray) -> np.ndarray:
-        a1 = prefix[np.maximum(y_cut - 1, 0)]
-        c = z2 - prefix[np.minimum(y_cut - 1, cut)]
-        return a1 * c
-
     if ell == 1:
-        y = np.array([cut], dtype=np.int64)
-        value = float(head_tail(y)[0])
+        z = _prefix(divisor_table(1, cut - 1), 2.0)[cut - 1]
+        value = float(z * (z2 - z))
     else:
-        dw = divisor_table(ell - 1, cut - 1)[1:].astype(float)
-        w = np.arange(1, cut)
-        y = np.ceil(M / w).astype(np.int64)
-        value = float(np.dot(dw / w.astype(float) ** 2, head_tail(y)))
+        dw = divisor_table(ell - 1, cut - 1)
+        prefix = _prefix(dw if ell == 2 else divisor_table(1, cut - 1), 2.0)
+        w = np.arange(1, cut, dtype=float)
+        z = prefix[np.ceil(M / w).astype(np.int64) - 1]
+        value = float(np.dot(dw[1:] / w ** 2, z * (z2 - z)))
     err = (ell + 2) * z2 ** ell * ZETA_ERR + 1e-14 * abs(value) + 1e-300
     return SeriesValue(value, err)
 
@@ -209,23 +220,7 @@ def series_power_tail(k: int, M: float, t: float) -> SeriesValue:
         raise DomainError("k must be in {1, 2, 3}")
     if t <= 1:
         raise DomainError("infinite power sums require t > 1")
-    return _divisor_tail(k, M, t)
-
-
-def _dirichlet_head(k: int, top: int, t: float) -> float:
-    """sum_{v <= top} d_k(v)/v^t for top >= 1, from the sieve."""
-    d = divisor_table(k, top)[1:].astype(float)  # first: the sieve budget refuses a huge top
-    return float(np.dot(d, np.arange(1, top + 1, dtype=float) ** (-t)))
-
-
-def _divisor_tail(k: int, M: float, t: float) -> SeriesValue:
-    """sum_{v >= ceil(M)} d_k(v)/v^t = zeta(t)^k minus the sieve head below the cut."""
-    cut = _ceil_cut(M)
-    zt = zeta(t)
-    total = zt ** k
-    head = _dirichlet_head(k, cut - 1, t) if cut > 1 else 0.0
-    err = k * zt ** (k - 1) * ZETA_ERR + 1e-15 * (total + head) + 1e-300
-    return SeriesValue(total - head, err)
+    return _tail(k, M, t)[0]
 
 
 def series_power_box(ell: int, M: float, s: float) -> SeriesValue:
@@ -234,9 +229,7 @@ def series_power_box(ell: int, M: float, s: float) -> SeriesValue:
         raise DomainError("ell must be >= 1")
     if not 0 < s < 1:
         raise DomainError("box sums take s in (0, 1)")
-    top = _floor_top(M)
-    value = _dirichlet_head(ell, top, s)
-    return SeriesValue(value, 1e-14 * value * math.log(top + 2) + 1e-300)
+    return _box(ell, M, s)
 
 
 # ---------------------------------------------------------------------------

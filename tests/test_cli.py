@@ -377,21 +377,38 @@ BAD_INPUTS = [
     ["experiment", "run", "--config", "dichotomy_d3.cfg", "--out", "out"],
     ["experiment", "run", "--config", "chung_erdos_d2.cfg", "--out", "out"],
     ["experiment", "report", "--dir", "missing"],
+    ["series", "--id", "S1", "--params", "ell=2,ell=3", "--M", "100"],
+    ["experiment", "report", "--dir", "manifest_cut"],
+    ["experiment", "report", "--dir", "manifest_list"],
+    ["experiment", "report", "--dir", "manifest_empty"],
+    ["experiment", "run", "--config", "latin1.cfg", "--out", "out"],
+    ["experiment", "report", "--dir", "latin1_csv"],
+    ["experiment", "run", "--config", "dichotomy.cfg", "--out", "dichotomy.cfg/out"],
+    ["experiment", "run", "--config", "dichotomy.cfg", "--out", "dichotomy.cfg"],
     *EMPTY_TABLE,
 ]
 
-# configs the cases above read; event kinds use consecutive blocks, so d != 1 is refused
+# files the cases above read; event kinds use consecutive blocks, so d != 1 is refused
 BAD_CONFIGS = {
     "dichotomy_d3.cfg": "kind = dichotomy\nd = 3\nphi_family = powerlog\nphi_params = 1,2\n",
     "chung_erdos_d2.cfg": "kind = chung_erdos\nd = 2\nphi_family = powerlog\nphi_params = 1,0\n",
+    "dichotomy.cfg": "kind = dichotomy\nphi_family = powerlog\nphi_params = 1,2\nhorizon = 20\nsamples = 2\n",
+    "latin1.cfg": b"kind = dichotomy\n# caf\xe9\n",
+    "manifest_cut/manifest.json": "{",
+    "manifest_list/manifest.json": "[1]",
+    "manifest_empty/manifest.json": "{}",
+    "latin1_csv/manifest.json": json.dumps(
+        {"config_hash": "0" * 64, "tool_version": "0", "seed": 0, "output_files": ["x.csv"]}),
+    "latin1_csv/x.csv": b"a,b\n\xff,1\n",
 }
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
 def test_bad_input_exits_domain(capsys, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name, text in BAD_CONFIGS.items():
-        (tmp_path / name).write_text(text)
+    for name, content in BAD_CONFIGS.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(content.encode() if isinstance(content, str) else content)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and err.startswith("error[domain]") and out == ""
 
