@@ -4,17 +4,21 @@ Every infinite sum is reduced to a finite divisor-sieve head below the cut M
 plus zeta tails; zeta itself is direct summation plus the one Euler-Maclaurin
 tail, hurwitz_range(t, lo, hi) at hi = inf (no special-function dependency),
 which pressure also reads over a range of branches. The sieve,
-divisor_table(k, limit), is a plain int64 array of d_k(0..limit). Each
-evaluation sieves each table it needs once and reads every sum from it: the
-head sum_{v <= top} d_k(v) v^-t (_head) for the tails and the finite box
-sums, and the prefix Z[v] (_prefix) for the grouped sums. Real thresholds
-"product >= M" are interpreted on integers as v >= ceil(M); "product < M" as
-v <= ceil(M) - 1; "product <= M" as v <= floor(M) (_cut).
+divisor_table(k, limit), is a plain int64 array of d_k(0..limit). Every sum
+reads prefixes of tables a _Tables builds once: the head sum_{v <= top} d_k(v)
+v^-t for the tails and box sums, and the prefix Z[v] for the grouped sums. A
+scan shares one _Tables, so each d_k is sieved once, at the floor of the
+grid's largest M; a smaller M reads prefixes of it, of its float copy, of the
+weights v^-t and of the sums Z (the same integers and bits), at a peak of at
+most one top-sized float array above an evaluation at the top M. Real
+thresholds "product >= M" are interpreted on integers as v >= ceil(M);
+"product < M" as v <= ceil(M) - 1; "product <= M" as v <= floor(M) (_cut).
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,37 +119,65 @@ def _cut(M: float, rounding=math.ceil) -> int:
     return c
 
 
-def _head(d: np.ndarray, t: float) -> float:
-    """sum_{1 <= v <= top} d[v] v^-t over a sieved table d[0..top]."""
-    return float(np.dot(d[1:].astype(float), np.arange(1, len(d), dtype=float) ** (-t)))
+class _Tables:
+    """The d_k tables of one evaluation or one scan, and what depends only on a table and t.
 
-
-def _prefix(d: np.ndarray, t: float) -> np.ndarray:
-    """Z[v] = sum_{a <= v} d[a] a^-t for v = 0..top (Z[0] = 0) over a sieved table d[0..top]."""
-    z = np.zeros(len(d))
-    z[1:] = np.cumsum(d[1:] / np.arange(1, len(d), dtype=float) ** t)
-    return z
-
-
-def _tail(k: int, M: float, t: float):
-    """sum_{v >= ceil(M)} d_k(v)/v^t = zeta(t)^k minus the sieve head below the cut.
-
-    Returns the SeriesValue and the table d_k(0..ceil(M) - 1) it read (None
-    when the cut is 1), so a caller needing d_k again sieves it once.
+    Each is built once, at `top` or a larger first limit, and read as prefixes; Z reads
+    a held d_k, else a sieve it does not keep. A top past the sieve budget is dropped.
     """
+
+    def __init__(self, top: int = 0):
+        self.top, self.held = top, {}
+
+    def _get(self, key, limit, make):
+        if key not in self.held or len(self.held[key]) <= limit:
+            try:
+                self.held[key] = make(max(limit, self.top))
+            except ResourceLimitError:
+                if self.top <= limit:
+                    raise
+                self.top, self.held[key] = 0, make(limit)
+        return self.held[key][: limit + 1]
+
+    def table(self, k: int, limit: int) -> np.ndarray:
+        return self._get(("d", k), limit, lambda top: divisor_table(k, top).astype(float))
+
+    def head(self, k: int, t: float, limit: int) -> float:
+        """sum_{1 <= v <= limit} d_k(v) v^-t."""
+        d = self.table(k, limit)
+        w = self._get(("w", t), limit,
+                      lambda top: np.concatenate(([0.0], np.arange(1, top + 1, dtype=float) ** (-t))))
+        return float(np.dot(d[1:], w[1:]))
+
+    def prefix(self, k: int, t: float, limit: int) -> np.ndarray:
+        """Z[v] = sum_{a <= v} d_k(a) a^-t for v = 0..limit (Z[0] = 0)."""
+
+        def sums(top):
+            d = self.held[("d", k)][: top + 1] if ("d", k) in self.held else divisor_table(k, top)
+            z = np.zeros(top + 1)
+            z[1:] = np.cumsum(d[1:] / np.arange(1, top + 1, dtype=float) ** t)
+            return z
+
+        return self._get(("z", k, t), limit, sums)
+
+
+_SCAN = ContextVar("_SCAN", default=None)  # the running scan's _Tables; else one per evaluation
+
+
+def _tail(k: int, M: float, t: float, tables: _Tables) -> SeriesValue:
+    """sum_{v >= ceil(M)} d_k(v)/v^t = zeta(t)^k minus the sieve head below the cut."""
     cut = _cut(M)
-    d = divisor_table(k, cut - 1) if cut > 1 else None
     zt = zeta(t)
     total = zt ** k
-    head = _head(d, t) if d is not None else 0.0
+    head = tables.head(k, t, cut - 1) if cut > 1 else 0.0
     err = k * zt ** (k - 1) * ZETA_ERR + 1e-15 * (total + head) + 1e-300
-    return SeriesValue(total - head, err), d
+    return SeriesValue(total - head, err)
 
 
 def _box(ell: int, M: float, t: float) -> SeriesValue:
     """sum_{v <= floor(M)} d_ell(v)/v^t, the finite box sum."""
     top = _cut(M, math.floor)
-    value = _head(divisor_table(ell, top), t)  # the sieve budget refuses a huge top
+    value = (_SCAN.get() or _Tables()).head(ell, t, top)  # the sieve budget refuses a huge top
     return SeriesValue(value, 1e-14 * value * math.log(top + 2) + 1e-300)
 
 
@@ -153,7 +185,7 @@ def series_block_tail(ell: int, M: float) -> SeriesValue:
     """sum over a_1...a_ell >= M of prod a_i^-2, i.e. sum_{v >= ceil(M)} d_ell(v)/v^2."""
     if ell < 1:
         raise DomainError("ell must be >= 1")
-    return _tail(ell, M, 2.0)[0]
+    return _tail(ell, M, 2.0, _SCAN.get() or _Tables())
 
 
 def series_overlap(r: int, j: int, M: float) -> SeriesValue:
@@ -167,15 +199,16 @@ def series_overlap(r: int, j: int, M: float) -> SeriesValue:
     """
     if r < 1 or j < 1:
         raise DomainError("r and j must be >= 1")
-    tail_j, dj = _tail(j, M, 2.0)
+    tables = _SCAN.get() or _Tables()
+    tail_j = _tail(j, M, 2.0, tables)
     z2 = zeta(2.0)
     value = z2 ** (2 * r) * tail_j.value
-    if dj is not None:
-        cut = len(dj)
-        prefix_r = _prefix(dj if r == j else divisor_table(r, cut - 1), 2.0)
+    cut = _cut(M)
+    if cut > 1:
+        dj = tables.table(j, cut - 1)
+        prefix_r = tables.prefix(r, 2.0, cut - 1)
         v = np.arange(1, cut, dtype=float)
-        y_cut = np.ceil(M / v).astype(np.int64)  # W_r argument per v
-        w = z2 ** r - prefix_r[y_cut - 1]  # y_cut lies in 2..cut
+        w = z2 ** r - prefix_r[np.ceil(M / v).astype(np.int64) - 1]  # W_r at ceil(M/v), in 2..cut
         value += float(np.dot(dj[1:] / v ** 2, w ** 2))
     err = (2 * r + j + 2) * z2 ** (2 * r + j) * ZETA_ERR + 1e-14 * abs(value) + 1e-300
     return SeriesValue(value, err)
@@ -201,12 +234,13 @@ def series_shifted(ell: int, M: float) -> SeriesValue:
     if cut < 2:
         raise DomainError("M must be >= 2 for a nonempty constraint")
     z2 = zeta(2.0)
+    tables = _SCAN.get() or _Tables()
     if ell == 1:
-        z = _prefix(divisor_table(1, cut - 1), 2.0)[cut - 1]
+        z = tables.prefix(1, 2.0, cut - 1)[cut - 1]
         value = float(z * (z2 - z))
     else:
-        dw = divisor_table(ell - 1, cut - 1)
-        prefix = _prefix(dw if ell == 2 else divisor_table(1, cut - 1), 2.0)
+        dw = tables.table(ell - 1, cut - 1)
+        prefix = tables.prefix(1, 2.0, cut - 1)  # reads dw when ell = 2
         w = np.arange(1, cut, dtype=float)
         z = prefix[np.ceil(M / w).astype(np.int64) - 1]
         value = float(np.dot(dw[1:] / w ** 2, z * (z2 - z)))
@@ -220,7 +254,7 @@ def series_power_tail(k: int, M: float, t: float) -> SeriesValue:
         raise DomainError("k must be in {1, 2, 3}")
     if t <= 1:
         raise DomainError("infinite power sums require t > 1")
-    return _tail(k, M, t)[0]
+    return _tail(k, M, t, _SCAN.get() or _Tables())
 
 
 def series_power_box(ell: int, M: float, s: float) -> SeriesValue:
@@ -335,18 +369,24 @@ def asymptotic_ratio_scan(series_id: str, params: dict, m_grid) -> ScanResult:
         raise DomainError(f"unknown series id {series_id!r}")
     keys, band, evaluate, predict = _SCANS[series_id]
     params = _scan_params(series_id, keys, params)
+    grid = list(m_grid)
+    top = max((math.floor(M) for M in map(float, grid) if math.isfinite(M)), default=0)
     rows = []
-    for M in m_grid:
-        val = evaluate(float(M), params)
-        try:
-            pred = predict(float(M), params)
-        except OverflowError:
-            raise DomainError(
-                f"series {series_id} has predicted shape past float range at M = {M!r}: no ratio"
-            ) from None
-        if pred == 0.0:
-            raise DomainError(f"series {series_id} has predicted shape 0 at M = {M!r}: no ratio")
-        rows.append(ScanRow(float(M), val.value, val.abs_error_bound, pred, val.value / pred))
+    token = _SCAN.set(_Tables(top))  # every M reads prefixes of tables built at the top
+    try:
+        for M in grid:
+            val = evaluate(float(M), params)
+            try:
+                pred = predict(float(M), params)
+            except OverflowError:
+                raise DomainError(
+                    f"series {series_id} has predicted shape past float range at M = {M!r}: no ratio"
+                ) from None
+            if pred == 0.0:
+                raise DomainError(f"series {series_id} has predicted shape 0 at M = {M!r}: no ratio")
+            rows.append(ScanRow(float(M), val.value, val.abs_error_bound, pred, val.value / pred))
+    finally:
+        _SCAN.reset(token)
     top = max(r.M for r in rows)
     top_rows = [r for r in rows if r.M >= top / 10.0]
     ratios = [r.ratio for r in top_rows]

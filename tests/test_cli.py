@@ -165,6 +165,21 @@ class TestSeries:
         assert "Traceback" not in done.stderr and done.stdout == ""
 
 
+    # recorded before a scan sieved its tables once at the top: the first refusal in grid order
+    @pytest.mark.parametrize("argv, code, err", [
+        ("--id S4 --params ell=1 --M-grid 0.5:1e9:3", 1,
+         "error[domain]: M must be >= 2 for a nonempty constraint\n"),
+        ("--id S1 --params ell=2 --M-grid 1:1e8:3", 1,
+         "error[domain]: series S1 has predicted shape 0 at M = 1.0: no ratio\n"),
+        ("--id S3 --params ell=1 --M-grid 1:1e8:3", 1,
+         "error[domain]: series S3 has predicted shape 0 at M = 1.0: no ratio\n"),
+        ("--id S1 --params ell=2 --M-grid 100:1e8:3", 2,
+         "error[resource]: sieve of size k*limit = 199999998 exceeds budget 80000000\n"),
+    ])
+    def test_scan_refuses_where_its_points_do(self, capsys, argv, code, err):
+        assert run_cli(capsys, "series", *argv.split()) == (code, "", err)
+
+
 class TestEventsAndPressure:
     def test_events_csv(self, capsys):
         code, out, _ = run_cli(
@@ -378,6 +393,10 @@ BAD_INPUTS = [
     ["experiment", "run", "--config", "chung_erdos_d2.cfg", "--out", "out"],
     ["experiment", "report", "--dir", "missing"],
     ["series", "--id", "S1", "--params", "ell=2,ell=3", "--M", "100"],
+    # the first M is refused before a table past the sieve budget at the top is read
+    ["series", "--id", "S4", "--params", "ell=1", "--M-grid", "0.5:1e9:3"],
+    ["series", "--id", "S1", "--params", "ell=2", "--M-grid", "1:1e8:3"],
+    ["series", "--id", "S3", "--params", "ell=1", "--M-grid", "1:1e8:3"],
     ["experiment", "report", "--dir", "manifest_cut"],
     ["experiment", "report", "--dir", "manifest_list"],
     ["experiment", "report", "--dir", "manifest_empty"],

@@ -1,6 +1,8 @@
+import json
 import math
 import tracemalloc
 from itertools import product as iproduct
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -431,3 +433,50 @@ def test_overlap_sieves_each_table_once(r, j, tables):
     with mock.patch.object(se, "divisor_table", wraps=se.divisor_table) as sieve:
         se.series_overlap(r, j, 999.5)
     assert [c.args for c in sieve.call_args_list] == tables
+
+
+# float.hex() of (value, abs_error_bound, ratio) of every row of a scan of each SERIES_PINS
+# id and params, recorded before a scan read every M from tables built once at its top. The
+# grids are explicit lists: "bench" is the benchmark's 100:50000:9 with its exact top, and
+# "off" is off-integer and out of order, so the largest M is not the last.
+SCAN_PINS = json.loads(Path(__file__).with_name("scan_pins.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("pin", SCAN_PINS["scans"],
+                         ids=lambda p: "-".join([p["id"], *map(str, p["params"].values()), p["grid"]]))
+def test_every_scan_keeps_its_bits(pin):
+    scan = se.asymptotic_ratio_scan(pin["id"], pin["params"], SCAN_PINS["grids"][pin["grid"]])
+    got = [[r.value.hex(), r.abs_error_bound.hex(), r.ratio.hex()] for r in scan.rows]
+    assert got == pin["rows"]
+
+
+def test_scan_pins_cover_every_series_pin():
+    assert {(p["id"], tuple(p["params"].items())) for p in SCAN_PINS["scans"]} == set(SERIES_PINS)
+
+
+@pytest.mark.parametrize("sid, params, tables", [("S1", {"ell": 2}, [(2, 50000)]),
+                                                 ("E0102", {}, [(1, 50000), (2, 50000)])])
+def test_scan_sieves_each_table_once_at_its_top(sid, params, tables):
+    # smaller M read prefixes: one call per k at the top, not one per grid point
+    with mock.patch.object(se, "divisor_table", wraps=se.divisor_table) as sieve:
+        se.asymptotic_ratio_scan(sid, params, se.geometric_grid(100, 50000, 9))
+    assert [c.args for c in sieve.call_args_list] == tables
+
+
+# tracemalloc peaks in bytes of each scan on geometric_grid(100, 1e6, 9), measured before a
+# scan shared its tables; a scan may hold at most one top-sized float64 array more
+SCAN_PEAKS = {("S1", (("ell", 2),)): 32_003_702, ("S2", (("r", 2), ("j", 2))): 56_071_135,
+              ("S4", (("ell", 3),)): 48_069_320, ("E0102", ()): 56_069_471}
+
+
+@pytest.mark.parametrize("sid, params", SCAN_PEAKS)
+def test_scan_memory_stays_within_one_top_array(sid, params):
+    se.zeta(2.0)  # cached before the measurement, as it was for the recorded peaks
+    grid = se.geometric_grid(100, 1e6, 9)
+    tracemalloc.start()
+    try:
+        se.asymptotic_ratio_scan(sid, dict(params), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= SCAN_PEAKS[sid, params] + 8 * (10**6 + 1)
