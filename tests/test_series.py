@@ -214,6 +214,14 @@ def test_scan_examples():
     assert e2.within_band  # value * M inside the frozen band
 
 
+@pytest.mark.parametrize("lo, hi, points", [(100, 5000, 4), (100, 50000, 9), (100, 1e6, 9), (0.5, 1e9, 3)])
+def test_grid_ends_exactly_at_hi(lo, hi, points):
+    # lo * step^(points - 1) missed 5000 by an ulp, so the box sums at "M = 5000" stopped at 4999
+    grid = se.geometric_grid(lo, hi, points)
+    assert len(grid) == points and grid[0] == lo and grid[-1] == hi
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
 def test_scan_unknown_id():
     with pytest.raises(DomainError):
         se.asymptotic_ratio_scan("S99", {}, [10.0])
