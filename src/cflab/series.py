@@ -401,4 +401,4 @@ def geometric_grid(lo: float, hi: float, points: int) -> list[float]:
     if 32 * points > _GRID_BUDGET:
         raise ResourceLimitError(f"grid of {points} points exceeds the {_GRID_BUDGET}-byte budget")
     step = (hi / lo) ** (1.0 / (points - 1))
-    return [lo * step ** i for i in range(points - 1)] + [hi]  # the last point is hi exactly
+    return [lo * step ** i for i in range(points - 1)] + [hi]  # lo * step^(points-1) misses hi
