@@ -8,11 +8,11 @@ divisor_table(k, limit), is a plain int64 array of d_k(0..limit). Every sum
 reads prefixes of tables a _Tables builds once: the head sum_{v <= top} d_k(v)
 v^-t for the tails and box sums, and the prefix Z[v] for the grouped sums. A
 scan shares one _Tables, so each d_k is sieved once, at the floor of the
-grid's largest M; a smaller M reads prefixes of it, of its float copy, of the
-weights v^-t and of the sums Z (the same integers and bits), at a peak of at
-most one top-sized float array above an evaluation at the top M. Real
-thresholds "product >= M" are interpreted on integers as v >= ceil(M);
-"product < M" as v <= ceil(M) - 1; "product <= M" as v <= floor(M) (_cut).
+grid's largest M; a smaller M reads prefixes of it and of its float copy,
+weights v^-t and sums Z (the same bits), at a peak of at most one top-sized
+float array above the top M alone. geometric_grid ends at hi exactly. Real
+thresholds "product >= M" are read on integers as v >= ceil(M); "product < M"
+as v <= ceil(M) - 1; "product <= M" as v <= floor(M) (_cut).
 """
 
 from __future__ import annotations

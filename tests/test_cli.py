@@ -164,7 +164,6 @@ class TestSeries:
         assert done.returncode == 1 and done.stderr.startswith("error[domain]")
         assert "Traceback" not in done.stderr and done.stdout == ""
 
-
     # recorded before a scan sieved its tables once at the top: the first refusal in grid order
     @pytest.mark.parametrize("argv, code, err", [
         ("--id S4 --params ell=1 --M-grid 0.5:1e9:3", 1,
