@@ -586,6 +586,18 @@ def truncated_root(f, log_B: float, N: int, params=pressure.DEFAULT_PARAMS) -> f
     return 0.5 * (lo + hi)
 
 
+def fine_dimension_root(f, log_B: float, params=pressure.DEFAULT_PARAMS) -> tuple[float, tuple[float, float]]:
+    """pressure._dimension_root with every bisection step on the caller's grid: the screen's reference.
+
+    The whole Gauss system's P(s) = f(s) log B, bisected on pressure._BRACKET
+    with lo raised to 1/2; returns the root and the bracket.
+    """
+    lo, hi = pressure._bisect(lambda s: not pressure.transfer_pressure(s, math.inf, params) - f(s) * log_B > 0.0,
+                              *pressure._BRACKET, params.bisect_tol)
+    lo = max(lo, 0.5)
+    return 0.5 * (lo + hi), (lo, hi)
+
+
 def wlog_threshold(n: int) -> float:
     """Solution x_n of x / log^2 x = n on the increasing branch x >= e^2.
 

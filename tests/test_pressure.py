@@ -195,6 +195,21 @@ class TestExactOracles:
             lo, hi = (mid, hi) if pr.transfer_pressure(mid, 2) > 0.0 else (lo, mid)
         assert abs(0.5 * (lo + hi) - 0.5312805062772051) <= 1e-10
 
+    def test_truncated_dimensions_follow_hensleys_expansion(self):
+        """dim E_N = 1 - 6/(pi^2 N) - 72 log N/(pi^4 N^2) + O(1/N^2) (Hensley, J. Number Theory 1992).
+
+        The roots of P_N(s) = 0, bisected to 1e-13, are far inside the power
+        iteration's floor (P(1) = -2.0e-11) at N <= 10^4. The band on the
+        O(1/N^2) coefficient, (0.7, 1.1), was fixed before the run from
+        0.81, 0.97 and 1.01 at N = 10^2, 10^3 and 10^4.
+        """
+        params = pr.PressureSolverParams(bisect_tol=1e-13)
+        dims = {N: oracles.truncated_root(lambda s: 0.0, 0.0, N, params) for N in (10**2, 10**3, 10**4)}
+        for N, dim in dims.items():
+            two_terms = 1.0 - 6.0 / (math.pi**2 * N) - 72.0 * math.log(N) / (math.pi**4 * N**2)
+            assert 0.7 < (dim - two_terms) * N**2 < 1.1, (N, dim)
+        assert abs((1.0 - dims[10**4]) * 10**4 / (6.0 / math.pi**2) - 1.0) <= 0.01, dims
+
 
 class TestCollocationRows:
     """One operator of _K explicit branches plus the Taylor-Hurwitz sum, built once per grid."""
@@ -530,6 +545,55 @@ class TestDimensionRoot:
         f, log_B = pr.SET_POTENTIALS["F3"], math.log(2.0)
         got = [oracles.truncated_root(f, log_B, N, FAST).hex() for N in (10**3, 10**4)]
         assert got == ["0x1.a68a000000000p-1", "0x1.a7be000000000p-1"]
+
+
+class TestScreenedBisection:
+    """A root decides each step on the 16-point _SCREEN grid unless that gap is within _SCREEN_MARGIN of 0."""
+
+    @pytest.mark.parametrize("set_id", sorted(pr.SET_POTENTIALS))
+    def test_roots_keep_the_fine_bisection_bits(self, set_id):
+        f = pr.SET_POTENTIALS[set_id]
+        for B in (1.01, 1.5, 2.0, 50.0, 1e4, 1e12):
+            phi = GrowthFunction.exponential(B)
+            for tol in (1e-4, 1e-9, 1e-13):
+                params = pr.PressureSolverParams(bisect_tol=tol)
+                res = pr.hausdorff_dim(set_id, phi, params)
+                s, (lo, hi) = oracles.fine_dimension_root(f, phi.growth_constants().log_B, params)
+                got = (res.s.hex(), res.bracket[0].hex(), res.bracket[1].hex())
+                assert got == (s.hex(), lo.hex(), hi.hex()), (set_id, B, tol)
+
+    def test_screen_agrees_with_every_larger_grid(self):
+        ss = [0.5 + 10.0**-k for k in range(3, 13)] + list(np.linspace(0.5005, 1.0, 60))
+        coarse = [pr.transfer_pressure(s, math.inf, pr._SCREEN) for s in ss]  # raises nothing
+        try:
+            for m in (17, 32, 64, 100, 200):
+                params = pr.PressureSolverParams(grid_points=m)
+                worst = max(abs(c - pr.transfer_pressure(s, math.inf, params)) for s, c in zip(ss, coarse))
+                assert worst <= pr._SCREEN_MARGIN / 1000, (m, worst)
+        finally:
+            pr._operator_parts.cache_clear()
+
+    def test_dim_then_pressure_keeps_both_grids(self):
+        pr._operator_parts.cache_clear()
+        for _ in range(2):
+            pr.hausdorff_dim("F3", GrowthFunction.exponential(2.0))
+            pr.transfer_pressure(0.7, 10**4)
+        assert pr._operator_parts.cache_info().misses == 2
+
+    def test_grid_over_budget_refused_before_the_bisection(self, monkeypatch):
+        monkeypatch.setattr(pr, "transfer_pressure", None)  # no step is evaluated
+        with pytest.raises(ResourceLimitError):
+            pr.hausdorff_dim("F3", GrowthFunction.exponential(2.0), pr.PressureSolverParams(grid_points=201))
+
+    @pytest.mark.parametrize("m, tol, screened, fine", [(64, 1e-4, 13, 0), (64, 1e-9, 30, 11), (16, 1e-4, 0, 13),
+                                                       (12, 1e-9, 0, 30)])
+    def test_matrices_by_grid(self, monkeypatch, m, tol, screened, fine):
+        grids, real = [], pr._transfer_matrix
+        monkeypatch.setattr(pr, "_transfer_matrix", lambda s, N, p: grids.append(p) or real(s, N, p))
+        params = pr.PressureSolverParams(grid_points=m, bisect_tol=tol)
+        pr.hausdorff_dim("F3", GrowthFunction.exponential(2.0), params)
+        assert sum(p is pr._SCREEN for p in grids) == screened
+        assert sum(p is params for p in grids) == fine == len(grids) - screened
 
 
 # float.hex() of the solvers' results. The golden outputs reach the bisection only through
