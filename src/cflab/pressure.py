@@ -10,7 +10,7 @@ Gauss system's P(s) = f(s) log B; one bisection (_bisect) finds it on _BRACKET
 oracles' conditions. Each step of a root is screened on a 16-point operator;
 only a step whose gap P(s) - f(s) log B is within 1e-6 of 0 evaluates the
 caller's grid (_dimension_root). The bits are the caller's grid's, and a root
-at the default tolerance builds only 16-point matrices.
+at the default tolerance rarely builds a 64-point matrix (dim F3 exp 2: none).
 
 Discretization: Chebyshev collocation with barycentric interpolation, power
 iteration with Rayleigh-quotient stopping. The operator's size does not

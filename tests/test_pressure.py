@@ -198,10 +198,11 @@ class TestExactOracles:
     def test_truncated_dimensions_follow_hensleys_expansion(self):
         """dim E_N = 1 - 6/(pi^2 N) - 72 log N/(pi^4 N^2) + O(1/N^2) (Hensley, J. Number Theory 1992).
 
-        The roots of P_N(s) = 0, bisected to 1e-13, are far inside the power
-        iteration's floor (P(1) = -2.0e-11) at N <= 10^4. The band on the
-        O(1/N^2) coefficient, (0.7, 1.1), was fixed before the run from
-        0.81, 0.97 and 1.01 at N = 10^2, 10^3 and 10^4.
+        The roots of P_N(s) = 0 are bisected to 1e-13. The power iteration's
+        floor (P(1) = -2.0e-11) moves them by about 1e-11, far below the
+        O(1/N^2) term (1e-8 at N = 10^4). The band on its coefficient,
+        (0.7, 1.1), was fixed before the run from 0.81, 0.97 and 1.01 at
+        N = 10^2, 10^3 and 10^4.
         """
         params = pr.PressureSolverParams(bisect_tol=1e-13)
         dims = {N: oracles.truncated_root(lambda s: 0.0, 0.0, N, params) for N in (10**2, 10**3, 10**4)}
